@@ -93,13 +93,28 @@ class InjectionRouter:
 
     def _add_red_range(self, base: int, size: int, seq: int) -> None:
         # coalesce with existing injected ranges: repeated writes into the
-        # same target memory must not trip the region overlap invariant
-        end = base + size
-        for region in self.tracker.regions(self.honeypot_pid):
-            if region.kind == "injected" and region.overlaps(base, size):
-                base = min(base, region.base)
-                end = max(end, region.end)
-                self.tracker.free_region(self.honeypot_pid, region.base, seq)
-        self.tracker.register_region(MemoryRegion(
-            pid=self.honeypot_pid, base=base, size=end - base,
-            kind="injected"))
+        # same target memory must not trip the region overlap invariant.
+        # Other honeypot regions (its image) stay as they are, and only the
+        # part of the range they do not cover joins the red area.
+        pid = self.honeypot_pid
+        lo, hi = base, base + size
+        blocked = []
+        for region in self.tracker.regions_overlapping(pid, base, size):
+            if region.kind == "injected":
+                lo = min(lo, region.base)
+                hi = max(hi, region.end)
+                self.tracker.free_region(pid, region.base, seq)
+            else:
+                blocked.append(region)
+                self.diagnostics.append(Diagnostic(
+                    seq, f"injected range [0x{base:x},+0x{size:x}) overlaps "
+                         f"{region}; only the uncovered part is registered"))
+        gaps = []
+        for region in blocked:
+            gaps.append((lo, region.base))
+            lo = max(lo, region.base, region.end)
+        gaps.append((lo, hi))
+        for start, stop in gaps:
+            if start < stop:
+                self.tracker.register_region(MemoryRegion(
+                    pid=pid, base=start, size=stop - start, kind="injected"))

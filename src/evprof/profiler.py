@@ -155,17 +155,23 @@ class SampleProfiler:
         self._visible_counts: dict[str, int] = {}
         self._visible_seqs: list[int] = []
         self._warnings: list[str] = []
+        # kinds without an entry (insn, mem_read, mem_write) go to _match
+        self._handlers = {
+            "meta": self._on_meta,
+            "image_load": self._on_image_load,
+            "region_alloc": self._on_region_alloc,
+            "region_free": self._on_region_free,
+            "process_start": self._ignore,
+            "thread_start": self._ignore,
+            "api": self._on_api,
+        }
 
     # -- event handling ------------------------------------------------------
 
     def process(self, event: TraceEvent) -> None:
         self._event_count += 1
         self._max_seq = event.seq
-        handler = getattr(self, "_on_" + event.kind, None)
-        if handler is not None:
-            handler(event)
-            return
-        self._match(event)
+        self._handlers.get(event.kind, self._match)(event)
 
     def _on_meta(self, event: TraceEvent) -> None:
         p = event.payload
@@ -180,11 +186,11 @@ class SampleProfiler:
             # split the image so the header gets its own shadow-tracked
             # region; code above the header keeps the image's red kind
             header_size = len(p.header)
-            self._register(event, MemoryRegion(
-                event.pid, p.base, header_size, "pe_header",
-                name=p.name + "/header"))
-            self.tracker.register_pe_header(
-                event.pid, p.base, p.header, p.size_of_image_addr)
+            if self._register(event, MemoryRegion(
+                    event.pid, p.base, header_size, "pe_header",
+                    name=p.name + "/header")):
+                self.tracker.register_pe_header(
+                    event.pid, p.base, p.header, p.size_of_image_addr)
             if p.size > header_size:
                 self._register(event, MemoryRegion(
                     event.pid, p.base + header_size, p.size - header_size,
@@ -197,18 +203,17 @@ class SampleProfiler:
 
     def _on_region_alloc(self, event: TraceEvent) -> None:
         p = event.payload
-        if p.region_kind == "pe_header":
-            self.tracker.register_pe_header(event.pid, p.base, bytes(p.size))
-        self._register(event, MemoryRegion(
-            event.pid, p.base, p.size, p.region_kind, name=p.name))
+        if self._register(event, MemoryRegion(
+                event.pid, p.base, p.size, p.region_kind, name=p.name)) \
+                and p.region_kind == "pe_header":
+            # a fresh allocation holds zeros
+            self.tracker.register_pe_header(event.pid, p.base, b"",
+                                            size=p.size)
 
     def _on_region_free(self, event: TraceEvent) -> None:
         self.tracker.free_region(event.pid, event.payload.base, event.seq)
 
-    def _on_process_start(self, event: TraceEvent) -> None:
-        pass
-
-    def _on_thread_start(self, event: TraceEvent) -> None:
+    def _ignore(self, event: TraceEvent) -> None:
         pass
 
     def _on_api(self, event: TraceEvent) -> None:
@@ -257,11 +262,14 @@ class SampleProfiler:
             record.substituted_value = None
         self.detections.append(record)
 
-    def _register(self, event: TraceEvent, region: MemoryRegion) -> None:
+    def _register(self, event: TraceEvent, region: MemoryRegion) -> bool:
+        """Map ``region``; a refused one becomes a warning and False."""
         try:
             self.tracker.register_region(region)
         except Exception as exc:
             self._warnings.append(f"seq {event.seq}: {exc}")
+            return False
+        return True
 
     # -- reporting -------------------------------------------------------------
 

@@ -462,6 +462,13 @@ class _Rec:
         except ValueError:
             raise TraceError(f"field {key!r}: bad integer {raw!r}", self.lineno)
 
+    def extent(self, key: str) -> int:
+        value = self.num(key)
+        if value <= 0:
+            raise TraceError(f"field {key!r}: size {value} is not positive",
+                             self.lineno)
+        return value
+
     def opt_num(self, key: str) -> int | None:
         return self.num(key) if self.has(key) else None
 
@@ -498,8 +505,8 @@ def _parse_payload(kind: str, rec: _Rec) -> Payload:
             except ValueError:
                 raise TraceError("bad hex in header field", rec.lineno)
         return ImageLoadPayload(
-            name=rec.text("name"), base=rec.num("base"), size=rec.num("size"),
-            region_kind=region_kind, header=header,
+            name=rec.text("name"), base=rec.num("base"),
+            size=rec.extent("size"), region_kind=region_kind, header=header,
             size_of_image_addr=rec.opt_num("size_of_image_addr"),
             structs=rec.structs(),
         )
@@ -507,7 +514,7 @@ def _parse_payload(kind: str, rec: _Rec) -> Payload:
         region_kind = rec.text("region_kind")
         if region_kind not in REGION_KINDS:
             raise TraceError(f"unknown region kind {region_kind!r}", rec.lineno)
-        return RegionAllocPayload(rec.num("base"), rec.num("size"),
+        return RegionAllocPayload(rec.num("base"), rec.extent("size"),
                                   region_kind, rec.opt_text("name"))
     if kind == "region_free":
         return RegionFreePayload(rec.num("base"))

@@ -1,4 +1,5 @@
-"""Brute-force recomputations of every corpus statistic.
+"""Brute-force recomputations of every corpus statistic, and a list-scan
+memory tracker.
 
 These are written as direct loops over report lists, independent of the
 accumulator in evprof.aggregate, to serve as the second implementation in
@@ -8,6 +9,11 @@ dual-route checks. Keep them dumb.
 import statistics
 
 from evprof import catalog
+from evprof.memory import (
+    RED_REGION_KINDS, SIZE_OF_IMAGE_FIELD, SIZE_OF_IMAGE_WIDTH,
+    PeWriteResult, RegionOverlapError, WatchPoint,
+)
+from evprof.trace import MEM_ACCESS_SIZES, Diagnostic
 
 
 def groups_of(reports, group_by):
@@ -208,3 +214,129 @@ def oracle_visible_split(events, report):
             100.0 * sum(1 for s in visible if s > last) / len(visible),
         "defined": True,
     }
+
+
+class ListMemoryTracker:
+    """evprof.memory.MemoryTracker's tables as plain lists scanned per call.
+
+    Regions stay sorted by base (a re-sort after each insert), watchpoints
+    and PE shadows stay in install order, and a PE shadow holds every byte
+    of its header.
+    """
+
+    def __init__(self, watch_techniques=None):
+        self._regions = {}
+        self._watchpoints = {}
+        self._pe_shadows = {}
+        self._watch_techniques = dict(watch_techniques or {})
+        self.diagnostics = []
+
+    def register_region(self, region):
+        if region.size <= 0:
+            raise ValueError(f"region {region} has no extent")
+        table = self._regions.setdefault(region.pid, [])
+        for existing in table:
+            if existing.overlaps(region.base, region.size):
+                raise RegionOverlapError(region, existing)
+        table.append(region)
+        table.sort(key=lambda r: r.base)
+
+    def free_region(self, pid, base, seq=0):
+        table = self._regions.get(pid, [])
+        for i, region in enumerate(table):
+            if region.base == base:
+                del table[i]
+                if region.kind == "pe_header":
+                    self._pe_shadows[pid] = [
+                        s for s in self._pe_shadows.get(pid, [])
+                        if s[0] != base]
+                return
+        self.diagnostics.append(
+            Diagnostic(seq, f"region_free of unknown base 0x{base:x} pid {pid}"))
+
+    def region_at(self, pid, address):
+        for region in self._regions.get(pid, []):
+            if region.contains(address):
+                return region
+        return None
+
+    def regions(self, pid):
+        return list(self._regions.get(pid, []))
+
+    def regions_overlapping(self, pid, base, size):
+        return [r for r in self._regions.get(pid, [])
+                if r.overlaps(base, size)]
+
+    def is_red(self, pid, address):
+        region = self.region_at(pid, address)
+        return region is not None and region.kind in RED_REGION_KINDS
+
+    def register_pe_header(self, pid, base, data, size_of_image_addr=None,
+                           size=None):
+        data = bytearray(data)
+        if size is not None:
+            data += bytes(size - len(data))
+        self._pe_shadows.setdefault(pid, []).append(
+            (base, data, size_of_image_addr))
+
+    def _shadow_for(self, pid, address):
+        for shadow in self._pe_shadows.get(pid, []):
+            if shadow[0] <= address < shadow[0] + len(shadow[1]):
+                return shadow
+        return None
+
+    def pe_header_write(self, event):
+        p = event.payload
+        if p.size not in MEM_ACCESS_SIZES:
+            return None
+        shadow = self._shadow_for(event.pid, p.address)
+        if shadow is None:
+            return None
+        base, data, soi = shadow
+        changed = False
+        for i in range(p.size):
+            off = p.address + i - base
+            b = (p.value >> (8 * i)) & 0xFF
+            if 0 <= off < len(data) and data[off] != b:
+                changed = True
+                data[off] = b
+        touches_soi = (soi is not None and p.address < soi + SIZE_OF_IMAGE_WIDTH
+                       and soi < p.address + p.size)
+        return PeWriteResult(changed,
+                             SIZE_OF_IMAGE_FIELD if touches_soi else None)
+
+    def pe_shadow_bytes(self, pid, base):
+        for shadow in self._pe_shadows.get(pid, []):
+            if shadow[0] == base:
+                return bytes(shadow[1])
+        return None
+
+    def install_field_watchpoints(self, pid, refs, seq=0):
+        table = self._watchpoints.setdefault(pid, [])
+        installed = []
+        for r in refs:
+            name, addr, width = r.qualified, r.address, r.width
+            for wp in table:
+                if wp.live and wp.address == addr:
+                    wp.live = False
+                    self.diagnostics.append(Diagnostic(
+                        seq, f"watchpoint at 0x{addr:x} ({wp.field}) replaced "
+                             f"by new declaration of {name}"))
+            wp = WatchPoint(pid, addr, width, name,
+                            self._watch_techniques.get(name))
+            table.append(wp)
+            installed.append(wp)
+        return installed
+
+    def watchpoints(self, pid):
+        return list(self._watchpoints.get(pid, []))
+
+    def resolve_access(self, event):
+        p = event.payload
+        table = self._watchpoints.get(event.pid, [])
+        if event.kind == "mem_write":
+            for wp in table:
+                if wp.live and wp.overlaps(p.address, p.size):
+                    wp.live = False
+            return []
+        return [wp for wp in table if wp.live and wp.overlaps(p.address, p.size)]

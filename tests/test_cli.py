@@ -260,3 +260,67 @@ def test_divergence_study_via_override(corpus_dir, tmp_path):
     from evprof.aggregate import behavior_diff
     diff = behavior_diff(a, b)
     assert diff["same_techniques"] is True
+
+
+def edited_trace(tmp_path, technique, old, new):
+    """The roundtrip trace of ``technique`` with one text edit applied."""
+    specs = [s for s in roundtrip_specs()
+             if s.sample_id == f"pos_{technique}"]
+    write_corpus(specs, tmp_path / "gen")
+    trace = tmp_path / "gen" / f"pos_{technique}.trace"
+    text = trace.read_text()
+    assert text.count(old) == 1
+    trace.write_text(text.replace(old, new))
+    return trace
+
+
+def test_injection_into_honeypot_image_is_a_warning(tmp_path):
+    trace = edited_trace(tmp_path, "Shellcode_injected",
+                         "args=a:0x9000,", "args=a:0x71000100,")
+    out = tmp_path / "r.json"
+    assert main(["analyze", str(trace), "--out", str(out)]) == EXIT_OK
+    report = SampleReport.from_json(out.read_text())
+    assert "Shellcode_injected" in report.technique_set
+    assert any("injected range [0x71000100,+0x200) overlaps honeypot_image"
+               in w for w in report.warnings)
+
+
+@pytest.mark.parametrize("size", ["-5", str(2 ** 62)])
+def test_header_write_with_bad_size_is_a_warning(tmp_path, size):
+    trace = edited_trace(tmp_path, "ErasePEHeader",
+                         "address=0x400000 size=2 ",
+                         f"address=0x400000 size={size} ")
+    out = tmp_path / "r.json"
+    assert main(["analyze", str(trace), "--out", str(out)]) == EXIT_OK
+    report = SampleReport.from_json(out.read_text())
+    assert "ErasePEHeader" not in report.technique_set
+    assert any(f"memory access size {size} not in" in w
+               for w in report.warnings)
+
+
+def pe_header_alloc_trace(tmp_path, size, write_at):
+    trace = tmp_path / "alloc.trace"
+    trace.write_text(
+        "seq=0 pid=1 tid=1 insn_index=0 kind=meta sample_id=alloc\n"
+        f"seq=1 pid=1 tid=1 insn_index=1 kind=region_alloc base=0x900000 "
+        f"size={size} region_kind=pe_header\n"
+        "seq=2 pid=1 tid=1 insn_index=2 kind=mem_write "
+        f"address=0x{write_at:x} size=8 value=0x1 accessor_address=0x401000\n")
+    return trace
+
+
+@pytest.mark.parametrize("size", ["-5", "0"])
+def test_header_alloc_without_extent_is_a_data_error(tmp_path, size):
+    trace = pe_header_alloc_trace(tmp_path, size, 0x900000)
+    assert main(["analyze", str(trace), "--out",
+                 str(tmp_path / "r.json")]) == EXIT_DATA
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_huge_header_alloc_allocates_nothing(tmp_path):
+    # a 32 GiB header region, written near its end
+    size = 2 ** 35
+    trace = pe_header_alloc_trace(tmp_path, hex(size), 0x900000 + size - 8)
+    out = tmp_path / "r.json"
+    assert main(["analyze", str(trace), "--out", str(out)]) == EXIT_OK
+    assert SampleReport.from_json(out.read_text()).total_event_count == 3

@@ -124,3 +124,34 @@ def test_router_inactive_when_injection_mitigation_disabled():
     assert not report.detections[0].mitigated
     assert prof.tracker.regions(prof.router.honeypot_pid) == []
     assert prof.routed_events == []
+
+
+def test_write_into_honeypot_image_registers_only_the_uncovered_part():
+    t = T().images()
+    image_end = HONEYPOT_IMAGE_BASE + 0x10000
+    injection_write(t, addr=image_end - 0x100, length=0x200)
+    injection_write(t, addr=image_end + 0x80, length=0x100)
+    prof, report = profile(t)
+    hp = prof.router.honeypot_pid
+    injected = [r for r in prof.tracker.regions(hp) if r.kind == "injected"]
+    assert [(r.base, r.size) for r in injected] == [(image_end, 0x180)]
+    assert prof.tracker.region_at(hp, image_end - 0x80).kind == \
+        "honeypot_image"
+    assert prof.tracker.is_red(hp, image_end + 0x50)
+    assert [d.technique for d in report.detections] == \
+        ["Shellcode_injected", "Shellcode_injected"]
+    assert sum("overlaps honeypot_image" in w for w in report.warnings) == 1
+
+
+def test_write_spanning_the_honeypot_image_registers_both_sides():
+    t = T().images()
+    injection_write(t, addr=HONEYPOT_IMAGE_BASE - 0x100, length=0x10200)
+    prof, report = profile(t)
+    hp = prof.router.honeypot_pid
+    image_end = HONEYPOT_IMAGE_BASE + 0x10000
+    assert [(r.kind, r.base, r.size) for r in prof.tracker.regions(hp)] == [
+        ("injected", HONEYPOT_IMAGE_BASE - 0x100, 0x100),
+        ("honeypot_image", HONEYPOT_IMAGE_BASE, 0x10000),
+        ("injected", image_end, 0x100),
+    ]
+    assert sum("overlaps honeypot_image" in w for w in report.warnings) == 1

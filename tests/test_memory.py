@@ -10,6 +10,7 @@ from evprof.catalog import WATCH_FIELD_TECHNIQUES
 from evprof.trace import FieldRef, MemPayload, StructLayout, TraceEvent
 
 from helpers import header_bytes
+from oracles import ListMemoryTracker
 
 
 def read_event(pid, addr, size=1, value=0, accessor=0x401000, seq=1):
@@ -249,3 +250,129 @@ def test_shadow_equals_brute_force_byte_map(writes):
             if off + j < len(expected):
                 expected[off + j] = (value >> (8 * j)) & 0xFF
     assert tr.pe_shadow_bytes(1, 0x400000) == bytes(expected)
+
+
+def test_bad_size_header_writes_touch_nothing():
+    tr = make_pe_tracker()
+    for size in (-5, 0, 3, 16):
+        assert tr.pe_header_write(
+            write_event(1, 0x400000, size=size, value=0)) is None
+    assert tr.pe_shadow_bytes(1, 0x400000) == header_bytes()
+
+
+def test_huge_size_header_write_allocates_nothing():
+    # 2**62 bytes could never be allocated: the write must be turned away
+    # before any mask or byte string of that width is built
+    tr = make_pe_tracker()
+    assert tr.pe_header_write(
+        write_event(1, 0x400000, size=2 ** 62, value=1)) is None
+
+
+# -- indexed tables against the list-scan reference -------------------------
+
+PIDS = st.sampled_from([1, 2])
+ADDRS = st.integers(min_value=0, max_value=0x20)
+KINDS = st.sampled_from(["exec_alloc", "data_alloc", "injected", "pe_header"])
+WIDTHS = st.one_of(st.integers(min_value=0, max_value=16), st.just(0x30))
+
+OPS = st.one_of(
+    st.tuples(st.just("register"), PIDS, ADDRS,
+              st.integers(min_value=-4, max_value=0x10), KINDS),
+    st.tuples(st.just("free"), PIDS, ADDRS),
+    st.tuples(st.just("probe"), PIDS, ADDRS),
+    st.tuples(st.just("overlapping"), PIDS, ADDRS,
+              st.integers(min_value=-4, max_value=0x10)),
+    st.tuples(st.just("install"), PIDS,
+              st.lists(st.tuples(ADDRS, WIDTHS), min_size=1, max_size=3)),
+    st.tuples(st.just("access"), st.sampled_from(["mem_read", "mem_write"]),
+              PIDS, ADDRS, st.sampled_from([1, 2, 4, 8])),
+    st.tuples(st.just("shadow"), PIDS, ADDRS,
+              st.integers(min_value=0, max_value=0x10),
+              st.one_of(st.none(), st.integers(min_value=0, max_value=8))),
+    st.tuples(st.just("header_write"), PIDS, ADDRS,
+              st.sampled_from([1, 2, 4, 8]),
+              st.integers(min_value=0, max_value=2 ** 64 - 1)),
+)
+
+
+def apply_op(tracker, op, seq):
+    """Run one operation; return what it returned or the error it raised."""
+    kind, pid = op[0], op[2] if op[0] == "access" else op[1]
+    try:
+        if kind == "register":
+            _, _, base, size, rkind = op
+            return tracker.register_region(MemoryRegion(
+                pid, base, size, rkind, name=f"r{seq}"))
+        if kind == "free":
+            return tracker.free_region(pid, op[2], seq)
+        if kind == "probe":
+            return tracker.is_red(pid, op[2]), tracker.region_at(pid, op[2])
+        if kind == "overlapping":
+            return tracker.regions_overlapping(pid, op[2], op[3])
+        if kind == "install":
+            refs = [FieldRef("S", f"f{seq}_{i}", addr, width)
+                    for i, (addr, width) in enumerate(op[2])]
+            return [(wp.address, wp.field) for wp in
+                    tracker.install_field_watchpoints(pid, refs, seq)]
+        if kind == "access":
+            _, ekind, _, addr, size = op
+            ev = TraceEvent(seq, pid, 1, 0, ekind,
+                            MemPayload(addr, size, 0, 0x401000))
+            return [(wp.address, wp.width, wp.field)
+                    for wp in tracker.resolve_access(ev)]
+        if kind == "shadow":
+            _, _, base, length, zeros = op
+            data = bytes((base + i) & 0xFF for i in range(length))
+            size = None if zeros is None else length + zeros
+            return tracker.register_pe_header(pid, base, data, base + 2,
+                                              size=size)
+        _, _, addr, size, value = op
+        return tracker.pe_header_write(write_event(pid, addr, size, value,
+                                                   seq=seq))
+    except RegionOverlapError as exc:
+        return ("overlap", str(exc), exc.new, exc.old)
+    except ValueError as exc:
+        return ("refused", str(exc))
+
+
+def table_state(tracker):
+    return [(pid, tracker.regions(pid),
+             [(wp.address, wp.width, wp.field, wp.live)
+              for wp in tracker.watchpoints(pid)],
+             [tracker.pe_shadow_bytes(pid, base) for base in range(0x21)])
+            for pid in (1, 2)] + [[str(d) for d in tracker.diagnostics]]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(OPS, min_size=10, max_size=80))
+def test_indexed_tracker_matches_list_scan(ops):
+    fast, slow = MemoryTracker(), ListMemoryTracker()
+    for seq, op in enumerate(ops, start=1):
+        assert apply_op(fast, op, seq) == apply_op(slow, op, seq), op
+        assert table_state(fast) == table_state(slow), op
+
+
+@pytest.mark.parametrize("size", [0, -5])
+def test_region_without_extent_is_refused(size):
+    tr = MemoryTracker()
+    tr.register_region(MemoryRegion(1, 0x1000, 0x1000, "exec_alloc"))
+    with pytest.raises(ValueError, match="has no extent"):
+        tr.register_region(MemoryRegion(1, 0x3000, size, "data_alloc"))
+    assert [r.base for r in tr.regions(1)] == [0x1000]
+    # a later region around that base is unaffected
+    tr.register_region(MemoryRegion(1, 0x2f00, 0x200, "data_alloc"))
+    assert [r.base for r in tr.regions(1)] == [0x1000, 0x2f00]
+
+
+def test_huge_header_shadow_allocates_only_written_bytes():
+    # a 1 TiB header: only the bytes given or written are stored
+    tr = MemoryTracker()
+    base, size = 0x900000, 2 ** 40
+    tr.register_pe_header(1, base, b"MZ", size=size)
+    far = base + size - 8
+    assert tr.pe_header_write(write_event(1, far, size=8, value=7)).changed
+    assert not tr.pe_header_write(write_event(1, far, size=8, value=7)).changed
+    assert tr.pe_header_write(write_event(1, far, size=8, value=0)).changed
+    assert tr.pe_header_write(write_event(1, base + size, size=1)) is None
+    assert not tr.pe_header_write(
+        write_event(1, base, size=2, value=0x5A4D)).changed

@@ -273,6 +273,26 @@ def test_pe_header_write_flow():
     assert profile(same).detections == []
 
 
+def test_refused_header_region_gets_no_shadow():
+    # the allocation overlaps the main image, so it is not mapped and
+    # writes there are not header writes
+    t = T(structs=()).images()
+    t.native_filler(50)
+    t.alloc(0x402000, 0x100, "pe_header")
+    t.write(0x402000, size=2, value=5)
+    report = profile(t)
+    assert report.detections == []
+    assert any("overlaps existing region main_image" in w
+               for w in report.warnings)
+
+    mapped = T(structs=()).images()
+    mapped.native_filler(50)
+    mapped.alloc(0x900000, 0x100, "pe_header")
+    mapped.write(0x900000, size=2, value=5)
+    assert [d.technique for d in profile(mapped).detections] == \
+        ["ErasePEHeader"]
+
+
 def test_size_of_image_write_flow():
     t = T(structs=()).images(header=header_bytes())
     t.native_filler(50)

@@ -102,6 +102,22 @@ def test_unknown_mnemonic_rejected():
         parse_trace(text)
 
 
+@pytest.mark.parametrize("record", [
+    "kind=region_alloc base=0x9000 size={} region_kind=exec_alloc",
+    "kind=image_load name=a.dll base=0x9000 size={} "
+    "region_kind=custom_library",
+])
+@pytest.mark.parametrize("size", ["0", "-5", "-0x10"])
+def test_region_without_extent_rejected(record, size):
+    text = (
+        "seq=0 pid=1 tid=1 insn_index=0 kind=meta sample_id=m\n"
+        f"seq=1 pid=1 tid=1 insn_index=1 {record.format(size)}\n"
+    )
+    with pytest.raises(TraceError, match="not positive") as exc:
+        parse_trace(text)
+    assert exc.value.line == 2
+
+
 def test_text_encoding_round_trip():
     for s in ("plain", "with space", "a=b,c;d(e)f%g", "päth\\to\\file",
               "100%"):
