@@ -119,23 +119,16 @@ class _GroupCounters:
     protected_techniques: _IntStats = field(default_factory=_IntStats)
 
     def merge(self, other: "_GroupCounters") -> None:
-        self.total += other.total
-        self.started += other.started
-        self.active += other.active
-        self.evasive += other.evasive
-        self.active_and_evasive += other.active_and_evasive
-        self.internet += other.internet
-        self.child_process += other.child_process
-        self.evasive_techniques.merge(other.evasive_techniques)
-        for k, v in other.category_samples.items():
-            self.category_samples[k] = self.category_samples.get(k, 0) + v
-        self.packed += other.packed
-        self.packed_evasive += other.packed_evasive
-        for k, v in other.packed_categories.items():
-            self.packed_categories[k] = self.packed_categories.get(k, 0) + v
-        self.protected += other.protected
-        self.protected_evasive += other.protected_evasive
-        self.protected_techniques.merge(other.protected_techniques)
+        # every field is a count, a count per key, or an _IntStats
+        for name, theirs in vars(other).items():
+            mine = getattr(self, name)
+            if isinstance(theirs, int):
+                setattr(self, name, mine + theirs)
+            elif isinstance(theirs, dict):
+                for k, v in theirs.items():
+                    mine[k] = mine.get(k, 0) + v
+            else:
+                mine.merge(theirs)
 
 
 @dataclass
@@ -472,18 +465,7 @@ class CorpusAggregate:
         return {
             "group_by": self.group_by,
             "groups": {
-                key: {
-                    "total": s.total,
-                    "started": s.started,
-                    "active_pct": s.active_pct,
-                    "evasive_pct": s.evasive_pct,
-                    "active_and_evasive_pct": s.active_and_evasive_pct,
-                    "avg_techniques": s.avg_techniques,
-                    "std_techniques": s.std_techniques,
-                    "max_techniques": s.max_techniques,
-                    "internet_pct": s.internet_pct,
-                    "child_process_pct": s.child_process_pct,
-                }
+                key: {k: v for k, v in vars(s).items() if k != "group"}
                 for key, s in self.groups.items()
             },
             "technique_ranking": [
@@ -568,71 +550,59 @@ def _fmt(value, digits=2):
     return str(value)
 
 
+# (row label, column value key, digits) per table
 CORE_ROWS = (
-    ("Started", lambda s: s.started, 0),
-    ("Active %", lambda s: s.active_pct, 1),
-    ("Evasive %", lambda s: s.evasive_pct, 1),
-    ("Active & Evasive %", lambda s: s.active_and_evasive_pct, 1),
-    ("AVG N. of Techniques", lambda s: s.avg_techniques, 2),
-    ("STD N. of Techniques", lambda s: s.std_techniques, 2),
-    ("MAX N. of Techniques", lambda s: s.max_techniques, 0),
-    ("Internet Connection %", lambda s: s.internet_pct, 1),
-    ("Child Process %", lambda s: s.child_process_pct, 1),
+    ("Started", "started", 0),
+    ("Active %", "active_pct", 1),
+    ("Evasive %", "evasive_pct", 1),
+    ("Active & Evasive %", "active_and_evasive_pct", 1),
+    ("AVG N. of Techniques", "avg_techniques", 2),
+    ("STD N. of Techniques", "std_techniques", 2),
+    ("MAX N. of Techniques", "max_techniques", 0),
+    ("Internet Connection %", "internet_pct", 1),
+    ("Child Process %", "child_process_pct", 1),
+)
+
+PACKER_ROWS = (
+    ("Started", "started", 0),
+    ("Packed/Started %", "packed_over_started_pct", 1),
+    ("Evasive/Packed %", "evasive_over_packed_pct", 1),
+    ("Protected/Started %", "protected_over_started_pct", 1),
+    ("Evasive/Protected %", "evasive_over_protected_pct", 1),
+    ("Protected AVG Techniques", "protected_avg_techniques", 2),
+    ("Protected STD Techniques", "protected_std_techniques", 2),
 )
 
 
-def render_core_table(aggregate: CorpusAggregate, fmt: str = "text") -> str:
-    keys = list(aggregate.groups)
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["metric"] + keys)
-        for label, getter, digits in CORE_ROWS:
-            writer.writerow(
-                [label] + [_fmt(getter(aggregate.groups[k]), digits)
-                           for k in keys])
-        return buf.getvalue()
-    widths = [max(len(k), 10) for k in keys]
-    label_w = max(len(r[0]) for r in CORE_ROWS)
-    lines = [" " * label_w + "  " + "  ".join(
-        k.rjust(w) for k, w in zip(keys, widths))]
-    for label, getter, digits in CORE_ROWS:
-        cells = [
-            _fmt(getter(aggregate.groups[k]), digits).rjust(w)
-            for k, w in zip(keys, widths)]
-        lines.append(label.ljust(label_w) + "  " + "  ".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def render_packer_table(aggregate: CorpusAggregate, fmt: str = "text") -> str:
-    stats = aggregate.packer_stats()
-    rows = (
-        ("Started", "started", 0),
-        ("Packed/Started %", "packed_over_started_pct", 1),
-        ("Evasive/Packed %", "evasive_over_packed_pct", 1),
-        ("Protected/Started %", "protected_over_started_pct", 1),
-        ("Evasive/Protected %", "evasive_over_protected_pct", 1),
-        ("Protected AVG Techniques", "protected_avg_techniques", 2),
-        ("Protected STD Techniques", "protected_std_techniques", 2),
-    )
-    keys = list(stats)
+def _render_table(columns: dict[str, dict], rows, fmt: str) -> str:
+    """One column per group key, one row per (label, value key, digits)."""
+    keys = list(columns)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["metric"] + keys)
         for label, attr, digits in rows:
             writer.writerow(
-                [label] + [_fmt(stats[k][attr], digits) for k in keys])
+                [label] + [_fmt(columns[k][attr], digits) for k in keys])
         return buf.getvalue()
     label_w = max(len(r[0]) for r in rows)
     widths = [max(len(k), 10) for k in keys]
     lines = [" " * label_w + "  " + "  ".join(
         k.rjust(w) for k, w in zip(keys, widths))]
     for label, attr, digits in rows:
-        cells = [_fmt(stats[k][attr], digits).rjust(w)
+        cells = [_fmt(columns[k][attr], digits).rjust(w)
                  for k, w in zip(keys, widths)]
         lines.append(label.ljust(label_w) + "  " + "  ".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def render_core_table(aggregate: CorpusAggregate, fmt: str = "text") -> str:
+    columns = {key: vars(stats) for key, stats in aggregate.groups.items()}
+    return _render_table(columns, CORE_ROWS, fmt)
+
+
+def render_packer_table(aggregate: CorpusAggregate, fmt: str = "text") -> str:
+    return _render_table(aggregate.packer_stats(), PACKER_ROWS, fmt)
 
 
 def render_summary_json(aggregate: CorpusAggregate) -> str:

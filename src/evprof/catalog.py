@@ -5,9 +5,14 @@ catalog (VMChecks 20, AntiDebug 21, ResourceProfiling 6, TimingAttacks 2,
 AntiDump 2, CodeInjection 1, AntiInstrumentation 1); exactly 17 rules
 carry a mitigation transform.
 
-A rule only ever fires if the triggering code address (API return address,
+Detection has one pathway, ``match_event``. Rules triggered by an API
+name or an instruction mnemonic sit in one table built with the catalog;
+clock, watchpoint and PE-header hits join the same list of matches. A match
+only ever fires if the triggering code address (API return address,
 instruction address, or memory accessor address) lies in the red area;
-matches from standard-library code are discarded as legitimate use.
+matches from standard-library code are discarded as legitimate use. Each
+surviving match is then mitigated by its rule's transform, when the run
+config enables it.
 
 Four techniques are so commonly used for legitimate purposes that they are
 flagged FP-prone and excluded from evasive classification by default:
@@ -26,7 +31,7 @@ from typing import Callable, Optional
 
 from .clock import STALL_APIS, VirtualClock
 from .config import RunConfig
-from .trace import ApiPayload, InsnPayload, TraceEvent
+from .trace import ApiPayload, Diagnostic, TraceEvent
 
 CAT_ANTI_DEBUG = "AntiDebug"
 CAT_ANTI_DUMP = "AntiDump"
@@ -74,9 +79,6 @@ class MitigationError(Exception):
 @dataclass(frozen=True)
 class RuleFlags:
     native_api: bool = False
-    externally_visible: bool = False
-    internet: bool = False
-    child_process: bool = False
 
 
 @dataclass(frozen=True)
@@ -86,9 +88,9 @@ class TechniqueRule:
     trigger_kind: str                      # api | insn | watch | mem_write | clock
     trigger_desc: str
     api_names: tuple[str, ...] = ()
-    predicate: Optional[Callable[[ApiPayload], bool]] = None
     mnemonic: str | None = None
-    insn_predicate: Optional[Callable[[InsnPayload], bool]] = None
+    # narrows an api/insn trigger; takes the whole event
+    predicate: Optional[Callable[[TraceEvent], bool]] = None
     watch_fields: tuple[str, ...] = ()
     mitigated: bool = False
     fp_prone: bool = False
@@ -120,10 +122,6 @@ class Effect:
 # ---------------------------------------------------------------------------
 # predicate helpers
 
-def _any_str_arg(payload: ApiPayload, token: str) -> bool:
-    return any(a == token for a in payload.str_args())
-
-
 def _any_str_contains(payload: ApiPayload, needles) -> bool:
     for a in payload.str_args():
         low = a.lower()
@@ -137,18 +135,12 @@ def _is_device_path(path: str) -> bool:
     return low.startswith("\\\\.\\") or low.startswith("\\device\\")
 
 
-def _device_artifact(payload: ApiPayload) -> bool:
-    for a in payload.str_args():
-        if _is_device_path(a) and any(n in a.lower() for n in VM_ARTIFACTS):
-            return True
-    return False
-
-
-def _filesystem_artifact(payload: ApiPayload) -> bool:
-    for a in payload.str_args():
-        if not _is_device_path(a) and any(n in a.lower() for n in VM_ARTIFACTS):
-            return True
-    return False
+def _vm_artifact(device: bool) -> Callable[[TraceEvent], bool]:
+    """VM artifact in a device path if ``device``, else in a file path."""
+    return lambda event: any(
+        _is_device_path(a) == device
+        and any(n in a.lower() for n in VM_ARTIFACTS)
+        for a in event.payload.str_args())
 
 
 def parse_wmi_query(query: str) -> tuple[str | None, tuple[str, ...]]:
@@ -166,11 +158,11 @@ def parse_wmi_query(query: str) -> tuple[str | None, tuple[str, ...]]:
     return klass, tuple(fields)
 
 
-def _wmi(klass: str, *fields: str) -> Callable[[ApiPayload], bool]:
+def _wmi(klass: str, *fields: str) -> Callable[[TraceEvent], bool]:
     wanted = {f.lower() for f in fields}
 
-    def pred(payload: ApiPayload) -> bool:
-        for a in payload.str_args():
+    def pred(event: TraceEvent) -> bool:
+        for a in event.payload.str_args():
             qclass, qfields = parse_wmi_query(a)
             if qclass is None or qclass.lower() != klass.lower():
                 continue
@@ -184,36 +176,32 @@ def _wmi(klass: str, *fields: str) -> Callable[[ApiPayload], bool]:
     return pred
 
 
-def _token(token: str) -> Callable[[ApiPayload], bool]:
-    return lambda payload: _any_str_arg(payload, token)
+def _token(token: str) -> Callable[[TraceEvent], bool]:
+    return lambda event: token in event.payload.str_args()
 
 
-def _contains(*needles: str) -> Callable[[ApiPayload], bool]:
+def _contains(*needles: str) -> Callable[[TraceEvent], bool]:
     lows = tuple(n.lower() for n in needles)
-    return lambda payload: _any_str_contains(payload, lows)
+    return lambda event: _any_str_contains(event.payload, lows)
 
 
-def _eax_equals(value: int) -> Callable[[InsnPayload], bool]:
-    return lambda payload: payload.reg_in("eax") == value
+def _eax_equals(value: int) -> Callable[[TraceEvent], bool]:
+    return lambda event: event.payload.reg_in("eax") == value
+
+
+def _cross_process(event: TraceEvent) -> bool:
+    target = event.payload.target_pid
+    return target is not None and target != event.pid
 
 
 def _native(*names: str) -> bool:
     return any(n.startswith(("Nt", "Zw")) for n in names)
 
 
-def _rule(id, category, trigger_kind, trigger_desc, *, api_names=(),
-          predicate=None, mnemonic=None, insn_predicate=None,
-          watch_fields=(), mitigated=False, fp_prone=False,
-          flags=None) -> TechniqueRule:
-    if flags is None:
-        flags = RuleFlags(native_api=_native(*api_names))
-    return TechniqueRule(
-        id=id, category=category, trigger_kind=trigger_kind,
-        trigger_desc=trigger_desc, api_names=tuple(api_names),
-        predicate=predicate, mnemonic=mnemonic,
-        insn_predicate=insn_predicate, watch_fields=tuple(watch_fields),
-        mitigated=mitigated, fp_prone=fp_prone, flags=flags,
-    )
+def _rule(id, category, trigger_kind, trigger_desc, **fields) -> TechniqueRule:
+    native = _native(*fields.get("api_names", ()))
+    return TechniqueRule(id, category, trigger_kind, trigger_desc,
+                         flags=RuleFlags(native_api=native), **fields)
 
 
 RULES: tuple[TechniqueRule, ...] = (
@@ -325,14 +313,14 @@ RULES: tuple[TechniqueRule, ...] = (
           "hypervisor device object open",
           api_names=("CreateFile", "CreateFileA", "CreateFileW",
                      "NtCreateFile", "NtOpenFile"),
-          predicate=_device_artifact),
+          predicate=_vm_artifact(device=True)),
     _rule("cpuid_hypervisor_vendor", CAT_VM_CHECKS, "insn",
           "cpuid leaf 0x40000000 vendor read",
-          mnemonic="cpuid", insn_predicate=_eax_equals(0x40000000),
+          mnemonic="cpuid", predicate=_eax_equals(0x40000000),
           mitigated=True),
     _rule("cpuid_is_hypervisor", CAT_VM_CHECKS, "insn",
           "cpuid leaf 1 hypervisor bit",
-          mnemonic="cpuid", insn_predicate=_eax_equals(1),
+          mnemonic="cpuid", predicate=_eax_equals(1),
           mitigated=True, fp_prone=True),
     _rule("mouse_movement", CAT_VM_CHECKS, "api",
           "cursor position sampling",
@@ -344,7 +332,7 @@ RULES: tuple[TechniqueRule, ...] = (
                      "FindFirstFileA", "FindFirstFileW",
                      "GetFileAttributes", "GetFileAttributesA",
                      "GetFileAttributesW"),
-          predicate=_filesystem_artifact),
+          predicate=_vm_artifact(device=False)),
     _rule("setupdi_diskdrive", CAT_VM_CHECKS, "api",
           "disk drive property via SetupDi",
           api_names=("SetupDiGetDeviceRegistryProperty",
@@ -418,7 +406,8 @@ RULES: tuple[TechniqueRule, ...] = (
     # -- Code Injection (1) -----------------------------------------------------
     _rule("Shellcode_injected", CAT_CODE_INJECTION, "api",
           "cross-process write / thread / APC injection",
-          api_names=tuple(sorted(INJECTION_APIS)), mitigated=True),
+          api_names=tuple(sorted(INJECTION_APIS)), predicate=_cross_process,
+          mitigated=True),
 
     # -- Anti Instrumentation (1) -------------------------------------------
     _rule("Check_EIP", CAT_ANTI_INSTRUMENTATION, "insn",
@@ -429,21 +418,17 @@ RULES: tuple[TechniqueRule, ...] = (
 _BY_ID: dict[str, TechniqueRule] = {r.id: r for r in RULES}
 KNOWN_TECHNIQUES = frozenset(_BY_ID)
 
-# rules matched inline by the event matcher (clock / injection / pe-header
-# rules follow their own pathways and must not double-match by api name)
-_MATCHER_EXEMPT = {"time_stalling", "RDTSC", "Shellcode_injected",
-                   "ErasePEHeader", "SizeOfImage"}
-
-_API_RULES: dict[str, list[TechniqueRule]] = {}
-_INSN_RULES: dict[str, list[TechniqueRule]] = {}
+# (event kind, api name | mnemonic) -> rules it triggers, in catalog order.
+# Clock rules name their APIs and mnemonic too, but the clock decides when
+# they fire, so only api and insn rules are looked up by name.
+TRIGGERS: dict[tuple[str, str], list[TechniqueRule]] = {}
 WATCH_FIELD_TECHNIQUES: dict[str, str] = {}
 for _r in RULES:
-    if _r.id in _MATCHER_EXEMPT:
-        continue
-    for _name in _r.api_names:
-        _API_RULES.setdefault(_name, []).append(_r)
-    if _r.mnemonic is not None:
-        _INSN_RULES.setdefault(_r.mnemonic, []).append(_r)
+    if _r.trigger_kind == "api":
+        for _name in _r.api_names:
+            TRIGGERS.setdefault(("api", _name), []).append(_r)
+    elif _r.trigger_kind == "insn":
+        TRIGGERS.setdefault(("insn", _r.mnemonic), []).append(_r)
     for _f in _r.watch_fields:
         WATCH_FIELD_TECHNIQUES[_f] = _r.id
 
@@ -522,25 +507,17 @@ def _mit_cpuid_is_hypervisor(record, event, clock, config):
     return "ecx=0x%x" % (ecx & ~(1 << 31))
 
 
-def _mit_cpuid_vendor(record, event, clock, config):
-    return "ebx=0x0,ecx=0x0,edx=0x0"
-
-
 def _mit_mouse(record, event, clock, config):
-    x, y = _mouse_coordinates(config.seed if config else 0, event.seq)
+    x, y = _mouse_coordinates(config.seed, event.seq)
     return "x=%d,y=%d" % (x, y)
 
 
-def _mit_check_eip(record, event, clock, config):
-    return "eip=0x%x" % event.payload.address
-
-
-def _mit_prefilled(record, event, clock, config):
-    if record.substituted_value is None:
-        raise MitigationError(
-            f"{record.technique} substitution must be computed by its "
-            f"handling module")
-    return record.substituted_value
+def _mit_rdtsc(record, event, clock, config):
+    # the clock has already answered this read
+    returned = clock.last_rdtsc(event.pid, event.tid) if clock else None
+    if returned is None:
+        raise MitigationError("RDTSC substitution needs the clock's reading")
+    return "tsc=%d" % returned
 
 
 MITIGATIONS: dict[str, Callable] = {
@@ -548,7 +525,7 @@ MITIGATIONS: dict[str, Callable] = {
         lambda r, e, c, cfg: "exception=STATUS_GUARD_PAGE_VIOLATION",
     "Firmware_RSMB": lambda r, e, c, cfg: "buffer=scrubbed",
     "Firmware_ACPI": lambda r, e, c, cfg: "buffer=scrubbed",
-    "cpuid_hypervisor_vendor": _mit_cpuid_vendor,
+    "cpuid_hypervisor_vendor": lambda r, e, c, cfg: "ebx=0x0,ecx=0x0,edx=0x0",
     "cpuid_is_hypervisor": _mit_cpuid_is_hypervisor,
     "mouse_movement": _mit_mouse,
     "setupdi_diskdrive": lambda r, e, c, cfg: "buffer=zeroed",
@@ -558,10 +535,10 @@ MITIGATIONS: dict[str, Callable] = {
     "dizk_size_deviceiocontrol": lambda r, e, c, cfg: str(DISK_SUBSTITUTE_BYTES),
     "disk_size_wmi": lambda r, e, c, cfg: "result=empty",
     "NumberOfProcessors": lambda r, e, c, cfg: str(PROCESSOR_COUNT_SUBSTITUTE),
-    "time_stalling": _mit_prefilled,
-    "RDTSC": _mit_prefilled,
-    "Shellcode_injected": _mit_prefilled,
-    "Check_EIP": _mit_check_eip,
+    "time_stalling": lambda r, e, c, cfg: "wait_ms=0",
+    "RDTSC": _mit_rdtsc,
+    "Shellcode_injected": lambda r, e, c, cfg: f"target_pid={cfg.honeypot_pid}",
+    "Check_EIP": lambda r, e, c, cfg: "eip=0x%x" % e.payload.address,
 }
 
 assert set(MITIGATIONS) == {r.id for r in RULES if r.mitigated}
@@ -572,13 +549,15 @@ def apply_mitigation(record: DetectionRecord, event: TraceEvent,
                      config: RunConfig | None = None) -> str:
     """Fill the record's substituted value and mark it mitigated.
 
-    The transform is a pure function of (event, seed); a forced value in
-    the run config's overrides wins over the built-in transform.
+    The transform is a pure function of (event, seed, clock state); a
+    forced value in the run config's overrides wins over the built-in
+    transform.
     """
     r = rule(record.technique)
     if not r.mitigated:
         raise MitigationError(f"technique {record.technique} has no mitigation")
-    forced = config.override_for(record.technique) if config else None
+    config = config or RunConfig()
+    forced = config.override_for(record.technique)
     if forced is not None and forced not in ("on", "off"):
         value = forced
     else:
@@ -591,112 +570,98 @@ def apply_mitigation(record: DetectionRecord, event: TraceEvent,
 # ---------------------------------------------------------------------------
 # event matching
 
-def _record(technique: str, event: TraceEvent,
-            substituted: str | None = None) -> DetectionRecord:
-    return DetectionRecord(
-        technique=technique, category=rule(technique).category,
-        seq=event.seq, pid=event.pid, tid=event.tid,
-        substituted_value=substituted,
-    )
-
-
 def match_event(event: TraceEvent, tracker, clock: VirtualClock,
                 config: RunConfig | None = None
                 ) -> tuple[list[DetectionRecord], list[Effect]]:
     """Run one api/insn/mem event through the detection pathway.
 
     Advances tracker watchpoints, PE shadows, and the virtual clock as a
-    side effect; returns red-gated detection candidates plus any values
-    the clock rewrote. Events of other kinds produce nothing.
+    side effect. Every match is red-gated once, against the event's origin
+    address, and each surviving record is mitigated when the config enables
+    its mitigation. Returns those records plus any values the clock
+    rewrote. Events of other kinds produce nothing.
     """
     config = config or RunConfig()
-    records: list[DetectionRecord] = []
+    kind = event.kind
+    p = event.payload
+    hits: list[TechniqueRule] = []
     effects: list[Effect] = []
 
-    if event.kind == "api":
-        p = event.payload
-        red = tracker.is_red(event.pid, p.return_address)
-
-        if p.name in STALL_APIS:
+    if kind == "api":
+        origin, name = p.return_address, p.name
+        if name in STALL_APIS:
             requested = next((a.v for a in p.args if a.t == "d"), None)
             if requested is not None:
-                if config.mitigation_enabled("time_stalling"):
-                    result = clock.on_stall_api(requested)
-                    stalling = result.stalling
+                rewrite = config.mitigation_enabled("time_stalling")
+                result = clock.on_stall_api(requested, rewrite=rewrite)
+                if rewrite:
                     effects.append(Effect(
                         event.seq, "stall_rewrite",
-                        f"{p.name} wait {requested} ms rewritten to 0, "
+                        f"{name} wait {requested} ms rewritten to 0, "
                         f"clock advanced {result.advanced_ms} ms", 0))
-                    substituted = "wait_ms=0"
-                else:
-                    effective, stalling = _classify_stall(requested, clock)
-                    substituted = None
-                if stalling and red:
-                    records.append(_record("time_stalling", event, substituted))
-        elif clock.is_time_query(p.name) and p.ret is not None:
-            adjusted = clock.on_time_query(p.name, p.ret.v)
-            effects.append(Effect(
-                event.seq, "time_query",
-                f"{p.name} raw {p.ret.v} adjusted to {adjusted}", adjusted))
-
-        for r in _API_RULES.get(p.name, []):
-            if r.predicate is None or r.predicate(p):
-                if red:
-                    records.append(_record(r.id, event))
-
+                if result.stalling:
+                    hits.append(_BY_ID["time_stalling"])
+        elif clock.is_time_query(name) and p.ret is not None:
+            raw = p.ret.v
+            if isinstance(raw, int):
+                adjusted = clock.on_time_query(name, raw)
+                effects.append(Effect(
+                    event.seq, "time_query",
+                    f"{name} raw {raw} adjusted to {adjusted}", adjusted))
+            else:
+                clock.diagnostics.append(Diagnostic(
+                    event.seq, f"{name} returned {p.ret.encode()}, not an "
+                               f"integer; left unadjusted"))
         if p.out_structs:
             tracker.install_field_watchpoints(event.pid, p.out_structs,
                                               event.seq)
 
-    elif event.kind == "insn":
-        p = event.payload
-        red = tracker.is_red(event.pid, p.address)
-        if p.mnemonic == "rdtsc":
+    elif kind == "insn":
+        origin, name = p.address, p.mnemonic
+        if name == "rdtsc":
             raw = p.reg_out("tsc")
             if raw is not None:
-                adjust = config.mitigation_enabled("RDTSC")
-                result = clock.on_rdtsc(event.pid, event.tid,
-                                        event.insn_index, raw,
-                                        seq=event.seq, adjust=adjust)
+                result = clock.on_rdtsc(
+                    event.pid, event.tid, event.insn_index, raw,
+                    seq=event.seq, adjust=config.mitigation_enabled("RDTSC"))
                 effects.append(Effect(
                     event.seq, "rdtsc",
                     f"raw {raw} returned {result.returned}",
                     result.returned))
-                hit = result.sandwich or not config.clock.rdtsc_requires_sandwich
-                if hit and red:
-                    records.append(_record(
-                        "RDTSC", event, "tsc=%d" % result.returned))
-        else:
-            for r in _INSN_RULES.get(p.mnemonic, []):
-                if r.insn_predicate is None or r.insn_predicate(p):
-                    if red:
-                        records.append(_record(r.id, event))
+                if (result.sandwich
+                        or not config.clock.rdtsc_requires_sandwich):
+                    hits.append(_BY_ID["RDTSC"])
 
-    elif event.kind == "mem_read":
-        p = event.payload
-        hits = tracker.resolve_access(event)
-        if hits and tracker.is_red(event.pid, p.accessor_address):
-            for wp in hits:
-                technique = WATCH_FIELD_TECHNIQUES.get(wp.field)
-                if technique is not None:
-                    records.append(_record(technique, event))
+    elif kind == "mem_read":
+        origin, name = p.accessor_address, None
+        # the tracker tags each watchpoint with WATCH_FIELD_TECHNIQUES
+        for wp in tracker.resolve_access(event):
+            if wp.technique is not None:
+                hits.append(_BY_ID[wp.technique])
 
-    elif event.kind == "mem_write":
-        p = event.payload
+    elif kind == "mem_write":
+        origin, name = p.accessor_address, None
         tracker.resolve_access(event)
         result = tracker.pe_header_write(event)
-        if (result is not None and result.changed
-                and tracker.is_red(event.pid, p.accessor_address)):
-            if result.field == "SIZE_OF_IMAGE":
-                records.append(_record("SizeOfImage", event))
-            else:
-                records.append(_record("ErasePEHeader", event))
+        if result is not None and result.changed:
+            technique = ("SizeOfImage" if result.field == "SIZE_OF_IMAGE"
+                         else "ErasePEHeader")
+            hits.append(_BY_ID[technique])
 
+    else:
+        return [], []
+
+    for r in TRIGGERS.get((kind, name), ()):
+        if r.predicate is None or r.predicate(event):
+            hits.append(r)
+    if not hits or not tracker.is_red(event.pid, origin):
+        return [], effects
+
+    records = []
+    for r in hits:
+        record = DetectionRecord(r.id, r.category, event.seq, event.pid,
+                                 event.tid)
+        if r.mitigated and config.mitigation_enabled(r.id):
+            apply_mitigation(record, event, clock, config)
+        records.append(record)
     return records, effects
-
-
-def _classify_stall(requested: int, clock: VirtualClock) -> tuple[int, bool]:
-    from .clock import INFINITE_WAIT
-    cfg = clock.config
-    effective = cfg.infinite_wait_cap_ms if requested >= INFINITE_WAIT else requested
-    return effective, effective >= cfg.stall_threshold_ms

@@ -9,8 +9,7 @@ import os
 import sys
 from dataclasses import replace
 
-from . import aggregate as agg
-from . import catalog, generate
+from . import catalog
 from .config import ConfigError, RunConfig, load_config_file
 from .profiler import SampleReport, run_sample
 from .trace import TraceError, parse_trace, validate_trace
@@ -53,13 +52,19 @@ def _profile_file(path: str, cfg: RunConfig) -> tuple[str, str, list[str]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             events = parse_trace(fh.read())
-    except OSError as exc:
-        raise CliError(f"{path}: {exc}")
-    except TraceError as exc:
+    except (OSError, UnicodeDecodeError, TraceError) as exc:
         raise CliError(f"{path}: {exc}")
     diagnostics = validate_trace(events)
     report = run_sample(events, cfg, diagnostics)
     return report.sample_id, report.to_json(), [str(d) for d in diagnostics]
+
+
+def _report_path(out_dir: str, sample_id: str) -> str:
+    """Where a sample's report goes; the id must be a plain file name."""
+    if (sample_id in ("", ".", "..")
+            or any(c in sample_id for c in "/\\\0")):
+        raise CliError(f"sample_id {sample_id!r} is not a plain file name")
+    return os.path.join(out_dir, sample_id + ".report.json")
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +78,7 @@ def cmd_analyze(args) -> int:
     if args.out:
         out_path = args.out
         if os.path.isdir(out_path):
-            out_path = os.path.join(out_path, sample_id + ".report.json")
+            out_path = _report_path(out_path, sample_id)
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(doc)
         print(f"wrote {out_path}")
@@ -88,6 +93,8 @@ def _batch_worker(item):
         return path, _profile_file(path, cfg), None
     except CliError as exc:
         return path, None, str(exc)
+    except Exception as exc:  # noqa: BLE001 - one file must not end the batch
+        return path, None, f"internal error: {type(exc).__name__}: {exc}"
 
 
 def cmd_batch(args) -> int:
@@ -111,17 +118,24 @@ def cmd_batch(args) -> int:
         results = [_batch_worker(item) for item in work]
 
     failures = []
-    written = 0
+    written: dict[str, str] = {}   # sample_id -> trace it came from
     for path, result, error in results:
+        if error is None:
+            sample_id, doc, _warnings = result
+            if sample_id in written:
+                error = (f"duplicate sample_id {sample_id!r}, already "
+                         f"written from {written[sample_id]}")
+            else:
+                try:
+                    with open(_report_path(args.out, sample_id), "w",
+                              encoding="utf-8") as fh:
+                        fh.write(doc)
+                    written[sample_id] = path
+                except (CliError, OSError) as exc:
+                    error = str(exc)
         if error is not None:
             failures.append((path, error))
-            continue
-        sample_id, doc, _warnings = result
-        out_path = os.path.join(args.out, sample_id + ".report.json")
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(doc)
-        written += 1
-    print(f"batch: {written} reports, {len(failures)} failures "
+    print(f"batch: {len(written)} reports, {len(failures)} failures "
           f"(jobs={args.jobs})")
     for path, error in failures:
         print(f"failed: {path}: {error}", file=sys.stderr)
@@ -149,6 +163,7 @@ def _load_reports(path: str) -> list[SampleReport]:
 
 
 def cmd_aggregate(args) -> int:
+    from . import aggregate as agg
     reports = _load_reports(args.reports)
     if args.labels:
         try:
@@ -192,6 +207,7 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import generate
     if args.spec:
         try:
             with open(args.spec, "r", encoding="utf-8") as fh:
@@ -320,7 +336,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TraceError, agg.AggregateError, generate.GenError) as exc:
+    except TraceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - separate exit class for bugs

@@ -56,7 +56,7 @@ class SandwichState:
 
 @dataclass
 class StallResult:
-    rewritten_arg: int      # always 0: replay has no scheduler to honor waits
+    rewritten_arg: int      # 0 when rewritten: replay cannot honor waits
     advanced_ms: int
     stalling: bool          # above-threshold wait, detection-worthy
 
@@ -80,18 +80,22 @@ class VirtualClock:
     def offset_ticks(self) -> int:
         return self.offset_ms * self.config.tick_rate
 
-    def on_stall_api(self, requested_ms: int) -> StallResult:
-        """Shorten a wait: argument becomes 0, offset absorbs the wait."""
+    def on_stall_api(self, requested_ms: int,
+                     rewrite: bool = True) -> StallResult:
+        """Shorten a wait: argument becomes 0, offset absorbs the wait.
+
+        With ``rewrite`` false (mitigation disabled) the wait is only
+        classified: the argument and the offset stay as they are.
+        """
         if requested_ms >= INFINITE_WAIT:
             effective = self.config.infinite_wait_cap_ms
         else:
             effective = requested_ms
+        stalling = effective >= self.config.stall_threshold_ms
+        if not rewrite:
+            return StallResult(requested_ms, 0, stalling)
         self.offset_ms += effective
-        return StallResult(
-            rewritten_arg=0,
-            advanced_ms=effective,
-            stalling=effective >= self.config.stall_threshold_ms,
-        )
+        return StallResult(0, effective, stalling)
 
     def on_time_query(self, api_name: str, raw: int) -> int:
         """Return raw reading plus the accumulated offset in the API's unit."""
@@ -139,3 +143,8 @@ class VirtualClock:
         state.last_returned = returned
         state.last_insn_index = insn_index
         return RdtscResult(returned=returned, sandwich=in_window)
+
+    def last_rdtsc(self, pid: int, tid: int) -> int | None:
+        """The value the last rdtsc on (pid, tid) returned, if any."""
+        state = self._sandwiches.get((pid, tid))
+        return state.last_returned if state else None

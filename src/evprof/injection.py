@@ -1,11 +1,12 @@
-"""Cross-process injection detection and honeypot rerouting.
+"""Honeypot rerouting of cross-process injection.
 
 Every write, thread-create, resume, or APC queued into another process is
 rerouted to a single decoy process created at analysis start, so the
 injected code stays under the same instrumentation as the sample itself.
 Memory the sample writes into the honeypot immediately joins the red area,
 which means detections triggered from injected code are attributed to the
-originating sample like any other red-area activity.
+originating sample like any other red-area activity. The detection itself
+is the catalog's ``Shellcode_injected`` rule; this module only reroutes.
 """
 
 from __future__ import annotations
@@ -24,23 +25,14 @@ HONEYPOT_IMAGE_SIZE = 0x10000
 class RouteResult:
     event: TraceEvent        # with target_pid rewritten when rerouted
     rerouted: bool
-    candidate: bool          # Shellcode_injected detection candidate
-    substituted_value: str | None = None
-
-
-@dataclass(frozen=True)
-class InjectedPayload:
-    source_pid: int
-    address: int
-    length: int
 
 
 class InjectionRouter:
     """Reroutes injection APIs to the honeypot process.
 
-    With ``active`` false (mitigation disabled) the router still flags
-    injection attempts but leaves targets untouched and registers no
-    honeypot memory, so injected code escapes the red area.
+    With ``active`` false (mitigation disabled) the router leaves targets
+    untouched and registers no honeypot memory, so injected code escapes
+    the red area.
     """
 
     def __init__(self, tracker: MemoryTracker, honeypot_pid: int = 99999,
@@ -48,7 +40,6 @@ class InjectionRouter:
         self.tracker = tracker
         self.honeypot_pid = honeypot_pid
         self.active = active
-        self.received: list[InjectedPayload] = []
         self.diagnostics: list[Diagnostic] = []
         if active:
             tracker.register_region(MemoryRegion(
@@ -58,12 +49,10 @@ class InjectionRouter:
 
     def route(self, event: TraceEvent) -> RouteResult:
         p = event.payload
-        if (event.kind != "api" or p.name not in INJECTION_APIS
+        if (not self.active or event.kind != "api"
+                or p.name not in INJECTION_APIS
                 or p.target_pid is None or p.target_pid == event.pid):
-            return RouteResult(event, rerouted=False, candidate=False)
-
-        if not self.active:
-            return RouteResult(event, rerouted=False, candidate=True)
+            return RouteResult(event, rerouted=False)
 
         routed = dc_replace(event, payload=dc_replace(
             p, target_pid=self.honeypot_pid))
@@ -77,8 +66,7 @@ class InjectionRouter:
                     event.seq,
                     f"thread start 0x{start:x} targets memory never "
                     f"written into the honeypot"))
-        return RouteResult(routed, rerouted=True, candidate=True,
-                           substituted_value=f"target_pid={self.honeypot_pid}")
+        return RouteResult(routed, rerouted=True)
 
     def _register_injection(self, event: TraceEvent) -> None:
         p: ApiPayload = event.payload
@@ -88,7 +76,6 @@ class InjectionRouter:
             self.diagnostics.append(Diagnostic(
                 event.seq, "injection write without address/length arguments"))
             return
-        self.received.append(InjectedPayload(event.pid, address, length))
         self._add_red_range(address, length, event.seq)
 
     def _add_red_range(self, base: int, size: int, seq: int) -> None:

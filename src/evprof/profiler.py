@@ -11,7 +11,7 @@ execution progress: replayed traces carry no authoritative wall clock.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import catalog
 from .catalog import DetectionRecord, Effect
@@ -38,6 +38,8 @@ def timeline_slot(pos: float) -> str:
 
 @dataclass
 class SampleReport:
+    """One sample's verdict; the field order is the report's key order."""
+
     sample_id: str
     labels: dict[str, str] = field(default_factory=dict)
     started: bool = False
@@ -45,9 +47,8 @@ class SampleReport:
     native_api_count: int = 0
     total_event_count: int = 0
     evasive: bool = False
-    detections: list[DetectionRecord] = field(default_factory=list)
-    technique_set: list[str] = field(default_factory=list)
     techniques_count: int = 0
+    technique_set: list[str] = field(default_factory=list)
     first_pos: float | None = None
     last_pos: float | None = None
     categories_in_order: list[str] = field(default_factory=list)
@@ -55,76 +56,36 @@ class SampleReport:
     internet: bool = False
     child_process: bool = False
     visible_api_counts: dict[str, int] = field(default_factory=dict)
+    detections: list[DetectionRecord] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        doc = {
-            "sample_id": self.sample_id,
-            "labels": self.labels,
-            "started": self.started,
-            "active": self.active,
-            "native_api_count": self.native_api_count,
-            "total_event_count": self.total_event_count,
-            "evasive": self.evasive,
-            "techniques_count": self.techniques_count,
-            "technique_set": self.technique_set,
-            "first_pos": self.first_pos,
-            "last_pos": self.last_pos,
-            "categories_in_order": self.categories_in_order,
-            "externally_visible_split": self.externally_visible_split,
-            "internet": self.internet,
-            "child_process": self.child_process,
-            "visible_api_counts": self.visible_api_counts,
-            "detections": [
-                {
-                    "technique": d.technique,
-                    "category": d.category,
-                    "seq": d.seq,
-                    "pid": d.pid,
-                    "tid": d.tid,
-                    "mitigated": d.mitigated,
-                    "substituted_value": d.substituted_value,
-                    "normalized_pos": d.normalized_pos,
-                }
-                for d in self.detections
-            ],
-            "warnings": self.warnings,
-        }
+        doc = dict(vars(self), detections=[vars(d) for d in self.detections])
         return json.dumps(doc, indent=2) + "\n"
 
     @staticmethod
     def from_json(text: str) -> "SampleReport":
+        """Decode a report; a missing required key raises KeyError."""
         doc = json.loads(text)
-        report = SampleReport(
-            sample_id=doc["sample_id"],
-            labels=dict(doc.get("labels", {})),
-            started=doc["started"],
-            active=doc["active"],
-            native_api_count=doc["native_api_count"],
-            total_event_count=doc["total_event_count"],
-            evasive=doc["evasive"],
-            techniques_count=doc["techniques_count"],
-            technique_set=list(doc["technique_set"]),
-            first_pos=doc["first_pos"],
-            last_pos=doc["last_pos"],
-            categories_in_order=list(doc["categories_in_order"]),
-            externally_visible_split=dict(doc["externally_visible_split"]),
-            internet=doc["internet"],
-            child_process=doc["child_process"],
-            visible_api_counts=dict(doc.get("visible_api_counts", {})),
-            warnings=list(doc.get("warnings", [])),
-        )
-        report.detections = [
-            DetectionRecord(
-                technique=d["technique"], category=d["category"],
-                seq=d["seq"], pid=d["pid"], tid=d["tid"],
-                mitigated=d["mitigated"],
-                substituted_value=d["substituted_value"],
-                normalized_pos=d["normalized_pos"],
-            )
-            for d in doc.get("detections", [])
-        ]
-        return report
+        if not isinstance(doc, dict):
+            raise ValueError("report is not a JSON object")
+        kwargs = {}
+        for name in _REPORT_KEYS:
+            if name in doc:
+                kwargs[name] = doc[name]
+            elif name not in _OPTIONAL_REPORT_KEYS:
+                raise KeyError(name)
+        kwargs["detections"] = [
+            DetectionRecord(*[d[name] for name in _DETECTION_KEYS])
+            for d in kwargs.get("detections", ())]
+        return SampleReport(**kwargs)
+
+
+_REPORT_KEYS = tuple(f.name for f in fields(SampleReport))
+_DETECTION_KEYS = tuple(f.name for f in fields(DetectionRecord))
+# keys a report may omit; they take the field's default
+_OPTIONAL_REPORT_KEYS = frozenset({"labels", "visible_api_counts",
+                                   "warnings", "detections"})
 
 
 class SampleProfiler:
@@ -229,38 +190,22 @@ class SampleProfiler:
             self._visible_counts[p.name] = self._visible_counts.get(p.name, 0) + 1
             self._visible_seqs.append(event.seq)
 
+        # matching reads the original event: the Shellcode_injected rule
+        # checks the target that routing rewrites
         route = self.router.route(event)
-        event = route.event
         if route.rerouted:
-            self.routed_events.append(event)
+            self.routed_events.append(route.event)
             self.effects.append(Effect(
                 event.seq, "reroute",
                 f"{p.name} target rerouted to honeypot pid "
                 f"{self.router.honeypot_pid}", self.router.honeypot_pid))
-        if route.candidate and self.tracker.is_red(event.pid, p.return_address):
-            record = DetectionRecord(
-                technique="Shellcode_injected",
-                category=catalog.rule("Shellcode_injected").category,
-                seq=event.seq, pid=event.pid, tid=event.tid,
-                substituted_value=route.substituted_value)
-            self._finish_record(record, event)
         self._match(event)
 
     def _match(self, event: TraceEvent) -> None:
         records, effects = catalog.match_event(
             event, self.tracker, self.clock, self.config)
         self.effects.extend(effects)
-        for record in records:
-            self._finish_record(record, event)
-
-    def _finish_record(self, record: DetectionRecord, event: TraceEvent) -> None:
-        rule = catalog.rule(record.technique)
-        if rule.mitigated and self.config.mitigation_enabled(record.technique):
-            catalog.apply_mitigation(record, event, self.clock, self.config)
-        else:
-            record.mitigated = False
-            record.substituted_value = None
-        self.detections.append(record)
+        self.detections.extend(records)
 
     def _register(self, event: TraceEvent, region: MemoryRegion) -> bool:
         """Map ``region``; a refused one becomes a warning and False."""

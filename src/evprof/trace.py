@@ -89,7 +89,10 @@ def decode_text(text: str) -> str:
         else:
             raw.extend(ch.encode("utf-8"))
             i += 1
-    return raw.decode("utf-8")
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise TraceError(f"bad percent-encoded UTF-8 in {text!r}")
 
 
 @dataclass(frozen=True)
@@ -118,9 +121,12 @@ class Value:
         if t == "s":
             return Value("s", decode_text(body))
         try:
-            return Value(t, int(body, 0))
+            value = int(body, 0)
         except ValueError:
             raise TraceError(f"bad typed value {token!r}")
+        if t == "d" and value < 0:
+            raise TraceError(f"negative duration {token!r}")
+        return Value(t, value)
 
 
 def vint(v: int) -> Value:
@@ -557,7 +563,8 @@ def parse_trace(source) -> list[TraceEvent]:
     ``source`` may be text, bytes, or any iterable of lines. Raises
     TraceError (with line number) on malformed records, non-monotonic
     sequence numbers, unknown kinds, or a missing/duplicated/misplaced
-    meta record. Unknown API names are accepted as-is.
+    meta record; an error raised by a field decoder gets the line number
+    added. Unknown API names are accepted as-is.
     """
     if isinstance(source, bytes):
         source = source.decode("utf-8")
@@ -571,24 +578,31 @@ def parse_trace(source) -> list[TraceEvent]:
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        rec = _Rec(_fields(line, lineno), lineno)
-        seq = rec.num("seq")
-        pid = rec.num("pid")
-        tid = rec.num("tid")
-        insn_index = rec.num("insn_index")
-        kind = rec.text("kind")
-        if kind not in EVENT_KINDS:
-            raise TraceError(f"unknown kind {kind!r}", lineno)
-        if last_seq is not None and seq <= last_seq:
-            raise TraceError(
-                f"seq {seq} not greater than previous seq {last_seq}", lineno)
-        last_seq = seq
-        if not events and kind != "meta":
-            raise TraceError("first record must be the meta record", lineno)
-        if events and kind == "meta":
-            raise TraceError("duplicate meta record", lineno)
-        payload = _parse_payload(kind, rec)
-        rec.finish()
+        try:
+            rec = _Rec(_fields(line, lineno), lineno)
+            seq = rec.num("seq")
+            pid = rec.num("pid")
+            tid = rec.num("tid")
+            insn_index = rec.num("insn_index")
+            kind = rec.text("kind")
+            if kind not in EVENT_KINDS:
+                raise TraceError(f"unknown kind {kind!r}", lineno)
+            if last_seq is not None and seq <= last_seq:
+                raise TraceError(
+                    f"seq {seq} not greater than previous seq {last_seq}",
+                    lineno)
+            last_seq = seq
+            if not events and kind != "meta":
+                raise TraceError("first record must be the meta record",
+                                 lineno)
+            if events and kind == "meta":
+                raise TraceError("duplicate meta record", lineno)
+            payload = _parse_payload(kind, rec)
+            rec.finish()
+        except TraceError as exc:
+            if exc.line is not None:
+                raise
+            raise TraceError(str(exc), lineno) from None
         events.append(TraceEvent(seq, pid, tid, insn_index, kind, payload))
     if not events:
         raise TraceError("empty trace: missing meta record")

@@ -322,3 +322,108 @@ def test_check_eip_returns_expected_instruction_pointer():
 def test_catalog_listing_is_immutable_tuple():
     listing = catalog_listing()
     assert isinstance(listing, tuple)
+
+
+# -- one pathway: every rule matched, gated and mitigated in match_event ------
+
+def match_records(event, config=None, clock=None):
+    records, _ = match_event(event, tracker_with_images(),
+                             clock or VirtualClock(), config)
+    return records
+
+
+def test_trigger_table_holds_every_api_and_insn_rule_once_per_name():
+    expected = sorted(
+        [("api", n, r.id) for r in catalog_listing()
+         if r.trigger_kind == "api" for n in r.api_names]
+        + [("insn", r.mnemonic, r.id) for r in catalog_listing()
+           if r.trigger_kind == "insn"])
+    actual = sorted((kind, name, r.id)
+                    for (kind, name), rules in catalog.TRIGGERS.items()
+                    for r in rules)
+    assert actual == expected
+    assert ("insn", "rdtsc") not in catalog.TRIGGERS
+    assert not any(("api", n) in catalog.TRIGGERS
+                   for n in rule("time_stalling").api_names)
+
+
+def test_cross_process_injection_is_a_table_rule():
+    ev = api_event("NtWriteVirtualMemory", target_pid=555)
+    [record] = match_records(ev)
+    assert record.technique == "Shellcode_injected"
+    assert record.mitigated
+    assert record.substituted_value == "target_pid=99999"
+    assert match_records(ev, RunConfig(honeypot_pid=4242))[0] \
+        .substituted_value == "target_pid=4242"
+
+
+def test_injection_needs_a_foreign_target_and_red_origin():
+    assert match_only(api_event("NtWriteVirtualMemory")) == []
+    assert match_only(api_event("NtCreateThreadEx",
+                                target_pid=MAIN_PID)) == []
+    assert match_only(api_event("NtQueueApcThread", target_pid=555,
+                                origin=BENIGN)) == []
+
+
+def test_match_event_applies_the_mitigation_itself():
+    ev = api_event("GlobalMemoryStatusEx")
+    [record] = match_records(ev)
+    assert record.mitigated and record.substituted_value == str(8 * 1024 ** 3)
+    [record] = match_records(ev, RunConfig(mitigate=False))
+    assert not record.mitigated and record.substituted_value is None
+    [record] = match_records(
+        ev, RunConfig(overrides=(("memory_space", "forced"),)))
+    assert record.substituted_value == "forced"
+
+
+def test_unmitigated_rule_is_recorded_unmitigated():
+    [record] = match_records(api_event("IsDebuggerPresent"))
+    assert not record.mitigated and record.substituted_value is None
+
+
+def test_stall_record_and_rewrite_follow_one_switch():
+    ev = api_event("Sleep", args=(Value("d", 60_000),))
+    clock = VirtualClock()
+    records, effects = match_event(ev, tracker_with_images(), clock)
+    assert [(r.technique, r.substituted_value) for r in records] == \
+        [("time_stalling", "wait_ms=0")]
+    assert [e.kind for e in effects] == ["stall_rewrite"]
+    assert clock.offset_ms == 60_000
+    clock = VirtualClock()
+    records, effects = match_event(ev, tracker_with_images(), clock,
+                                   RunConfig(mitigate=False))
+    assert [(r.technique, r.mitigated) for r in records] == \
+        [("time_stalling", False)]
+    assert effects == [] and clock.offset_ms == 0
+
+
+def test_benign_stall_still_rewrites_the_wait():
+    ev = api_event("Sleep", args=(Value("d", 60_000),), origin=BENIGN)
+    clock = VirtualClock()
+    records, effects = match_event(ev, tracker_with_images(), clock)
+    assert records == [] and [e.kind for e in effects] == ["stall_rewrite"]
+    assert clock.offset_ms == 60_000
+
+
+def test_rdtsc_substitution_is_the_clocks_answer():
+    t = T()
+    t.insn("rdtsc", out_regs=(("tsc", 1_000),), insn_index=10)
+    second = t.insn("rdtsc", out_regs=(("tsc", 3_000),), insn_index=12)
+    clock = VirtualClock()
+    tracker = tracker_with_images()
+    match_event(t.events[-2], tracker, clock)
+    [record], effects = match_event(second, tracker, clock)
+    assert record.technique == "RDTSC"
+    assert record.substituted_value == "tsc=%d" % effects[0].value == \
+        "tsc=2000"
+
+
+def test_non_integer_time_query_is_left_unadjusted_with_a_warning():
+    clock = VirtualClock()
+    clock.on_stall_api(5_000)
+    ev = api_event("GetTickCount", ret=Value("s", "abc"))
+    records, effects = match_event(ev, tracker_with_images(), clock)
+    assert [r.technique for r in records] == ["GetTickCount"]
+    assert effects == []
+    assert [d.message for d in clock.diagnostics] == \
+        ["GetTickCount returned s:abc, not an integer; left unadjusted"]

@@ -324,3 +324,120 @@ def test_huge_header_alloc_allocates_nothing(tmp_path):
     out = tmp_path / "r.json"
     assert main(["analyze", str(trace), "--out", str(out)]) == EXIT_OK
     assert SampleReport.from_json(out.read_text()).total_event_count == 3
+
+
+# -- one bad trace never aborts a batch or escapes --out ------------------------
+
+def single_trace(directory, name, sample_id, api_fields=None):
+    """A two-record trace; with ``api_fields`` its second record is an api
+    call made from unmapped code."""
+    directory.mkdir(exist_ok=True)
+    text = ("seq=0 pid=1 tid=1 insn_index=0 kind=meta sample_id="
+            f"{sample_id}\n")
+    if api_fields is not None:
+        text += (f"seq=1 pid=1 tid=1 insn_index=1 kind=api {api_fields} "
+                 "return_address=0x401000 native=1\n")
+    path = directory / name
+    path.write_text(text)
+    return path
+
+
+def test_batch_survives_a_non_integer_time_query(tmp_path, capsys):
+    traces = tmp_path / "traces"
+    single_trace(traces, "a.trace", "bad", "name=GetTickCount ret=s:abc")
+    single_trace(traces, "b.trace", "good", "name=NtClose ret=i:0")
+    out = tmp_path / "reports"
+    assert main(["batch", str(traces), "--out", str(out)]) == EXIT_OK
+    assert "2 reports, 0 failures" in capsys.readouterr().out
+    assert sorted(read_reports(out)) == ["bad.report.json",
+                                         "good.report.json"]
+    bad = SampleReport.from_json((out / "bad.report.json").read_text())
+    assert any("GetTickCount returned s:abc, not an integer" in w
+               for w in bad.warnings)
+
+
+def test_batch_records_any_worker_exception_as_a_failure(
+        corpus_dir, tmp_path, capsys, monkeypatch):
+    import evprof.cli as cli
+    real = cli.run_sample
+
+    def flaky(events, cfg, diagnostics):
+        if events[0].payload.sample_id == "pos_Check_EIP":
+            raise RuntimeError("boom")
+        return real(events, cfg, diagnostics)
+
+    monkeypatch.setattr(cli, "run_sample", flaky)
+    out = tmp_path / "reports"
+    assert main(["batch", str(corpus_dir), "--out", str(out)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "11 reports, 1 failures" in captured.out
+    assert "pos_Check_EIP.trace: internal error: RuntimeError: boom" in captured.err
+    assert "pos_Check_EIP.report.json" not in read_reports(out)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("name=A%FF", "bad percent-encoded UTF-8"),
+    ("name=Sleep args=d:-99999999", "negative duration"),
+    ("name=A args=q:1", "unknown value type"),
+])
+def test_analyze_bad_field_is_a_data_error_with_line(tmp_path, capsys,
+                                                     text, message):
+    trace = single_trace(tmp_path, "x.trace", "x", text)
+    assert main(["analyze", str(trace)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"line 2: {message}" in err
+    assert "internal error" not in err
+
+
+def test_analyze_invalid_utf8_file_is_a_data_error(tmp_path, capsys):
+    trace = tmp_path / "x.trace"
+    trace.write_bytes(b"seq=0 pid=1 tid=1 insn_index=0 kind=meta "
+                      b"sample_id=\xff\n")
+    assert main(["analyze", str(trace)]) == EXIT_DATA
+    assert "internal error" not in capsys.readouterr().err
+
+
+# as written in the trace; "%00" decodes to NUL
+BAD_SAMPLE_IDS = ["../escaped", "a/b", "a\\b", ".", "..", "", "a%00b"]
+
+
+@pytest.mark.parametrize("sample_id", BAD_SAMPLE_IDS)
+def test_batch_rejects_a_sample_id_that_is_not_a_file_name(
+        tmp_path, capsys, sample_id):
+    traces = tmp_path / "traces"
+    single_trace(traces, "a.trace", sample_id.replace("/", "%2F"))
+    single_trace(traces, "b.trace", "good")
+    out = tmp_path / "run" / "reports"
+    assert main(["batch", str(traces), "--out", str(out)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "1 reports, 1 failures" in captured.out
+    assert "is not a plain file name" in captured.err
+    assert sorted(os.listdir(out)) == ["good.report.json"]
+    assert sorted(os.listdir(out.parent)) == ["reports"]
+
+
+@pytest.mark.parametrize("sample_id", BAD_SAMPLE_IDS)
+def test_analyze_into_a_directory_rejects_a_bad_sample_id(tmp_path, sample_id):
+    trace = single_trace(tmp_path, "a.trace", sample_id.replace("/", "%2F"))
+    out = tmp_path / "run" / "reports"
+    out.mkdir(parents=True)
+    assert main(["analyze", str(trace), "--out", str(out)]) == EXIT_DATA
+    assert os.listdir(out) == []
+    assert sorted(os.listdir(out.parent)) == ["reports"]
+
+
+def test_batch_duplicate_sample_id_is_a_failure(tmp_path, capsys):
+    traces = tmp_path / "traces"
+    single_trace(traces, "a.trace", "same", "name=NtClose ret=i:0")
+    single_trace(traces, "b.trace", "same", "name=IsDebuggerPresent")
+    single_trace(traces, "c.trace", "other")
+    out = tmp_path / "reports"
+    assert main(["batch", str(traces), "--out", str(out)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "2 reports, 1 failures" in captured.out
+    assert "b.trace: duplicate sample_id 'same'" in captured.err
+    assert sorted(os.listdir(out)) == ["other.report.json",
+                                       "same.report.json"]
+    # the first trace in name order keeps the file
+    kept = SampleReport.from_json((out / "same.report.json").read_text())
+    assert kept.native_api_count == 1

@@ -81,6 +81,26 @@ def test_infinite_wait_advances_by_cap():
     assert clock.offset_ms == 600_000
 
 
+@pytest.mark.parametrize("requested, stalling", [
+    (10, False), (29_999, False), (30_000, True), (INFINITE_WAIT, True)])
+def test_classify_only_keeps_wait_and_offset(requested, stalling):
+    clock = VirtualClock()
+    result = clock.on_stall_api(requested, rewrite=False)
+    assert result.stalling is stalling
+    assert result.rewritten_arg == requested
+    assert result.advanced_ms == 0
+    assert clock.offset_ms == 0
+
+
+def test_last_rdtsc_is_the_value_returned_on_that_thread():
+    clock = VirtualClock()
+    assert clock.last_rdtsc(1, 1) is None
+    clock.on_rdtsc(1, 1, 10, 1_000)
+    returned = clock.on_rdtsc(1, 1, 12, 3_000).returned
+    assert clock.last_rdtsc(1, 1) == returned == 2_000
+    assert clock.last_rdtsc(1, 2) is None
+
+
 def test_total_virtual_time_equals_oracle_sum():
     requests = [10, 50_000, INFINITE_WAIT, 250, 40_000]
     cap = 600_000

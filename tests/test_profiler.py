@@ -325,6 +325,67 @@ def test_report_json_round_trip():
     assert clone.labels == {"family": "fam", "year": "2019"}
 
 
+REPORT_KEYS = [
+    "sample_id", "labels", "started", "active", "native_api_count",
+    "total_event_count", "evasive", "techniques_count", "technique_set",
+    "first_pos", "last_pos", "categories_in_order",
+    "externally_visible_split", "internet", "child_process",
+    "visible_api_counts", "detections", "warnings",
+]
+OPTIONAL_REPORT_KEYS = {"labels", "visible_api_counts", "warnings",
+                        "detections"}
+DETECTION_KEYS = ["technique", "category", "seq", "pid", "tid", "mitigated",
+                  "substituted_value", "normalized_pos"]
+
+
+def detected_report_doc():
+    import json
+    t = T().images()
+    t.api("IsDebuggerPresent", native=False)
+    return json.loads(profile(t).to_json())
+
+
+def test_report_json_key_order():
+    doc = detected_report_doc()
+    assert list(doc) == REPORT_KEYS
+    assert list(doc["detections"][0]) == DETECTION_KEYS
+
+
+@pytest.mark.parametrize("key", [k for k in REPORT_KEYS
+                                 if k not in OPTIONAL_REPORT_KEYS])
+def test_report_missing_a_required_key_is_rejected(key):
+    import json
+    doc = detected_report_doc()
+    del doc[key]
+    with pytest.raises(KeyError):
+        SampleReport.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key", DETECTION_KEYS)
+def test_detection_missing_a_key_is_rejected(key):
+    import json
+    doc = detected_report_doc()
+    del doc["detections"][0][key]
+    with pytest.raises(KeyError):
+        SampleReport.from_json(json.dumps(doc))
+
+
+def test_report_optional_keys_default_and_extra_keys_are_ignored():
+    import json
+    doc = detected_report_doc()
+    for key in OPTIONAL_REPORT_KEYS:
+        del doc[key]
+    doc["future_key"] = 1
+    report = SampleReport.from_json(json.dumps(doc))
+    assert (report.labels, report.visible_api_counts, report.warnings,
+            report.detections) == ({}, {}, [], [])
+
+
+def test_report_that_is_not_an_object_is_rejected():
+    with pytest.raises(ValueError):
+        SampleReport.from_json("[1, 2]")
+
+
 def test_validation_diagnostics_become_warnings():
     from evprof.trace import validate_trace
     t = T().images()

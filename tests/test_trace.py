@@ -130,6 +130,59 @@ def test_typed_values_round_trip():
         assert Value.parse(v.encode()) == v
 
 
+@pytest.mark.parametrize("text", ["%FF", "a%C3", "%C3%28", "x%80y"])
+def test_invalid_percent_utf8_is_a_trace_error(text):
+    with pytest.raises(TraceError, match="UTF-8"):
+        decode_text(text)
+
+
+@pytest.mark.parametrize("token", ["d:-1", "d:-99999999", "d:-0x10"])
+def test_negative_duration_rejected(token):
+    with pytest.raises(TraceError, match="negative duration"):
+        Value.parse(token)
+
+
+def test_zero_duration_and_negative_integers_still_parse():
+    assert Value.parse("d:0") == Value("d", 0)
+    assert Value.parse("i:-5") == Value("i", -5)
+
+
+def api_line(fields):
+    return ("seq=0 pid=1 tid=1 insn_index=0 kind=meta sample_id=m\n"
+            f"seq=1 pid=1 tid=1 insn_index=1 kind=api {fields} "
+            "return_address=0x1 native=0\n")
+
+
+@pytest.mark.parametrize("fields", [
+    "name=Sleep args=d:-99999999",
+    "name=A%FF",
+    "name=A args=s:%FF",
+    "name=A args=q:1",
+    "name=A args=i:zz",
+    "name=A out_structs=nonsense",
+    "name=A ret=s:%E2%82",
+])
+def test_decoder_errors_carry_the_line_number(fields):
+    with pytest.raises(TraceError) as exc:
+        parse_trace(api_line(fields))
+    assert exc.value.line == 2
+    assert str(exc.value).startswith("line 2: ")
+
+
+@pytest.mark.parametrize("line", [
+    "kind=insn mnemonic=cpuid address=0x1 in=eax",
+    "kind=image_load name=a.dll base=0x9000 size=0x10 "
+    "region_kind=custom_library structs=PEB",
+])
+def test_record_decoder_errors_carry_the_line_number(line):
+    text = ("seq=0 pid=1 tid=1 insn_index=0 kind=meta sample_id=m "
+            "structs=PEB@0x10(x+0x0:4)\n"
+            f"seq=1 pid=1 tid=1 insn_index=1 {line}\n")
+    with pytest.raises(TraceError) as exc:
+        parse_trace(text)
+    assert exc.value.line == 2
+
+
 def test_string_arg_with_separators_survives():
     t = T()
     t.api("wmi_query", args=(Value("s", "SELECT a, b FROM C"),),
