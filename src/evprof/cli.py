@@ -67,6 +67,13 @@ def _report_path(out_dir: str, sample_id: str) -> str:
     return os.path.join(out_dir, sample_id + ".report.json")
 
 
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"{path}: {exc}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -79,8 +86,11 @@ def cmd_analyze(args) -> int:
         out_path = args.out
         if os.path.isdir(out_path):
             out_path = _report_path(out_path, sample_id)
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(doc)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(doc)
+        except OSError as exc:
+            raise CliError(f"{out_path}: {exc}")
         print(f"wrote {out_path}")
     else:
         sys.stdout.write(doc)
@@ -107,7 +117,7 @@ def cmd_batch(args) -> int:
               if e.endswith(".trace")]
     if not traces:
         raise CliError(f"{args.dir}: no .trace files found")
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
 
     work = [(path, cfg) for path in traces]
     if args.jobs > 1:
@@ -188,11 +198,14 @@ def cmd_aggregate(args) -> int:
     outputs[f"packers.{ext}"] = agg.render_packer_table(aggregate, table_fmt)
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        _make_out_dir(args.out)
         for name, content in outputs.items():
-            with open(os.path.join(args.out, name), "w",
-                      encoding="utf-8") as fh:
-                fh.write(content)
+            path = os.path.join(args.out, name)
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(content)
+            except OSError as exc:
+                raise CliError(f"{path}: {exc}")
         print(f"wrote {len(outputs)} files to {args.out}")
     else:
         if args.format == "json":

@@ -20,9 +20,10 @@ from dataclasses import dataclass, field, replace
 
 from . import catalog
 from .trace import (
-    ApiPayload, FieldRef, ImageLoadPayload, InsnPayload, MemPayload,
-    MetaPayload, StructLayout, ThreadStartPayload, TraceEvent, Value,
-    decode_text, encode_text, serialize_trace, vaddr, vdur, vint, vlen, vstr,
+    META_LABEL_KEYS, ApiPayload, FieldRef, ImageLoadPayload, InsnPayload,
+    MemPayload, MetaPayload, StructLayout, ThreadStartPayload, TraceError,
+    TraceEvent, Value, decode_text, encode_text, serialize_trace, tokenize,
+    vaddr, vdur, vint, vlen, vstr,
 )
 
 MAIN_PID = 1000
@@ -837,42 +838,40 @@ def parse_genspec_file(text: str) -> list[GenSpec]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        fields = {}
-        for tok in line.split():
-            key, sep, value = tok.partition("=")
-            if not sep:
-                raise GenError(f"line {lineno}: malformed token {tok!r}")
-            fields[key] = value
-        if "sample_id" not in fields:
-            raise GenError(f"line {lineno}: missing sample_id")
-        techniques = []
-        if fields.get("techniques"):
-            for part in fields["techniques"].split(";"):
-                head, _, origin = part.partition(":")
-                tid, _, pos = head.partition("@")
-                techniques.append(TechniqueSpec(
-                    decode_text(tid), float(pos) if pos else 50.0,
-                    origin or "red"))
-        visible = []
-        if fields.get("visible"):
-            for part in fields["visible"].split(";"):
-                name, _, pos = part.partition("@")
-                visible.append((decode_text(name),
-                                float(pos) if pos else 50.0))
-        labels = tuple(
-            (key, decode_text(fields[key]))
-            for key in ("dataset", "family", "year", "packer", "protector")
-            if key in fields)
-        specs.append(GenSpec(
-            sample_id=decode_text(fields["sample_id"]),
-            techniques=tuple(techniques),
-            filler=int(fields.get("filler", 60)),
-            visible=tuple(visible),
-            labels=labels,
-            scenario=fields.get("scenario"),
-            seed=int(fields.get("seed", 0)),
-        ))
+        try:
+            specs.append(_parse_genspec(tokenize(line)))
+        except (TraceError, ValueError) as exc:
+            raise GenError(f"line {lineno}: {exc}") from None
     return specs
+
+
+def _parse_genspec(fields: dict[str, str]) -> GenSpec:
+    if "sample_id" not in fields:
+        raise ValueError("missing sample_id")
+    techniques = []
+    if fields.get("techniques"):
+        for part in fields["techniques"].split(";"):
+            head, _, origin = part.partition(":")
+            tid, _, pos = head.partition("@")
+            techniques.append(TechniqueSpec(
+                decode_text(tid), float(pos) if pos else 50.0,
+                origin or "red"))
+    visible = []
+    if fields.get("visible"):
+        for part in fields["visible"].split(";"):
+            name, _, pos = part.partition("@")
+            visible.append((decode_text(name), float(pos) if pos else 50.0))
+    labels = tuple((key, decode_text(fields[key]))
+                   for key in META_LABEL_KEYS if key in fields)
+    return GenSpec(
+        sample_id=decode_text(fields["sample_id"]),
+        techniques=tuple(techniques),
+        filler=int(fields.get("filler", 60)),
+        visible=tuple(visible),
+        labels=labels,
+        scenario=fields.get("scenario"),
+        seed=int(fields.get("seed", 0)),
+    )
 
 
 def format_genspec(spec: GenSpec) -> str:

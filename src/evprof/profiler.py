@@ -65,7 +65,11 @@ class SampleReport:
 
     @staticmethod
     def from_json(text: str) -> "SampleReport":
-        """Decode a report; a missing required key raises KeyError."""
+        """Decode a report; a missing required key raises KeyError.
+
+        A technique id the catalog does not know, or a detection that is
+        not an object, raises ValueError.
+        """
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("report is not a JSON object")
@@ -75,9 +79,19 @@ class SampleReport:
                 kwargs[name] = doc[name]
             elif name not in _OPTIONAL_REPORT_KEYS:
                 raise KeyError(name)
+        techniques = kwargs["technique_set"]
+        if not isinstance(techniques, list) or not all(
+                isinstance(t, str) and t in catalog.KNOWN_TECHNIQUES
+                for t in techniques):
+            raise ValueError(f"unknown technique in technique_set "
+                             f"{techniques!r}")
+        detections = kwargs.get("detections", [])
+        if not isinstance(detections, list) or not all(
+                isinstance(d, dict) for d in detections):
+            raise ValueError("detections is not a list of objects")
         kwargs["detections"] = [
             DetectionRecord(*[d[name] for name in _DETECTION_KEYS])
-            for d in kwargs.get("detections", ())]
+            for d in detections]
         return SampleReport(**kwargs)
 
 

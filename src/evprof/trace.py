@@ -4,7 +4,9 @@ A trace is a UTF-8 text file, one record per line. Each line is a flat
 sequence of ``key=value`` tokens separated by single spaces. Values are
 percent-encoded so that spaces and separator characters never appear raw.
 The first record must be the single ``meta`` record; ``seq`` must be
-strictly increasing across the file.
+strictly increasing across the file. ``SCHEMA`` lists each kind's fields
+with their codecs and defaults; parsing, serialization and the
+unexpected-field check all read it.
 
 Composite value syntaxes:
 
@@ -25,11 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Union
-
-EVENT_KINDS = frozenset({
-    "meta", "image_load", "region_alloc", "region_free", "api", "insn",
-    "mem_read", "mem_write", "process_start", "thread_start",
-})
 
 REGION_KINDS = frozenset({
     "main_image", "standard_library", "custom_library", "exec_alloc",
@@ -64,6 +61,8 @@ class TraceError(Exception):
 
 
 def encode_text(text: str) -> str:
+    if _SAFE_CHARS.issuperset(text):
+        return text
     out = []
     for ch in text:
         if ch in _SAFE_CHARS:
@@ -333,91 +332,147 @@ class Diagnostic:
 
 
 # ---------------------------------------------------------------------------
+# record schema: one field list per kind drives parsing, serialization and
+# the unexpected-field check
+
+REQUIRED = object()  # default of a field every record of its kind carries
+
+
+def _int(raw: str) -> int:
+    try:
+        return int(raw, 0)
+    except ValueError:
+        raise ValueError(f"bad integer {raw!r}") from None
+
+
+def _extent(raw: str) -> int:
+    value = _int(raw)
+    if value <= 0:
+        raise ValueError(f"size {value} is not positive")
+    return value
+
+
+def _one_of(names: frozenset, what: str):
+    def decode(raw: str) -> str:
+        value = decode_text(raw)
+        if value not in names:
+            raise ValueError(f"unknown {what} {value!r}")
+        return value
+    return decode
+
+
+def _joined(sep: str, decode, encode):
+    """Codec for a sequence of items joined with ``sep``."""
+    return (lambda raw: tuple(decode(part) for part in raw.split(sep)),
+            lambda items: sep.join(encode(item) for item in items))
+
+
+def _parse_reg(text: str) -> tuple[str, int]:
+    name, sep, value = text.partition(":")
+    if not sep:
+        raise ValueError(f"bad register {text!r}")
+    return decode_text(name), _int(value)
+
+
+def _take_labels(toks: dict[str, str]) -> tuple[tuple[str, str], ...]:
+    return tuple((k, decode_text(toks.pop(k)))
+                 for k in META_LABEL_KEYS if k in toks)
+
+
+def _write_labels(labels: tuple[tuple[str, str], ...]) -> str:
+    return " ".join(f"{encode_text(k)}={encode_text(v)}" for k, v in labels)
+
+
+_DEC = (_int, str)
+_HEX = (_int, hex)
+_TEXT = (decode_text, encode_text)
+_STRUCTS = _joined(";", StructLayout.parse, StructLayout.encode)
+_REGS = _joined(",", _parse_reg,
+                lambda reg: f"{encode_text(reg[0])}:{hex(reg[1])}")
+_REGION_KIND = (_one_of(REGION_KINDS, "region kind"), str)
+
+
+def _field(key, codec, default=REQUIRED, attr=None):
+    """A schema row: (token key, attribute, (decode, encode), default).
+
+    An optional field is written only when its value differs from the
+    default. The row with key None is the meta labels: one token per
+    label, read in META_LABEL_KEYS order, written in the payload's order.
+    """
+    return key, attr or key, codec, default
+
+
+_EVENT_FIELDS = (
+    _field("seq", _DEC), _field("pid", _DEC), _field("tid", _DEC),
+    _field("insn_index", _DEC), _field("kind", _TEXT),
+)
+
+_MEM = (MemPayload, (
+    _field("address", _HEX), _field("size", _DEC), _field("value", _HEX),
+    _field("accessor_address", _HEX),
+))
+
+# kind -> (payload class, fields in written order)
+SCHEMA = {
+    "meta": (MetaPayload, (
+        _field("sample_id", _TEXT),
+        _field(None, (_take_labels, _write_labels), (), "labels"),
+        _field("structs", _STRUCTS, ()),
+    )),
+    "image_load": (ImageLoadPayload, (
+        _field("name", _TEXT),
+        _field("base", _HEX),
+        _field("size", (_extent, hex)),
+        _field("region_kind", _REGION_KIND),
+        _field("header", (lambda raw: bytes.fromhex(decode_text(raw)),
+                          bytes.hex), None),
+        _field("size_of_image_addr", _HEX, None),
+        _field("structs", _STRUCTS, ()),
+    )),
+    "region_alloc": (RegionAllocPayload, (
+        _field("base", _HEX),
+        _field("size", (_extent, hex)),
+        _field("region_kind", _REGION_KIND),
+        _field("name", _TEXT, None),
+    )),
+    "region_free": (RegionFreePayload, (_field("base", _HEX),)),
+    "process_start": (ProcessStartPayload, (
+        _field("parent_pid", _DEC, None),
+        _field("name", _TEXT, None),
+    )),
+    "thread_start": (ThreadStartPayload, (_field("parent_tid", _DEC, None),)),
+    "api": (ApiPayload, (
+        _field("name", _TEXT),
+        _field("args", _joined(",", Value.parse, Value.encode), ()),
+        _field("ret", (Value.parse, Value.encode), None),
+        _field("return_address", _HEX),
+        _field("native", (lambda raw: bool(_int(raw)), "%d".__mod__)),
+        _field("target_pid", _DEC, None),
+        _field("out_structs", _joined(";", FieldRef.parse, FieldRef.encode),
+               ()),
+    )),
+    "insn": (InsnPayload, (
+        _field("mnemonic", (_one_of(INSN_MNEMONICS, "mnemonic"), str)),
+        _field("address", _HEX),
+        _field("in", _REGS, (), "in_regs"),
+        _field("out", _REGS, (), "out_regs"),
+    )),
+    "mem_read": _MEM,
+    "mem_write": _MEM,
+}
+
+
+# ---------------------------------------------------------------------------
 # serialization
 
-def _encode_regs(regs: tuple[tuple[str, int], ...]) -> str:
-    return ",".join("%s:0x%x" % (encode_text(k), v) for k, v in regs)
-
-
-def _parse_regs(text: str) -> tuple[tuple[str, int], ...]:
-    out = []
-    for part in text.split(","):
-        try:
-            k, v = part.split(":", 1)
-            out.append((decode_text(k), int(v, 0)))
-        except ValueError:
-            raise TraceError(f"bad register map {text!r}")
-    return tuple(out)
-
-
 def serialize_event(ev: TraceEvent) -> str:
-    toks = [
-        "seq=%d" % ev.seq,
-        "pid=%d" % ev.pid,
-        "tid=%d" % ev.tid,
-        "insn_index=%d" % ev.insn_index,
-        "kind=%s" % ev.kind,
-    ]
+    toks = ["seq=%d pid=%d tid=%d insn_index=%d kind=%s"
+            % (ev.seq, ev.pid, ev.tid, ev.insn_index, ev.kind)]
     p = ev.payload
-    if ev.kind == "meta":
-        toks.append("sample_id=" + encode_text(p.sample_id))
-        for k, v in p.labels:
-            toks.append("%s=%s" % (encode_text(k), encode_text(v)))
-        if p.structs:
-            toks.append("structs=" + ";".join(s.encode() for s in p.structs))
-    elif ev.kind == "image_load":
-        toks.append("name=" + encode_text(p.name))
-        toks.append("base=0x%x" % p.base)
-        toks.append("size=0x%x" % p.size)
-        toks.append("region_kind=" + p.region_kind)
-        if p.header is not None:
-            toks.append("header=" + p.header.hex())
-        if p.size_of_image_addr is not None:
-            toks.append("size_of_image_addr=0x%x" % p.size_of_image_addr)
-        if p.structs:
-            toks.append("structs=" + ";".join(s.encode() for s in p.structs))
-    elif ev.kind == "region_alloc":
-        toks.append("base=0x%x" % p.base)
-        toks.append("size=0x%x" % p.size)
-        toks.append("region_kind=" + p.region_kind)
-        if p.name is not None:
-            toks.append("name=" + encode_text(p.name))
-    elif ev.kind == "region_free":
-        toks.append("base=0x%x" % p.base)
-    elif ev.kind == "process_start":
-        if p.parent_pid is not None:
-            toks.append("parent_pid=%d" % p.parent_pid)
-        if p.name is not None:
-            toks.append("name=" + encode_text(p.name))
-    elif ev.kind == "thread_start":
-        if p.parent_tid is not None:
-            toks.append("parent_tid=%d" % p.parent_tid)
-    elif ev.kind == "api":
-        toks.append("name=" + encode_text(p.name))
-        if p.args:
-            toks.append("args=" + ",".join(a.encode() for a in p.args))
-        if p.ret is not None:
-            toks.append("ret=" + p.ret.encode())
-        toks.append("return_address=0x%x" % p.return_address)
-        toks.append("native=%d" % int(p.native))
-        if p.target_pid is not None:
-            toks.append("target_pid=%d" % p.target_pid)
-        if p.out_structs:
-            toks.append("out_structs=" + ";".join(f.encode() for f in p.out_structs))
-    elif ev.kind == "insn":
-        toks.append("mnemonic=" + p.mnemonic)
-        toks.append("address=0x%x" % p.address)
-        if p.in_regs:
-            toks.append("in=" + _encode_regs(p.in_regs))
-        if p.out_regs:
-            toks.append("out=" + _encode_regs(p.out_regs))
-    elif ev.kind in ("mem_read", "mem_write"):
-        toks.append("address=0x%x" % p.address)
-        toks.append("size=%d" % p.size)
-        toks.append("value=0x%x" % p.value)
-        toks.append("accessor_address=0x%x" % p.accessor_address)
-    else:  # pragma: no cover - construction is validated
-        raise TraceError(f"unknown kind {ev.kind!r}")
+    for key, attr, (_, encode), default in SCHEMA[ev.kind][1]:
+        value = getattr(p, attr)
+        if default is REQUIRED or value != default:
+            toks.append(f"{key}={encode(value)}" if key else encode(value))
     return " ".join(toks)
 
 
@@ -428,143 +483,48 @@ def serialize_trace(events: Iterable[TraceEvent]) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
-def _fields(line: str, lineno: int) -> dict[str, str]:
+def tokenize(line: str) -> dict[str, str]:
+    """Split one record into its ``key=value`` tokens; keys are unique."""
     out: dict[str, str] = {}
     for tok in line.split():
         key, sep, value = tok.partition("=")
         if not sep or not key:
-            raise TraceError(f"malformed token {tok!r}", lineno)
+            raise TraceError(f"malformed token {tok!r}")
         if key in out:
-            raise TraceError(f"duplicate field {key!r}", lineno)
+            raise TraceError(f"duplicate field {key!r}")
         out[key] = value
     return out
 
 
-class _Rec:
-    """One raw record with typed field accessors."""
-
-    def __init__(self, fields: dict[str, str], lineno: int):
-        self.fields = fields
-        self.lineno = lineno
-        self.seen: set[str] = set()
-
-    def _take(self, key: str) -> str:
-        self.seen.add(key)
-        try:
-            return self.fields[key]
-        except KeyError:
-            raise TraceError(f"missing field {key!r}", self.lineno)
-
-    def has(self, key: str) -> bool:
-        return key in self.fields
-
-    def text(self, key: str) -> str:
-        return decode_text(self._take(key))
-
-    def num(self, key: str) -> int:
-        raw = self._take(key)
-        try:
-            return int(raw, 0)
-        except ValueError:
-            raise TraceError(f"field {key!r}: bad integer {raw!r}", self.lineno)
-
-    def extent(self, key: str) -> int:
-        value = self.num(key)
-        if value <= 0:
-            raise TraceError(f"field {key!r}: size {value} is not positive",
-                             self.lineno)
-        return value
-
-    def opt_num(self, key: str) -> int | None:
-        return self.num(key) if self.has(key) else None
-
-    def opt_text(self, key: str) -> str | None:
-        return self.text(key) if self.has(key) else None
-
-    def structs(self, key: str = "structs") -> tuple[StructLayout, ...]:
-        if not self.has(key):
-            return ()
-        return tuple(StructLayout.parse(p) for p in self._take(key).split(";"))
-
-    def finish(self):
-        extra = set(self.fields) - self.seen
-        if extra:
-            raise TraceError(f"unexpected fields {sorted(extra)}", self.lineno)
-
-
-def _parse_payload(kind: str, rec: _Rec) -> Payload:
-    if kind == "meta":
-        sample_id = rec.text("sample_id")
-        labels = tuple(
-            (k, rec.text(k)) for k in META_LABEL_KEYS if rec.has(k)
-        )
-        return MetaPayload(sample_id, labels, rec.structs())
-    if kind == "image_load":
-        region_kind = rec.text("region_kind")
-        if region_kind not in REGION_KINDS:
-            raise TraceError(f"unknown region kind {region_kind!r}", rec.lineno)
-        header = None
-        if rec.has("header"):
-            raw = rec.text("header")
+def _take(toks: dict[str, str], fields) -> dict:
+    """Pop and decode ``fields`` from ``toks``, keyed by attribute."""
+    values = {}
+    for key, attr, (decode, _), default in fields:
+        if key is None:
+            values[attr] = decode(toks)
+            continue
+        raw = toks.pop(key, None)
+        if raw is not None:
             try:
-                header = bytes.fromhex(raw)
-            except ValueError:
-                raise TraceError("bad hex in header field", rec.lineno)
-        return ImageLoadPayload(
-            name=rec.text("name"), base=rec.num("base"),
-            size=rec.extent("size"), region_kind=region_kind, header=header,
-            size_of_image_addr=rec.opt_num("size_of_image_addr"),
-            structs=rec.structs(),
-        )
-    if kind == "region_alloc":
-        region_kind = rec.text("region_kind")
-        if region_kind not in REGION_KINDS:
-            raise TraceError(f"unknown region kind {region_kind!r}", rec.lineno)
-        return RegionAllocPayload(rec.num("base"), rec.extent("size"),
-                                  region_kind, rec.opt_text("name"))
-    if kind == "region_free":
-        return RegionFreePayload(rec.num("base"))
-    if kind == "process_start":
-        return ProcessStartPayload(rec.opt_num("parent_pid"), rec.opt_text("name"))
-    if kind == "thread_start":
-        return ThreadStartPayload(rec.opt_num("parent_tid"))
-    if kind == "api":
-        args: tuple[Value, ...] = ()
-        if rec.has("args"):
-            args = tuple(Value.parse(p) for p in rec._take("args").split(","))
-        ret = Value.parse(rec._take("ret")) if rec.has("ret") else None
-        out_structs: tuple[FieldRef, ...] = ()
-        if rec.has("out_structs"):
-            out_structs = tuple(
-                FieldRef.parse(p) for p in rec._take("out_structs").split(";")
-            )
-        return ApiPayload(
-            name=rec.text("name"), args=args, ret=ret,
-            return_address=rec.num("return_address"),
-            native=bool(rec.num("native")),
-            out_structs=out_structs, target_pid=rec.opt_num("target_pid"),
-        )
-    if kind == "insn":
-        mnemonic = rec.text("mnemonic")
-        if mnemonic not in INSN_MNEMONICS:
-            raise TraceError(f"unknown mnemonic {mnemonic!r}", rec.lineno)
-        in_regs = _parse_regs(rec._take("in")) if rec.has("in") else ()
-        out_regs = _parse_regs(rec._take("out")) if rec.has("out") else ()
-        return InsnPayload(mnemonic, rec.num("address"), in_regs, out_regs)
-    if kind in ("mem_read", "mem_write"):
-        return MemPayload(rec.num("address"), rec.num("size"),
-                          rec.num("value"), rec.num("accessor_address"))
-    raise TraceError(f"unknown kind {kind!r}", rec.lineno)
+                values[attr] = decode(raw)
+            except ValueError as exc:
+                raise TraceError(f"field {key!r}: {exc}") from None
+        elif default is REQUIRED:
+            raise TraceError(f"missing field {key!r}")
+        else:
+            values[attr] = default
+    return values
 
 
 def parse_trace(source) -> list[TraceEvent]:
     """Parse a trace into its ordered event list.
 
     ``source`` may be text, bytes, or any iterable of lines. Raises
-    TraceError (with line number) on malformed records, non-monotonic
-    sequence numbers, unknown kinds, or a missing/duplicated/misplaced
-    meta record; an error raised by a field decoder gets the line number
-    added. Unknown API names are accepted as-is.
+    TraceError (with line number) on malformed records, missing or
+    unexpected fields, non-monotonic sequence numbers, unknown kinds, or a
+    missing/duplicated/misplaced meta record; an error raised by a field
+    decoder gets the line number added. Unknown API names are accepted
+    as-is.
     """
     if isinstance(source, bytes):
         source = source.decode("utf-8")
@@ -579,31 +539,28 @@ def parse_trace(source) -> list[TraceEvent]:
         if not line.strip():
             continue
         try:
-            rec = _Rec(_fields(line, lineno), lineno)
-            seq = rec.num("seq")
-            pid = rec.num("pid")
-            tid = rec.num("tid")
-            insn_index = rec.num("insn_index")
-            kind = rec.text("kind")
-            if kind not in EVENT_KINDS:
-                raise TraceError(f"unknown kind {kind!r}", lineno)
+            toks = tokenize(line)
+            head = _take(toks, _EVENT_FIELDS)
+            seq, kind = head["seq"], head["kind"]
+            if kind not in SCHEMA:
+                raise TraceError(f"unknown kind {kind!r}")
             if last_seq is not None and seq <= last_seq:
                 raise TraceError(
-                    f"seq {seq} not greater than previous seq {last_seq}",
-                    lineno)
+                    f"seq {seq} not greater than previous seq {last_seq}")
             last_seq = seq
             if not events and kind != "meta":
-                raise TraceError("first record must be the meta record",
-                                 lineno)
+                raise TraceError("first record must be the meta record")
             if events and kind == "meta":
-                raise TraceError("duplicate meta record", lineno)
-            payload = _parse_payload(kind, rec)
-            rec.finish()
+                raise TraceError("duplicate meta record")
+            cls, fields = SCHEMA[kind]
+            head["payload"] = cls(**_take(toks, fields))
+            if toks:
+                raise TraceError(f"unexpected fields {sorted(toks)}")
         except TraceError as exc:
             if exc.line is not None:
                 raise
             raise TraceError(str(exc), lineno) from None
-        events.append(TraceEvent(seq, pid, tid, insn_index, kind, payload))
+        events.append(TraceEvent(**head))
     if not events:
         raise TraceError("empty trace: missing meta record")
     return events

@@ -441,3 +441,77 @@ def test_batch_duplicate_sample_id_is_a_failure(tmp_path, capsys):
     # the first trace in name order keeps the file
     kept = SampleReport.from_json((out / "same.report.json").read_text())
     assert kept.native_api_count == 1
+
+
+@pytest.mark.parametrize("fields", [
+    "techniques=RDTSC@x:red", "filler=zz", "techniques=RDTSC@5:blue",
+    "filler=1 filler=2",
+])
+def test_gen_bad_spec_value_is_a_data_error_with_line(tmp_path, capsys,
+                                                      fields):
+    spec = tmp_path / "samples.gspec"
+    spec.write_text(f"# one sample\nsample_id=g1 {fields}\n")
+    out = tmp_path / "gen"
+    assert main(["gen", "--spec", str(spec), "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "error: line 2: " in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("technique_set", ["NotATechnique"]),
+    ("detections", [1]),
+])
+def test_aggregate_report_with_bad_content_is_a_data_error(
+        corpus_dir, tmp_path, capsys, key, value):
+    reports = tmp_path / "reports"
+    assert main(["batch", str(corpus_dir), "--out", str(reports)]) == EXIT_OK
+    path = reports / "pos_RDTSC.report.json"
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["aggregate", str(reports)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{path}: bad report: " in err
+    assert "internal error" not in err
+
+
+def test_analyze_out_in_a_missing_directory_is_a_data_error(
+        corpus_dir, tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert main(["analyze", str(corpus_dir / "pos_RDTSC.trace"),
+                 "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"error: {out}: " in err
+    assert "internal error" not in err
+
+
+def test_batch_out_that_cannot_be_made_is_a_data_error(
+        corpus_dir, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "reports"
+    assert main(["batch", str(corpus_dir), "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"error: {out}: " in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("blocked", ["out_dir", "table_file"])
+def test_aggregate_out_errors_are_data_errors(corpus_dir, tmp_path, capsys,
+                                              blocked):
+    reports = tmp_path / "reports"
+    assert main(["batch", str(corpus_dir), "--out", str(reports)]) == EXIT_OK
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = tmp_path / "tables"
+    if blocked == "out_dir":
+        out = blocker / "tables"
+    else:
+        (out / "core.txt").mkdir(parents=True)
+    capsys.readouterr()
+    assert main(["aggregate", str(reports), "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"error: {out}" in err
+    assert "internal error" not in err

@@ -173,6 +173,20 @@ def test_genspec_missing_sample_id_rejected():
         parse_genspec_file("filler=5\n")
 
 
+@pytest.mark.parametrize("fields, message", [
+    ("techniques=RDTSC@x:red", "could not convert string to float: 'x'"),
+    ("filler=zz", "invalid literal for int()"),
+    ("techniques=RDTSC@5:blue", "origin must be red or benign, got 'blue'"),
+    ("filler=1 filler=2", "duplicate field 'filler'"),
+    ("seed=0x", "invalid literal for int()"),
+])
+def test_genspec_bad_value_is_a_gen_error_with_line(fields, message):
+    text = f"sample_id=a\nsample_id=b {fields}\n"
+    with pytest.raises(GenError) as exc:
+        parse_genspec_file(text)
+    assert str(exc.value).startswith(f"line 2: {message}")
+
+
 def test_locky_fixture_ratio_matched_at_least_once():
     spec = GenSpec(sample_id="locky", filler=60, scenario="locky", seed=3)
     sample = build_sample(spec)

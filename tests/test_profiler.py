@@ -386,6 +386,22 @@ def test_report_that_is_not_an_object_is_rejected():
         SampleReport.from_json("[1, 2]")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("technique_set", ["NotATechnique"]),
+    ("technique_set", "IsDebuggerPresentAPI"),
+    ("technique_set", [["IsDebuggerPresentAPI"]]),
+    ("detections", [1]),
+    ("detections", {"technique": "IsDebuggerPresentAPI"}),
+])
+def test_report_with_an_unknown_technique_or_a_bad_detection_is_rejected(
+        key, value):
+    import json
+    doc = detected_report_doc()
+    doc[key] = value
+    with pytest.raises(ValueError):
+        SampleReport.from_json(json.dumps(doc))
+
+
 def test_validation_diagnostics_become_warnings():
     from evprof.trace import validate_trace
     t = T().images()

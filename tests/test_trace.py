@@ -1,11 +1,15 @@
 """Trace parsing, serialization, and validation."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from evprof.trace import (
-    TraceError, Value, decode_text, encode_text, parse_trace,
-    serialize_trace, validate_trace,
+    INSN_MNEMONICS, META_LABEL_KEYS, REGION_KINDS, REQUIRED, SCHEMA,
+    ApiPayload, FieldRef, ImageLoadPayload, InsnPayload, MemPayload,
+    MetaPayload, ProcessStartPayload, RegionAllocPayload, RegionFreePayload,
+    StructLayout, ThreadStartPayload, TraceError, TraceEvent, Value,
+    decode_text, encode_text, parse_trace, serialize_event, serialize_trace,
+    validate_trace,
 )
 from evprof.generate import GenSpec, TechniqueSpec, build_sample
 
@@ -192,6 +196,138 @@ def test_string_arg_with_separators_survives():
     payload = events[-1].payload
     assert payload.args[0].v == "SELECT a, b FROM C"
     assert payload.ret.v == "x;y(z)"
+
+
+# -- the schema table ---------------------------------------------------------
+
+# Names inside composite values (struct layouts, published fields, register
+# maps) stay clear of the separators those syntaxes split on.
+names = st.text(alphabet="abcXYZ_019", min_size=1, max_size=6)
+u64 = st.integers(min_value=0, max_value=2 ** 64 - 1)
+ints = st.integers(min_value=-2 ** 64, max_value=2 ** 64)
+positive = st.integers(min_value=1, max_value=2 ** 64)
+
+
+def tuples_of(strategy):
+    return st.lists(strategy, max_size=3).map(tuple)
+
+
+values = st.one_of(
+    st.builds(Value, st.just("i"), ints),
+    st.builds(Value, st.just("s"), st.text(max_size=8)),
+    st.builds(Value, st.just("d"), u64),
+    st.builds(Value, st.just("a"), u64),
+    st.builds(Value, st.just("l"), ints),
+)
+layouts = tuples_of(st.builds(
+    StructLayout, names, u64,
+    tuples_of(st.tuples(names, u64, st.integers(1, 8)))))
+regs = tuples_of(st.tuples(names, u64))
+region_kinds = st.sampled_from(sorted(REGION_KINDS))
+labels = st.dictionaries(st.sampled_from(META_LABEL_KEYS),
+                         st.text(max_size=6)).map(
+    lambda d: tuple((k, d[k]) for k in META_LABEL_KEYS if k in d))
+mem = st.builds(MemPayload, ints, ints, ints, ints)
+
+PAYLOADS = {
+    "meta": st.builds(MetaPayload, st.text(max_size=8), labels, layouts),
+    "image_load": st.builds(
+        ImageLoadPayload, st.text(max_size=8), ints, positive, region_kinds,
+        st.none() | st.binary(max_size=6), st.none() | ints, layouts),
+    "region_alloc": st.builds(RegionAllocPayload, ints, positive,
+                              region_kinds, st.none() | st.text(max_size=8)),
+    "region_free": st.builds(RegionFreePayload, ints),
+    "process_start": st.builds(ProcessStartPayload, st.none() | ints,
+                               st.none() | st.text(max_size=8)),
+    "thread_start": st.builds(ThreadStartPayload, st.none() | ints),
+    "api": st.builds(
+        ApiPayload, st.text(max_size=8), tuples_of(values),
+        st.none() | values, ints, st.booleans(),
+        tuples_of(st.builds(FieldRef, names, names, u64, st.integers(0, 8))),
+        st.none() | ints),
+    "insn": st.builds(InsnPayload, st.sampled_from(sorted(INSN_MNEMONICS)),
+                      ints, regs, regs),
+    "mem_read": mem,
+    "mem_write": mem,
+}
+
+# One record per kind, every optional field set to a zero or empty value
+# that differs from its default: each must be written and read back.
+ZERO_PAYLOADS = {
+    "meta": MetaPayload("", (("dataset", ""), ("year", "0"))),
+    "image_load": ImageLoadPayload("", 0, 1, "pe_header", header=b"",
+                                   size_of_image_addr=0),
+    "region_alloc": RegionAllocPayload(0, 1, "exec_alloc", name=""),
+    "region_free": RegionFreePayload(0),
+    "process_start": ProcessStartPayload(parent_pid=0, name=""),
+    "thread_start": ThreadStartPayload(parent_tid=0),
+    "api": ApiPayload("", (Value("i", 0),), Value("s", ""), 0, False,
+                      target_pid=0),
+    "insn": InsnPayload("rdtsc", 0, (("", 0),), (("tsc", 0),)),
+    "mem_read": MemPayload(0, 0, 0, 0),
+    "mem_write": MemPayload(0, 0, 0, 0),
+}
+ZERO_EVENTS = [TraceEvent(seq, 0, 0, 0, kind, payload)
+               for seq, (kind, payload) in enumerate(ZERO_PAYLOADS.items())]
+
+
+@st.composite
+def traces(draw):
+    body = draw(st.lists(
+        st.sampled_from(sorted(set(SCHEMA) - {"meta"})).flatmap(
+            lambda kind: PAYLOADS[kind].map(lambda p: (kind, p))),
+        max_size=12))
+    seqs = draw(st.lists(st.integers(0, 2 ** 40), min_size=len(body) + 1,
+                         max_size=len(body) + 1, unique=True))
+    records = [("meta", draw(PAYLOADS["meta"]))] + body
+    return [TraceEvent(seq, draw(ints), draw(ints), draw(ints), kind, p)
+            for seq, (kind, p) in zip(sorted(seqs), records)]
+
+
+def test_strategies_cover_every_kind_in_the_schema():
+    assert set(PAYLOADS) == set(ZERO_PAYLOADS) == set(SCHEMA)
+
+
+@settings(max_examples=200, deadline=None)
+@given(events=traces())
+@example(events=ZERO_EVENTS)
+def test_every_kind_round_trips_through_the_schema(events):
+    assert parse_trace(serialize_trace(events)) == events
+
+
+def record_text(kind):
+    """A two-line trace whose record of ``kind`` is on line 2 (meta: 1)."""
+    meta = serialize_event(ZERO_EVENTS[0])
+    if kind == "meta":
+        return meta, 1
+    event = next(ev for ev in ZERO_EVENTS if ev.kind == kind)
+    return meta + "\n" + serialize_event(event), 2
+
+
+@pytest.mark.parametrize("kind, key", [
+    (kind, key) for kind, (_, fields) in SCHEMA.items()
+    for key, _, _, default in fields
+    if key is not None and default is REQUIRED
+] + [("api", key) for key in ("seq", "pid", "tid", "insn_index", "kind")])
+def test_dropping_a_required_field_is_rejected(kind, key):
+    text, line = record_text(kind)
+    lines = text.split("\n")
+    lines[line - 1] = " ".join(tok for tok in lines[line - 1].split()
+                               if not tok.startswith(key + "="))
+    with pytest.raises(TraceError, match=f"missing field '{key}'") as exc:
+        parse_trace("\n".join(lines))
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMA))
+def test_a_stray_field_is_rejected(kind):
+    text, line = record_text(kind)
+    lines = text.split("\n")
+    lines[line - 1] += " stray=1"
+    with pytest.raises(TraceError,
+                       match=r"unexpected fields \['stray'\]") as exc:
+        parse_trace("\n".join(lines))
+    assert exc.value.line == line
 
 
 # -- validation -----------------------------------------------------------
