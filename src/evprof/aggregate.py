@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import catalog
@@ -110,25 +111,17 @@ class _GroupCounters:
     internet: int = 0
     child_process: int = 0
     evasive_techniques: _IntStats = field(default_factory=_IntStats)
-    category_samples: dict[str, int] = field(default_factory=dict)
+    category_samples: Counter[str] = field(default_factory=Counter)
     packed: int = 0
     packed_evasive: int = 0
-    packed_categories: dict[str, int] = field(default_factory=dict)
+    packed_categories: Counter[str] = field(default_factory=Counter)
     protected: int = 0
     protected_evasive: int = 0
     protected_techniques: _IntStats = field(default_factory=_IntStats)
 
     def merge(self, other: "_GroupCounters") -> None:
-        # every field is a count, a count per key, or an _IntStats
         for name, theirs in vars(other).items():
-            mine = getattr(self, name)
-            if isinstance(theirs, int):
-                setattr(self, name, mine + theirs)
-            elif isinstance(theirs, dict):
-                for k, v in theirs.items():
-                    mine[k] = mine.get(k, 0) + v
-            else:
-                mine.merge(theirs)
+            setattr(self, name, _merge(getattr(self, name), theirs))
 
 
 @dataclass
@@ -139,6 +132,20 @@ class _Footprint:
     def merge(self, other: "_Footprint") -> None:
         self.techniques &= other.techniques
         self.evasive_samples += other.evasive_samples
+
+
+def _merge(mine, theirs):
+    """Fold two partial values of one fold-state field: ints add, dicts
+    merge per key (a key only in ``theirs`` is taken as it is), and anything
+    else folds through its own ``merge``."""
+    if isinstance(mine, int):
+        return mine + theirs
+    if isinstance(mine, dict):
+        for key, value in theirs.items():
+            mine[key] = _merge(mine[key], value) if key in mine else value
+        return mine
+    mine.merge(theirs)
+    return mine
 
 
 def _pct(count: int, denom: int) -> float | None:
@@ -154,21 +161,23 @@ class CorpusAccumulator:
         self.group_by = group_by
         self.groups: dict[str, _GroupCounters] = {}
         self.started_total = 0
-        self.technique_samples: dict[str, int] = {}
-        self.first_hist: dict[int, int] = {}
-        self.last_hist: dict[int, int] = {}
-        self.diff_hist: dict[int, int] = {}
-        self.slot_first_category: dict[str, dict[str, int]] = {
-            s: {} for s in TIMELINE_SLOTS}
+        self.technique_samples: Counter[str] = Counter()
+        self.first_hist: Counter[int] = Counter()
+        self.last_hist: Counter[int] = Counter()
+        self.diff_hist: Counter[int] = Counter()
+        self.slot_first_category: dict[str, Counter[str]] = {
+            s: Counter() for s in TIMELINE_SLOTS}
         self.multi_category_total = 0
-        self.first_category_counts: dict[str, int] = {}
+        self.first_category_counts: Counter[str] = Counter()
         self.non_antidebug_total = 0
-        self.non_antidebug_first: dict[str, int] = {}
+        self.non_antidebug_first: Counter[str] = Counter()
         self.footprints: dict[str, _Footprint] = {}
 
     def add(self, report: SampleReport) -> None:
         key = report.labels.get(self.group_by, "") or "unlabeled"
-        group = self.groups.setdefault(key, _GroupCounters())
+        group = self.groups.get(key)
+        if group is None:
+            group = self.groups[key] = _GroupCounters()
         group.total += 1
         if not report.started:
             return
@@ -188,11 +197,10 @@ class CorpusAccumulator:
 
         categories = set()
         for technique in report.technique_set:
-            self.technique_samples[technique] = \
-                self.technique_samples.get(technique, 0) + 1
+            self.technique_samples[technique] += 1
             categories.add(catalog.rule(technique).category)
         for cat in categories:
-            group.category_samples[cat] = group.category_samples.get(cat, 0) + 1
+            group.category_samples[cat] += 1
 
         packer = report.labels.get("packer", "")
         protector = report.labels.get("protector", "")
@@ -201,8 +209,7 @@ class CorpusAccumulator:
             if report.evasive:
                 group.packed_evasive += 1
             for cat in categories:
-                group.packed_categories[cat] = \
-                    group.packed_categories.get(cat, 0) + 1
+                group.packed_categories[cat] += 1
         if protector:
             group.protected += 1
             if report.evasive:
@@ -224,10 +231,9 @@ class CorpusAccumulator:
     def _add_timeline(self, report: SampleReport) -> None:
         first = report.first_pos
         last = report.last_pos
-        self.first_hist[int(first)] = self.first_hist.get(int(first), 0) + 1
-        self.last_hist[int(last)] = self.last_hist.get(int(last), 0) + 1
-        diff = int(last - first)
-        self.diff_hist[diff] = self.diff_hist.get(diff, 0) + 1
+        self.first_hist[int(first)] += 1
+        self.last_hist[int(last)] += 1
+        self.diff_hist[int(last - first)] += 1
 
         counted = set(report.technique_set)
         seen_slots = set()
@@ -238,8 +244,7 @@ class CorpusAccumulator:
             if slot in seen_slots:
                 continue
             seen_slots.add(slot)
-            counts = self.slot_first_category[slot]
-            counts[d.category] = counts.get(d.category, 0) + 1
+            self.slot_first_category[slot][d.category] += 1
 
     def _add_order(self, report: SampleReport) -> None:
         cats = report.categories_in_order
@@ -247,42 +252,17 @@ class CorpusAccumulator:
             return
         self.multi_category_total += 1
         first = cats[0]
-        self.first_category_counts[first] = \
-            self.first_category_counts.get(first, 0) + 1
+        self.first_category_counts[first] += 1
         if first != catalog.CAT_ANTI_DEBUG:
             self.non_antidebug_total += 1
-            self.non_antidebug_first[first] = \
-                self.non_antidebug_first.get(first, 0) + 1
+            self.non_antidebug_first[first] += 1
 
     def merge(self, other: "CorpusAccumulator") -> None:
         if other.group_by != self.group_by:
             raise AggregateError("cannot merge accumulators with different grouping")
-        for key, counters in other.groups.items():
-            if key in self.groups:
-                self.groups[key].merge(counters)
-            else:
-                self.groups[key] = counters
-        self.started_total += other.started_total
-        for d_self, d_other in (
-                (self.technique_samples, other.technique_samples),
-                (self.first_hist, other.first_hist),
-                (self.last_hist, other.last_hist),
-                (self.diff_hist, other.diff_hist),
-                (self.first_category_counts, other.first_category_counts),
-                (self.non_antidebug_first, other.non_antidebug_first)):
-            for k, v in d_other.items():
-                d_self[k] = d_self.get(k, 0) + v
-        for slot, counts in other.slot_first_category.items():
-            mine = self.slot_first_category[slot]
-            for k, v in counts.items():
-                mine[k] = mine.get(k, 0) + v
-        self.multi_category_total += other.multi_category_total
-        self.non_antidebug_total += other.non_antidebug_total
-        for family, fp in other.footprints.items():
-            if family in self.footprints:
-                self.footprints[family].merge(fp)
-            else:
-                self.footprints[family] = fp
+        for name, theirs in vars(other).items():
+            if name != "group_by":
+                setattr(self, name, _merge(getattr(self, name), theirs))
 
     def finalize(self) -> "CorpusAggregate":
         return CorpusAggregate(self)
@@ -456,7 +436,7 @@ class CorpusAggregate:
         for key in sorted(self._acc.groups):
             g = self._acc.groups[key]
             out[key] = {
-                cat: _pct(g.category_samples.get(cat, 0), g.started)
+                cat: _pct(g.category_samples[cat], g.started)
                 for cat in catalog.CATEGORIES
             }
         return out
@@ -493,36 +473,6 @@ def aggregate_reports(reports: list[SampleReport],
     for report in reports:
         acc.add(report)
     return acc.finalize()
-
-
-def corpus_stats(reports: list[SampleReport],
-                 group_by: str = "dataset") -> dict[str, GroupStats]:
-    return aggregate_reports(reports, group_by).groups
-
-
-def technique_ranking(reports: list[SampleReport],
-                      top_n: int | None = None) -> list[tuple[str, float]]:
-    return aggregate_reports(reports, "dataset").technique_ranking(top_n)
-
-
-def timeline_stats(reports: list[SampleReport]) -> dict:
-    return aggregate_reports(reports, "dataset").timeline()
-
-
-def order_stats(reports: list[SampleReport]) -> dict:
-    return aggregate_reports(reports, "dataset").order_stats()
-
-
-def evasive_footprint(reports: list[SampleReport]) -> dict[str, dict]:
-    return aggregate_reports(reports, "family").evasive_footprint()
-
-
-def packer_stats(reports: list[SampleReport],
-                 labels: dict[str, dict[str, str]] | None = None,
-                 group_by: str = "dataset") -> dict[str, dict]:
-    if labels:
-        apply_labels(reports, labels)
-    return aggregate_reports(reports, group_by).packer_stats()
 
 
 def behavior_diff(report_a: SampleReport, report_b: SampleReport) -> dict:

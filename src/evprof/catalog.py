@@ -26,7 +26,7 @@ Guard-page probing is modeled as a ``page_guard_access`` API event.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .clock import STALL_APIS, VirtualClock
@@ -46,11 +46,6 @@ CATEGORIES = (
     CAT_CODE_INJECTION, CAT_RESOURCE_PROFILING, CAT_VM_CHECKS,
     CAT_TIMING_ATTACKS,
 )
-
-FP_PRONE_TECHNIQUES = frozenset({
-    "GetTickCount", "cpuid_is_hypervisor", "mouse_movement",
-    "NumberOfProcessors",
-})
 
 INJECTION_APIS = frozenset({
     "NtWriteVirtualMemory", "NtCreateThreadEx", "NtResumeThread",
@@ -77,11 +72,6 @@ class MitigationError(Exception):
 
 
 @dataclass(frozen=True)
-class RuleFlags:
-    native_api: bool = False
-
-
-@dataclass(frozen=True)
 class TechniqueRule:
     id: str
     category: str
@@ -94,7 +84,6 @@ class TechniqueRule:
     watch_fields: tuple[str, ...] = ()
     mitigated: bool = False
     fp_prone: bool = False
-    flags: RuleFlags = field(default_factory=RuleFlags)
 
 
 @dataclass
@@ -194,229 +183,222 @@ def _cross_process(event: TraceEvent) -> bool:
     return target is not None and target != event.pid
 
 
-def _native(*names: str) -> bool:
-    return any(n.startswith(("Nt", "Zw")) for n in names)
-
-
-def _rule(id, category, trigger_kind, trigger_desc, **fields) -> TechniqueRule:
-    native = _native(*fields.get("api_names", ()))
-    return TechniqueRule(id, category, trigger_kind, trigger_desc,
-                         flags=RuleFlags(native_api=native), **fields)
-
-
 RULES: tuple[TechniqueRule, ...] = (
     # -- Anti Debug (21) ----------------------------------------------------
-    _rule("IsDebuggerPresentAPI", CAT_ANTI_DEBUG, "api",
-          "IsDebuggerPresent call",
-          api_names=("IsDebuggerPresent",)),
-    _rule("IsDebuggerPresentPEB", CAT_ANTI_DEBUG, "watch",
-          "read of PEB.BeingDebugged",
-          watch_fields=("PEB.BeingDebugged",)),
-    _rule("CheckRemoteDebuggerPresentAPI", CAT_ANTI_DEBUG, "api",
-          "CheckRemoteDebuggerPresent call",
-          api_names=("CheckRemoteDebuggerPresent",)),
-    _rule("NSIT_ThreadHideFromDebugger", CAT_ANTI_DEBUG, "api",
-          "NtSetInformationThread with ThreadHideFromDebugger",
-          api_names=("NtSetInformationThread",),
-          predicate=_token("ThreadHideFromDebugger")),
-    _rule("NtGlobalFlag", CAT_ANTI_DEBUG, "watch",
-          "read of PEB.NtGlobalFlag",
-          watch_fields=("PEB.NtGlobalFlag",)),
-    _rule("NQIP_ProcessDebugPort", CAT_ANTI_DEBUG, "api",
-          "NtQueryInformationProcess with ProcessDebugPort",
-          api_names=("NtQueryInformationProcess",),
-          predicate=_token("ProcessDebugPort")),
-    _rule("NQIP_ProcessDebugObject", CAT_ANTI_DEBUG, "api",
-          "NtQueryInformationProcess with ProcessDebugObject",
-          api_names=("NtQueryInformationProcess",),
-          predicate=_token("ProcessDebugObject")),
-    _rule("NQIP_ProcessDebugFlag", CAT_ANTI_DEBUG, "api",
-          "NtQueryInformationProcess with ProcessDebugFlag",
-          api_names=("NtQueryInformationProcess",),
-          predicate=_token("ProcessDebugFlag")),
-    _rule("CanOpenCsrss", CAT_ANTI_DEBUG, "api",
-          "open attempt on csrss.exe",
-          api_names=("NtOpenProcess", "OpenProcess"),
-          predicate=_contains("csrss")),
-    _rule("MemoryBreakpoints_PageGuard", CAT_ANTI_DEBUG, "api",
-          "guard-page access expecting STATUS_GUARD_PAGE_VIOLATION",
-          api_names=("page_guard_access",), mitigated=True),
-    _rule("Interrupt_0x2d", CAT_ANTI_DEBUG, "insn",
-          "int 2d execution", mnemonic="int2d"),
-    _rule("Interrupt_3", CAT_ANTI_DEBUG, "insn",
-          "int 3 execution", mnemonic="int3"),
-    _rule("HardwareBreakpoints", CAT_ANTI_DEBUG, "api",
-          "debug-register read via thread context",
-          api_names=("GetThreadContext", "NtGetContextThread"),
-          predicate=_token("CONTEXT_DEBUG_REGISTERS")),
-    _rule("NQSI_SystemKernelDebuggerInformation", CAT_ANTI_DEBUG, "api",
-          "NtQuerySystemInformation with SystemKernelDebuggerInformation",
-          api_names=("NtQuerySystemInformation",),
-          predicate=_token("SystemKernelDebuggerInformation")),
-    _rule("HeapFlags", CAT_ANTI_DEBUG, "watch",
-          "read of PEB.ProcessHeap.Flags",
-          watch_fields=("PEB.ProcessHeap.Flags",)),
-    _rule("HeapForceFlags", CAT_ANTI_DEBUG, "watch",
-          "read of PEB.ProcessHeap.ForceFlags",
-          watch_fields=("PEB.ProcessHeap.ForceFlags",)),
-    _rule("SharedUserData_KernelDebugger", CAT_ANTI_DEBUG, "watch",
-          "read of SharedUserData.KernelDebugger",
-          watch_fields=("SharedUserData.KernelDebugger",)),
-    _rule("VirtualAlloc_WriteWatch", CAT_ANTI_DEBUG, "api",
-          "VirtualAlloc with MEM_WRITE_WATCH",
-          api_names=("VirtualAlloc", "VirtualAllocEx"),
-          predicate=_token("MEM_WRITE_WATCH")),
-    _rule("NQO_ObjectTypeInformation", CAT_ANTI_DEBUG, "api",
-          "NtQueryObject with ObjectTypeInformation",
-          api_names=("NtQueryObject",),
-          predicate=_token("ObjectTypeInformation")),
-    _rule("NQO_ObjectAllTypesInformation", CAT_ANTI_DEBUG, "api",
-          "NtQueryObject with ObjectAllTypesInformation",
-          api_names=("NtQueryObject",),
-          predicate=_token("ObjectAllTypesInformation")),
-    _rule("GetTickCount", CAT_ANTI_DEBUG, "api",
-          "GetTickCount timing probe",
-          api_names=("GetTickCount",), fp_prone=True),
+    TechniqueRule("IsDebuggerPresentAPI", CAT_ANTI_DEBUG, "api",
+                  "IsDebuggerPresent call",
+                  api_names=("IsDebuggerPresent",)),
+    TechniqueRule("IsDebuggerPresentPEB", CAT_ANTI_DEBUG, "watch",
+                  "read of PEB.BeingDebugged",
+                  watch_fields=("PEB.BeingDebugged",)),
+    TechniqueRule("CheckRemoteDebuggerPresentAPI", CAT_ANTI_DEBUG, "api",
+                  "CheckRemoteDebuggerPresent call",
+                  api_names=("CheckRemoteDebuggerPresent",)),
+    TechniqueRule("NSIT_ThreadHideFromDebugger", CAT_ANTI_DEBUG, "api",
+                  "NtSetInformationThread with ThreadHideFromDebugger",
+                  api_names=("NtSetInformationThread",),
+                  predicate=_token("ThreadHideFromDebugger")),
+    TechniqueRule("NtGlobalFlag", CAT_ANTI_DEBUG, "watch",
+                  "read of PEB.NtGlobalFlag",
+                  watch_fields=("PEB.NtGlobalFlag",)),
+    TechniqueRule("NQIP_ProcessDebugPort", CAT_ANTI_DEBUG, "api",
+                  "NtQueryInformationProcess with ProcessDebugPort",
+                  api_names=("NtQueryInformationProcess",),
+                  predicate=_token("ProcessDebugPort")),
+    TechniqueRule("NQIP_ProcessDebugObject", CAT_ANTI_DEBUG, "api",
+                  "NtQueryInformationProcess with ProcessDebugObject",
+                  api_names=("NtQueryInformationProcess",),
+                  predicate=_token("ProcessDebugObject")),
+    TechniqueRule("NQIP_ProcessDebugFlag", CAT_ANTI_DEBUG, "api",
+                  "NtQueryInformationProcess with ProcessDebugFlag",
+                  api_names=("NtQueryInformationProcess",),
+                  predicate=_token("ProcessDebugFlag")),
+    TechniqueRule("CanOpenCsrss", CAT_ANTI_DEBUG, "api",
+                  "open attempt on csrss.exe",
+                  api_names=("NtOpenProcess", "OpenProcess"),
+                  predicate=_contains("csrss")),
+    TechniqueRule("MemoryBreakpoints_PageGuard", CAT_ANTI_DEBUG, "api",
+                  "guard-page access expecting STATUS_GUARD_PAGE_VIOLATION",
+                  api_names=("page_guard_access",), mitigated=True),
+    TechniqueRule("Interrupt_0x2d", CAT_ANTI_DEBUG, "insn",
+                  "int 2d execution", mnemonic="int2d"),
+    TechniqueRule("Interrupt_3", CAT_ANTI_DEBUG, "insn",
+                  "int 3 execution", mnemonic="int3"),
+    TechniqueRule("HardwareBreakpoints", CAT_ANTI_DEBUG, "api",
+                  "debug-register read via thread context",
+                  api_names=("GetThreadContext", "NtGetContextThread"),
+                  predicate=_token("CONTEXT_DEBUG_REGISTERS")),
+    TechniqueRule("NQSI_SystemKernelDebuggerInformation", CAT_ANTI_DEBUG,
+                  "api", "NtQuerySystemInformation with "
+                  "SystemKernelDebuggerInformation",
+                  api_names=("NtQuerySystemInformation",),
+                  predicate=_token("SystemKernelDebuggerInformation")),
+    TechniqueRule("HeapFlags", CAT_ANTI_DEBUG, "watch",
+                  "read of PEB.ProcessHeap.Flags",
+                  watch_fields=("PEB.ProcessHeap.Flags",)),
+    TechniqueRule("HeapForceFlags", CAT_ANTI_DEBUG, "watch",
+                  "read of PEB.ProcessHeap.ForceFlags",
+                  watch_fields=("PEB.ProcessHeap.ForceFlags",)),
+    TechniqueRule("SharedUserData_KernelDebugger", CAT_ANTI_DEBUG, "watch",
+                  "read of SharedUserData.KernelDebugger",
+                  watch_fields=("SharedUserData.KernelDebugger",)),
+    TechniqueRule("VirtualAlloc_WriteWatch", CAT_ANTI_DEBUG, "api",
+                  "VirtualAlloc with MEM_WRITE_WATCH",
+                  api_names=("VirtualAlloc", "VirtualAllocEx"),
+                  predicate=_token("MEM_WRITE_WATCH")),
+    TechniqueRule("NQO_ObjectTypeInformation", CAT_ANTI_DEBUG, "api",
+                  "NtQueryObject with ObjectTypeInformation",
+                  api_names=("NtQueryObject",),
+                  predicate=_token("ObjectTypeInformation")),
+    TechniqueRule("NQO_ObjectAllTypesInformation", CAT_ANTI_DEBUG, "api",
+                  "NtQueryObject with ObjectAllTypesInformation",
+                  api_names=("NtQueryObject",),
+                  predicate=_token("ObjectAllTypesInformation")),
+    TechniqueRule("GetTickCount", CAT_ANTI_DEBUG, "api",
+                  "GetTickCount timing probe",
+                  api_names=("GetTickCount",), fp_prone=True),
 
     # -- VM Checks (20) -----------------------------------------------------
-    _rule("reg_keys", CAT_VM_CHECKS, "api",
-          "hypervisor artifact in registry key path",
-          api_names=("RegOpenKey", "RegOpenKeyA", "RegOpenKeyW",
-                     "RegOpenKeyEx", "RegOpenKeyExA", "RegOpenKeyExW",
-                     "NtOpenKey"),
-          predicate=_contains(*VM_ARTIFACTS)),
-    _rule("reg_key_value", CAT_VM_CHECKS, "api",
-          "hypervisor artifact in registry value",
-          api_names=("RegQueryValueEx", "RegQueryValueExA",
-                     "RegQueryValueExW", "NtQueryValueKey"),
-          predicate=_contains(*VM_ARTIFACTS)),
-    _rule("ldt_trick", CAT_VM_CHECKS, "insn",
-          "sldt location probe", mnemonic="sldt"),
-    _rule("idt_trick", CAT_VM_CHECKS, "insn",
-          "sidt location probe", mnemonic="sidt"),
-    _rule("gdt_trick", CAT_VM_CHECKS, "insn",
-          "sgdt location probe", mnemonic="sgdt"),
-    _rule("str_trick", CAT_VM_CHECKS, "insn",
-          "str task-register probe", mnemonic="str"),
-    _rule("vm_check_mac", CAT_VM_CHECKS, "api",
-          "adapter MAC enumeration",
-          api_names=("GetAdaptersInfo", "GetAdaptersAddresses")),
-    _rule("Firmware_RSMB", CAT_VM_CHECKS, "api",
-          "raw SMBIOS firmware table read",
-          api_names=("GetSystemFirmwareTable",),
-          predicate=_token("RSMB"), mitigated=True),
-    _rule("Firmware_ACPI", CAT_VM_CHECKS, "api",
-          "ACPI firmware table read",
-          api_names=("GetSystemFirmwareTable",),
-          predicate=_token("ACPI"), mitigated=True),
-    _rule("Device_Artifacts", CAT_VM_CHECKS, "api",
-          "hypervisor device object open",
-          api_names=("CreateFile", "CreateFileA", "CreateFileW",
-                     "NtCreateFile", "NtOpenFile"),
-          predicate=_vm_artifact(device=True)),
-    _rule("cpuid_hypervisor_vendor", CAT_VM_CHECKS, "insn",
-          "cpuid leaf 0x40000000 vendor read",
-          mnemonic="cpuid", predicate=_eax_equals(0x40000000),
-          mitigated=True),
-    _rule("cpuid_is_hypervisor", CAT_VM_CHECKS, "insn",
-          "cpuid leaf 1 hypervisor bit",
-          mnemonic="cpuid", predicate=_eax_equals(1),
-          mitigated=True, fp_prone=True),
-    _rule("mouse_movement", CAT_VM_CHECKS, "api",
-          "cursor position sampling",
-          api_names=("GetCursorPos",), mitigated=True, fp_prone=True),
-    _rule("filesystem_artifacts", CAT_VM_CHECKS, "api",
-          "hypervisor artifact path on the filesystem",
-          api_names=("CreateFile", "CreateFileA", "CreateFileW",
-                     "NtCreateFile", "NtOpenFile", "FindFirstFile",
-                     "FindFirstFileA", "FindFirstFileW",
-                     "GetFileAttributes", "GetFileAttributesA",
-                     "GetFileAttributesW"),
-          predicate=_vm_artifact(device=False)),
-    _rule("setupdi_diskdrive", CAT_VM_CHECKS, "api",
-          "disk drive property via SetupDi",
-          api_names=("SetupDiGetDeviceRegistryProperty",
-                     "SetupDiGetDeviceRegistryPropertyA",
-                     "SetupDiGetDeviceRegistryPropertyW"),
-          mitigated=True),
-    _rule("manufacturer_computer_system_wmi", CAT_VM_CHECKS, "api",
-          "WMI Win32_ComputerSystem.Manufacturer",
-          api_names=("wmi_query",),
-          predicate=_wmi("Win32_ComputerSystem", "Manufacturer")),
-    _rule("model_computer_system_wmi", CAT_VM_CHECKS, "api",
-          "WMI Win32_ComputerSystem.Model",
-          api_names=("wmi_query",),
-          predicate=_wmi("Win32_ComputerSystem", "Model")),
-    _rule("vbox_mac_wmi", CAT_VM_CHECKS, "api",
-          "WMI adapter MAC address",
-          api_names=("wmi_query",),
-          predicate=_wmi("Win32_NetworkAdapter", "MACAddress")),
-    _rule("process_id_processor_wmi", CAT_VM_CHECKS, "api",
-          "WMI Win32_Processor id",
-          api_names=("wmi_query",),
-          predicate=_wmi("Win32_Processor", "ProcessorId", "ProcessId")),
-    _rule("serial_number_bios_wmi", CAT_VM_CHECKS, "api",
-          "WMI BIOS serial number",
-          api_names=("wmi_query",),
-          predicate=_wmi("Win32_BIOS", "SerialNumber")),
+    TechniqueRule("reg_keys", CAT_VM_CHECKS, "api",
+                  "hypervisor artifact in registry key path",
+                  api_names=("RegOpenKey", "RegOpenKeyA", "RegOpenKeyW",
+                             "RegOpenKeyEx", "RegOpenKeyExA", "RegOpenKeyExW",
+                             "NtOpenKey"),
+                  predicate=_contains(*VM_ARTIFACTS)),
+    TechniqueRule("reg_key_value", CAT_VM_CHECKS, "api",
+                  "hypervisor artifact in registry value",
+                  api_names=("RegQueryValueEx", "RegQueryValueExA",
+                             "RegQueryValueExW", "NtQueryValueKey"),
+                  predicate=_contains(*VM_ARTIFACTS)),
+    TechniqueRule("ldt_trick", CAT_VM_CHECKS, "insn",
+                  "sldt location probe", mnemonic="sldt"),
+    TechniqueRule("idt_trick", CAT_VM_CHECKS, "insn",
+                  "sidt location probe", mnemonic="sidt"),
+    TechniqueRule("gdt_trick", CAT_VM_CHECKS, "insn",
+                  "sgdt location probe", mnemonic="sgdt"),
+    TechniqueRule("str_trick", CAT_VM_CHECKS, "insn",
+                  "str task-register probe", mnemonic="str"),
+    TechniqueRule("vm_check_mac", CAT_VM_CHECKS, "api",
+                  "adapter MAC enumeration",
+                  api_names=("GetAdaptersInfo", "GetAdaptersAddresses")),
+    TechniqueRule("Firmware_RSMB", CAT_VM_CHECKS, "api",
+                  "raw SMBIOS firmware table read",
+                  api_names=("GetSystemFirmwareTable",),
+                  predicate=_token("RSMB"), mitigated=True),
+    TechniqueRule("Firmware_ACPI", CAT_VM_CHECKS, "api",
+                  "ACPI firmware table read",
+                  api_names=("GetSystemFirmwareTable",),
+                  predicate=_token("ACPI"), mitigated=True),
+    TechniqueRule("Device_Artifacts", CAT_VM_CHECKS, "api",
+                  "hypervisor device object open",
+                  api_names=("CreateFile", "CreateFileA", "CreateFileW",
+                             "NtCreateFile", "NtOpenFile"),
+                  predicate=_vm_artifact(device=True)),
+    TechniqueRule("cpuid_hypervisor_vendor", CAT_VM_CHECKS, "insn",
+                  "cpuid leaf 0x40000000 vendor read",
+                  mnemonic="cpuid", predicate=_eax_equals(0x40000000),
+                  mitigated=True),
+    TechniqueRule("cpuid_is_hypervisor", CAT_VM_CHECKS, "insn",
+                  "cpuid leaf 1 hypervisor bit",
+                  mnemonic="cpuid", predicate=_eax_equals(1),
+                  mitigated=True, fp_prone=True),
+    TechniqueRule("mouse_movement", CAT_VM_CHECKS, "api",
+                  "cursor position sampling",
+                  api_names=("GetCursorPos",), mitigated=True, fp_prone=True),
+    TechniqueRule("filesystem_artifacts", CAT_VM_CHECKS, "api",
+                  "hypervisor artifact path on the filesystem",
+                  api_names=("CreateFile", "CreateFileA", "CreateFileW",
+                             "NtCreateFile", "NtOpenFile", "FindFirstFile",
+                             "FindFirstFileA", "FindFirstFileW",
+                             "GetFileAttributes", "GetFileAttributesA",
+                             "GetFileAttributesW"),
+                  predicate=_vm_artifact(device=False)),
+    TechniqueRule("setupdi_diskdrive", CAT_VM_CHECKS, "api",
+                  "disk drive property via SetupDi",
+                  api_names=("SetupDiGetDeviceRegistryProperty",
+                             "SetupDiGetDeviceRegistryPropertyA",
+                             "SetupDiGetDeviceRegistryPropertyW"),
+                  mitigated=True),
+    TechniqueRule("manufacturer_computer_system_wmi", CAT_VM_CHECKS, "api",
+                  "WMI Win32_ComputerSystem.Manufacturer",
+                  api_names=("wmi_query",),
+                  predicate=_wmi("Win32_ComputerSystem", "Manufacturer")),
+    TechniqueRule("model_computer_system_wmi", CAT_VM_CHECKS, "api",
+                  "WMI Win32_ComputerSystem.Model",
+                  api_names=("wmi_query",),
+                  predicate=_wmi("Win32_ComputerSystem", "Model")),
+    TechniqueRule("vbox_mac_wmi", CAT_VM_CHECKS, "api",
+                  "WMI adapter MAC address",
+                  api_names=("wmi_query",),
+                  predicate=_wmi("Win32_NetworkAdapter", "MACAddress")),
+    TechniqueRule("process_id_processor_wmi", CAT_VM_CHECKS, "api",
+                  "WMI Win32_Processor id",
+                  api_names=("wmi_query",),
+                  predicate=_wmi("Win32_Processor", "ProcessorId",
+                                 "ProcessId")),
+    TechniqueRule("serial_number_bios_wmi", CAT_VM_CHECKS, "api",
+                  "WMI BIOS serial number",
+                  api_names=("wmi_query",),
+                  predicate=_wmi("Win32_BIOS", "SerialNumber")),
 
     # -- Resource Profiling (6) ----------------------------------------------
-    _rule("process_enum", CAT_RESOURCE_PROFILING, "api",
-          "running process enumeration",
-          api_names=("Process32First", "Process32FirstW",
-                     "Process32Next", "Process32NextW"),
-          mitigated=True),
-    _rule("memory_space", CAT_RESOURCE_PROFILING, "api",
-          "installed RAM probe",
-          api_names=("GlobalMemoryStatusEx", "GlobalMemoryStatus"),
-          mitigated=True),
-    _rule("disk_size_getdiskfreespace", CAT_RESOURCE_PROFILING, "api",
-          "disk size via GetDiskFreeSpaceEx",
-          api_names=("GetDiskFreeSpaceEx", "GetDiskFreeSpaceExA",
-                     "GetDiskFreeSpaceExW"),
-          mitigated=True),
-    _rule("dizk_size_deviceiocontrol", CAT_RESOURCE_PROFILING, "api",
-          "disk size via DeviceIoControl",
-          api_names=("DeviceIoControl",),
-          predicate=_contains("ioctl_disk_get"), mitigated=True),
-    _rule("disk_size_wmi", CAT_RESOURCE_PROFILING, "api",
-          "WMI disk size",
-          api_names=("wmi_query",),
-          predicate=_wmi("Win32_DiskDrive", "Size"), mitigated=True),
-    _rule("NumberOfProcessors", CAT_RESOURCE_PROFILING, "watch",
-          "processor count field read",
-          watch_fields=("PEB.NumberOfProcessors",
-                        "SYSTEM_INFO.dwNumberOfProcessors"),
-          mitigated=True, fp_prone=True),
+    TechniqueRule("process_enum", CAT_RESOURCE_PROFILING, "api",
+                  "running process enumeration",
+                  api_names=("Process32First", "Process32FirstW",
+                             "Process32Next", "Process32NextW"),
+                  mitigated=True),
+    TechniqueRule("memory_space", CAT_RESOURCE_PROFILING, "api",
+                  "installed RAM probe",
+                  api_names=("GlobalMemoryStatusEx", "GlobalMemoryStatus"),
+                  mitigated=True),
+    TechniqueRule("disk_size_getdiskfreespace", CAT_RESOURCE_PROFILING, "api",
+                  "disk size via GetDiskFreeSpaceEx",
+                  api_names=("GetDiskFreeSpaceEx", "GetDiskFreeSpaceExA",
+                             "GetDiskFreeSpaceExW"),
+                  mitigated=True),
+    TechniqueRule("dizk_size_deviceiocontrol", CAT_RESOURCE_PROFILING, "api",
+                  "disk size via DeviceIoControl",
+                  api_names=("DeviceIoControl",),
+                  predicate=_contains("ioctl_disk_get"), mitigated=True),
+    TechniqueRule("disk_size_wmi", CAT_RESOURCE_PROFILING, "api",
+                  "WMI disk size",
+                  api_names=("wmi_query",),
+                  predicate=_wmi("Win32_DiskDrive", "Size"), mitigated=True),
+    TechniqueRule("NumberOfProcessors", CAT_RESOURCE_PROFILING, "watch",
+                  "processor count field read",
+                  watch_fields=("PEB.NumberOfProcessors",
+                                "SYSTEM_INFO.dwNumberOfProcessors"),
+                  mitigated=True, fp_prone=True),
 
     # -- Timing Attacks (2) ---------------------------------------------------
-    _rule("time_stalling", CAT_TIMING_ATTACKS, "clock",
-          "above-threshold wait request",
-          api_names=tuple(sorted(STALL_APIS)), mitigated=True),
-    _rule("RDTSC", CAT_TIMING_ATTACKS, "clock",
-          "rdtsc pair within the sandwich window",
-          mnemonic="rdtsc", mitigated=True),
+    TechniqueRule("time_stalling", CAT_TIMING_ATTACKS, "clock",
+                  "above-threshold wait request",
+                  api_names=tuple(sorted(STALL_APIS)), mitigated=True),
+    TechniqueRule("RDTSC", CAT_TIMING_ATTACKS, "clock",
+                  "rdtsc pair within the sandwich window",
+                  mnemonic="rdtsc", mitigated=True),
 
     # -- Anti Dump (2) --------------------------------------------------------
-    _rule("ErasePEHeader", CAT_ANTI_DUMP, "mem_write",
-          "value-changing write into the in-memory PE header"),
-    _rule("SizeOfImage", CAT_ANTI_DUMP, "mem_write",
-          "value-changing write of the SizeOfImage header field"),
+    TechniqueRule("ErasePEHeader", CAT_ANTI_DUMP, "mem_write",
+                  "value-changing write into the in-memory PE header"),
+    TechniqueRule("SizeOfImage", CAT_ANTI_DUMP, "mem_write",
+                  "value-changing write of the SizeOfImage header field"),
 
     # -- Code Injection (1) -----------------------------------------------------
-    _rule("Shellcode_injected", CAT_CODE_INJECTION, "api",
-          "cross-process write / thread / APC injection",
-          api_names=tuple(sorted(INJECTION_APIS)), predicate=_cross_process,
-          mitigated=True),
+    TechniqueRule("Shellcode_injected", CAT_CODE_INJECTION, "api",
+                  "cross-process write / thread / APC injection",
+                  api_names=tuple(sorted(INJECTION_APIS)),
+                  predicate=_cross_process, mitigated=True),
 
     # -- Anti Instrumentation (1) -------------------------------------------
-    _rule("Check_EIP", CAT_ANTI_INSTRUMENTATION, "insn",
-          "instruction-pointer leak via FPU state",
-          mnemonic="fpu_eip_leak", mitigated=True),
+    TechniqueRule("Check_EIP", CAT_ANTI_INSTRUMENTATION, "insn",
+                  "instruction-pointer leak via FPU state",
+                  mnemonic="fpu_eip_leak", mitigated=True),
 )
 
 _BY_ID: dict[str, TechniqueRule] = {r.id: r for r in RULES}
 KNOWN_TECHNIQUES = frozenset(_BY_ID)
+FP_PRONE_TECHNIQUES = frozenset(r.id for r in RULES if r.fp_prone)
 
 # (event kind, api name | mnemonic) -> rules it triggers, in catalog order.
 # Clock rules name their APIs and mnemonic too, but the clock decides when

@@ -67,8 +67,9 @@ class SampleReport:
     def from_json(text: str) -> "SampleReport":
         """Decode a report; a missing required key raises KeyError.
 
-        A technique id the catalog does not know, or a detection that is
-        not an object, raises ValueError.
+        A value whose JSON type does not match its field, a technique id
+        the catalog does not know, an evasive report without positions, or
+        a detection position outside [0, 100] raises ValueError.
         """
         doc = json.loads(text)
         if not isinstance(doc, dict):
@@ -79,23 +80,62 @@ class SampleReport:
                 kwargs[name] = doc[name]
             elif name not in _OPTIONAL_REPORT_KEYS:
                 raise KeyError(name)
+        for name, value in kwargs.items():
+            types, items = _REPORT_TYPES[name]
+            if type(value) not in types or items and not all(
+                    type(v) in items for v in
+                    (value.values() if type(value) is dict else value)):
+                raise ValueError(f"{name} {value!r} does not match its type")
         techniques = kwargs["technique_set"]
-        if not isinstance(techniques, list) or not all(
-                isinstance(t, str) and t in catalog.KNOWN_TECHNIQUES
-                for t in techniques):
+        if not catalog.KNOWN_TECHNIQUES.issuperset(techniques):
             raise ValueError(f"unknown technique in technique_set "
                              f"{techniques!r}")
-        detections = kwargs.get("detections", [])
-        if not isinstance(detections, list) or not all(
-                isinstance(d, dict) for d in detections):
-            raise ValueError("detections is not a list of objects")
-        kwargs["detections"] = [
-            DetectionRecord(*[d[name] for name in _DETECTION_KEYS])
-            for d in detections]
+        if kwargs["evasive"] and not (_is_pos(kwargs["first_pos"])
+                                      and _is_pos(kwargs["last_pos"])):
+            raise ValueError("evasive report without first_pos and last_pos "
+                             "in [0, 100]")
+        detections = []
+        for d in kwargs.get("detections", ()):
+            record = DetectionRecord(*[d[name] for name in _DETECTION_KEYS])
+            # only the values the corpus fold reads: a report can hold
+            # thousands of detections
+            if not (type(record.technique) is str
+                    and type(record.category) is str
+                    and _is_pos(record.normalized_pos)):
+                raise ValueError(f"detection {d!r}: technique and category "
+                                 f"must be strings and normalized_pos a "
+                                 f"number in [0, 100]")
+            detections.append(record)
+        kwargs["detections"] = detections
         return SampleReport(**kwargs)
 
 
+# JSON value types per type name in a field annotation; a float also takes
+# a JSON integer, and a detection is a JSON object
+_JSON_TYPES = {"str": (str,), "bool": (bool,), "int": (int,),
+               "float": (float, int), "None": (type(None),), "dict": (dict,),
+               "list": (list,), "DetectionRecord": (dict,)}
+
+
+def _json_types(annotation: str):
+    """(value types, item types) of ``float | None``, ``list[str]``,
+    ``dict[str, int]`` and the like. The item types are those of a list's
+    elements or a dict's values, and empty for an unparameterized type."""
+    types, items = (), ()
+    for part in annotation.split(" | "):
+        base, _, inner = part.partition("[")
+        types += _JSON_TYPES[base]
+        if inner:
+            items = _JSON_TYPES[inner[:-1].split(", ")[-1]]
+    return types, items
+
+
+def _is_pos(value) -> bool:
+    return type(value) in (int, float) and 0 <= value <= 100
+
+
 _REPORT_KEYS = tuple(f.name for f in fields(SampleReport))
+_REPORT_TYPES = {f.name: _json_types(f.type) for f in fields(SampleReport)}
 _DETECTION_KEYS = tuple(f.name for f in fields(DetectionRecord))
 # keys a report may omit; they take the field's default
 _OPTIONAL_REPORT_KEYS = frozenset({"labels", "visible_api_counts",

@@ -72,6 +72,15 @@ def encode_text(text: str) -> str:
     return "".join(out)
 
 
+def _encode_part(text: str, seps: str) -> str:
+    """``encode_text`` that also percent-encodes ``seps``: the characters
+    the parser of the enclosing composite value splits on."""
+    text = encode_text(text)
+    for sep in seps:
+        text = text.replace(sep, "%%%02X" % ord(sep))
+    return text
+
+
 def decode_text(text: str) -> str:
     if "%" not in text:
         return text
@@ -165,7 +174,7 @@ class StructLayout:
         body = ",".join(
             "%s+0x%x:%d" % (encode_text(f), off, w) for f, off, w in self.fields
         )
-        return "%s@0x%x(%s)" % (encode_text(self.name), self.base, body)
+        return "%s@0x%x(%s)" % (_encode_part(self.name, "@"), self.base, body)
 
     @staticmethod
     def parse(text: str) -> "StructLayout":
@@ -201,7 +210,7 @@ class FieldRef:
 
     def encode(self) -> str:
         return "%s.%s@0x%x:%d" % (
-            encode_text(self.struct), encode_text(self.field),
+            _encode_part(self.struct, "@."), _encode_part(self.field, "@"),
             self.address, self.width,
         )
 
@@ -222,12 +231,6 @@ class MetaPayload:
     sample_id: str
     labels: tuple[tuple[str, str], ...] = ()
     structs: tuple[StructLayout, ...] = ()
-
-    def label(self, key: str) -> str | None:
-        for k, v in self.labels:
-            if k == key:
-                return v
-        return None
 
 
 @dataclass(frozen=True)
@@ -388,7 +391,7 @@ _HEX = (_int, hex)
 _TEXT = (decode_text, encode_text)
 _STRUCTS = _joined(";", StructLayout.parse, StructLayout.encode)
 _REGS = _joined(",", _parse_reg,
-                lambda reg: f"{encode_text(reg[0])}:{hex(reg[1])}")
+                lambda reg: f"{_encode_part(reg[0], ':')}:{hex(reg[1])}")
 _REGION_KIND = (_one_of(REGION_KINDS, "region kind"), str)
 
 

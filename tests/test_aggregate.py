@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from evprof.aggregate import (
     AggregateError, CorpusAccumulator, aggregate_reports, apply_labels,
-    behavior_diff, corpus_stats, evasive_footprint, load_labels, order_stats,
-    technique_ranking, timeline_stats,
+    behavior_diff, load_labels,
 )
 from evprof.catalog import DetectionRecord
 from evprof.profiler import SampleReport
@@ -60,7 +59,7 @@ def test_avg_std_max_hand_oracle():
     ]
     for r in reports:
         r.labels["dataset"] = "d1"
-    stats = corpus_stats(reports, "dataset")["d1"]
+    stats = aggregate_reports(reports, "dataset").groups["d1"]
     assert stats.started == 3
     assert stats.avg_techniques == pytest.approx(2.0)
     assert stats.std_techniques == pytest.approx(0.816496580927726)
@@ -84,7 +83,7 @@ def test_percentages_over_started_only():
         make_report("b", techniques=["RDTSC"]),
         make_report("c"),
     ]
-    stats = corpus_stats(reports, "dataset")["unlabeled"]
+    stats = aggregate_reports(reports, "dataset").groups["unlabeled"]
     assert stats.total == 3
     assert stats.started == 2
     assert stats.evasive_pct == pytest.approx(50.0)
@@ -103,7 +102,8 @@ def test_bad_group_by_rejected():
 # -- ranking -----------------------------------------------------------------
 
 def test_single_sample_single_technique_ranking():
-    ranking = technique_ranking([make_report("a", techniques=["RDTSC"])])
+    ranking = aggregate_reports([make_report("a", techniques=["RDTSC"])],
+                                "dataset").technique_ranking()
     assert ranking == [("RDTSC", 100.0)]
 
 
@@ -114,7 +114,7 @@ def test_ranking_tie_breaks_lexicographically():
         make_report("c"),
         make_report("d", techniques=["RDTSC", "HeapFlags"]),
     ]
-    ranking = technique_ranking(reports)
+    ranking = aggregate_reports(reports, "dataset").technique_ranking()
     assert ranking[0] == ("HeapFlags", 50.0)
     assert ranking[1:] == [("RDTSC", 25.0), ("idt_trick", 25.0)]
 
@@ -122,7 +122,8 @@ def test_ranking_tie_breaks_lexicographically():
 def test_ranking_top_n_limits():
     reports = [make_report("a", techniques=["RDTSC", "HeapFlags",
                                             "idt_trick"])]
-    assert len(technique_ranking(reports, top_n=2)) == 2
+    agg = aggregate_reports(reports, "dataset")
+    assert len(agg.technique_ranking(top_n=2)) == 2
 
 
 # -- timeline -------------------------------------------------------------------
@@ -130,7 +131,7 @@ def test_ranking_top_n_limits():
 def test_first_last_diff_from_positions():
     reports = [make_report("a", techniques=["RDTSC", "HeapFlags"],
                            positions=[5, 50])]
-    t = timeline_stats(reports)
+    t = aggregate_reports(reports, "dataset").timeline()
     assert t["first_hist"] == {"5": 1}
     assert t["last_hist"] == {"50": 1}
     assert t["diff_hist"] == {"45": 1}
@@ -144,7 +145,7 @@ def test_first_share_counts_slot_boundary():
         make_report("c", techniques=["RDTSC"], positions=[95]),
         make_report("d", techniques=["RDTSC"], positions=[3]),
     ]
-    t = timeline_stats(reports)
+    t = aggregate_reports(reports, "dataset").timeline()
     assert t["first_in_0_10_pct"] == pytest.approx(50.0)
     assert t["last_in_90_100_pct"] == pytest.approx(25.0)
 
@@ -156,7 +157,7 @@ def test_slot_top_categories_hand_counted():
         make_report("c", techniques=["idt_trick"], positions=[8]),
         make_report("d", techniques=["RDTSC"], positions=[50]),
     ]
-    t = timeline_stats(reports)
+    t = aggregate_reports(reports, "dataset").timeline()
     slot = t["slots"]["[0-10]"]
     assert slot["samples"] == 3
     assert slot["top_categories"][0] == {
@@ -177,7 +178,7 @@ def test_order_stats_hand_oracle():
         reports.append(make_report(
             f"vm{i}", techniques=["idt_trick", "HeapFlags"],
             positions=[5, 40]))
-    stats = order_stats(reports)
+    stats = aggregate_reports(reports, "dataset").order_stats()
     assert stats["multi_category_samples"] == 10
     assert stats["first_category_shares"]["AntiDebug"] == pytest.approx(80.0)
     assert stats["first_category_shares"]["VMChecks"] == pytest.approx(20.0)
@@ -187,14 +188,15 @@ def test_order_stats_hand_oracle():
 def test_single_multi_category_sample():
     reports = [make_report("a", techniques=["RDTSC", "HeapFlags"],
                            positions=[5, 50])]
-    stats = order_stats(reports)
+    stats = aggregate_reports(reports, "dataset").order_stats()
     assert stats["first_category_shares"] == {"TimingAttacks": 100.0}
     assert stats["non_antidebug_first_shares"] == \
         {"TimingAttacks": 100.0}
 
 
 def test_no_multi_category_samples_flagged():
-    stats = order_stats([make_report("a", techniques=["RDTSC"])])
+    stats = aggregate_reports([make_report("a", techniques=["RDTSC"])],
+                              "dataset").order_stats()
     assert stats["multi_category_samples"] == 0
     assert "flag" in stats
 
@@ -208,7 +210,7 @@ def test_footprint_intersection():
         make_report("b", techniques=["IsDebuggerPresentAPI", "idt_trick"],
                     labels={"family": "fam"}),
     ]
-    fp = evasive_footprint(reports)
+    fp = aggregate_reports(reports, "family").evasive_footprint()
     assert fp["fam"]["techniques"] == ["IsDebuggerPresentAPI"]
     assert fp["fam"]["evasive_samples"] == 2
 
@@ -230,7 +232,7 @@ def test_family_without_evasive_samples_omitted():
         make_report("a", labels={"family": "quiet"}),
         make_report("b", techniques=["RDTSC"], labels={"family": "loud"}),
     ]
-    fp = evasive_footprint(reports)
+    fp = aggregate_reports(reports, "family").evasive_footprint()
     assert "quiet" not in fp and "loud" in fp
 
 
@@ -241,10 +243,12 @@ def test_footprint_monotone_under_new_samples():
         make_report("b", techniques=["RDTSC", "HeapFlags", "idt_trick"],
                     labels={"family": "fam"}),
     ]
-    before = set(evasive_footprint(base)["fam"]["techniques"])
+    before = set(aggregate_reports(base, "family")
+                 .evasive_footprint()["fam"]["techniques"])
     extended = base + [make_report("c", techniques=["RDTSC"],
                                    labels={"family": "fam"})]
-    after = set(evasive_footprint(extended)["fam"]["techniques"])
+    after = set(aggregate_reports(extended, "family")
+                .evasive_footprint()["fam"]["techniques"])
     assert after <= before
 
 
@@ -358,23 +362,43 @@ def corpus_reports():
     return reports
 
 
-@settings(max_examples=25, deadline=None)
-@given(split=st.integers(min_value=0, max_value=40),
-       group_by=st.sampled_from(["dataset", "year", "family"]))
-def test_merge_associativity(split, group_by):
-    reports = corpus_reports()
-    whole = CorpusAccumulator(group_by)
+def fold(reports, group_by):
+    acc = CorpusAccumulator(group_by)
     for r in reports:
-        whole.add(r)
-    left = CorpusAccumulator(group_by)
-    right = CorpusAccumulator(group_by)
-    for r in reports[:split]:
-        left.add(r)
-    for r in reports[split:]:
-        right.add(r)
+        acc.add(r)
+    return acc
+
+
+def merged(left, right):
     left.merge(right)
-    assert left.finalize().summary_document() == \
-        whole.finalize().summary_document()
+    return left
+
+
+@settings(max_examples=25, deadline=None)
+@given(cuts=st.lists(st.integers(min_value=0, max_value=40),
+                     min_size=2, max_size=2),
+       group_by=st.sampled_from(["dataset", "year", "family"]))
+def test_merge_associativity(cuts, group_by):
+    reports = corpus_reports()
+    i, j = sorted(cuts)
+    parts = (reports[:i], reports[i:j], reports[j:])
+    want = fold(reports, group_by).finalize().summary_document()
+
+    # each combination folds fresh accumulators: a merge may adopt the
+    # other side's per-key state instead of copying it
+    def part(k):
+        return fold(parts[k], group_by)
+
+    for acc in (merged(part(0), fold(reports[i:], group_by)),
+                merged(merged(part(0), part(1)), part(2)),
+                merged(part(0), merged(part(1), part(2))),
+                merged(CorpusAccumulator(group_by), fold(reports, group_by))):
+        assert acc.finalize().summary_document() == want
+
+
+def test_merge_rejects_different_grouping():
+    with pytest.raises(AggregateError):
+        CorpusAccumulator("dataset").merge(CorpusAccumulator("family"))
 
 
 # -- brute force equivalence on the synthetic corpus ---------------------------
@@ -394,7 +418,7 @@ def assert_float_eq(a, b, path=""):
 def test_group_stats_match_brute_force():
     reports = corpus_reports()
     for group_by in ("dataset", "year", "family"):
-        mine = corpus_stats(reports, group_by)
+        mine = aggregate_reports(reports, group_by).groups
         theirs = oracles.oracle_group_stats(reports, group_by)
         assert set(mine) == set(theirs)
         for key, stats in mine.items():
@@ -416,12 +440,13 @@ def test_group_stats_match_brute_force():
 
 def test_ranking_matches_brute_force():
     reports = corpus_reports()
-    assert technique_ranking(reports) == oracles.oracle_ranking(reports)
+    assert aggregate_reports(reports, "dataset").technique_ranking() == \
+        oracles.oracle_ranking(reports)
 
 
 def test_timeline_matches_brute_force():
     reports = corpus_reports()
-    mine = timeline_stats(reports)
+    mine = aggregate_reports(reports, "dataset").timeline()
     theirs = oracles.oracle_timeline(reports)
     assert mine["evasive_samples"] == theirs["evasive_samples"]
     for hist in ("first_hist", "last_hist", "diff_hist"):
@@ -439,7 +464,7 @@ def test_timeline_matches_brute_force():
 
 def test_order_matches_brute_force():
     reports = corpus_reports()
-    mine = order_stats(reports)
+    mine = aggregate_reports(reports, "dataset").order_stats()
     theirs = oracles.oracle_order(reports)
     assert mine["multi_category_samples"] == theirs["multi_category_samples"]
     assert_float_eq(mine["first_category_shares"],
@@ -450,7 +475,8 @@ def test_order_matches_brute_force():
 
 def test_footprints_match_brute_force():
     reports = corpus_reports()
-    assert evasive_footprint(reports) == oracles.oracle_footprints(reports)
+    assert aggregate_reports(reports, "family").evasive_footprint() == \
+        oracles.oracle_footprints(reports)
 
 
 def test_packer_stats_match_brute_force():

@@ -107,11 +107,6 @@ def test_every_mitigated_rule_has_a_transform():
         assert (r.id in catalog.MITIGATIONS) == r.mitigated
 
 
-def test_native_api_flags():
-    assert rule("NQIP_ProcessDebugPort").flags.native_api
-    assert not rule("mouse_movement").flags.native_api
-
-
 # -- api trigger matching ------------------------------------------------------
 
 def test_isdebuggerpresent_red_matches():

@@ -461,6 +461,10 @@ def test_gen_bad_spec_value_is_a_data_error_with_line(tmp_path, capsys,
 @pytest.mark.parametrize("key, value", [
     ("technique_set", ["NotATechnique"]),
     ("detections", [1]),
+    ("started", "yes"),
+    ("first_pos", None),
+    ("normalized_pos", "x"),
+    ("normalized_pos", 150.0),
 ])
 def test_aggregate_report_with_bad_content_is_a_data_error(
         corpus_dir, tmp_path, capsys, key, value):
@@ -468,7 +472,9 @@ def test_aggregate_report_with_bad_content_is_a_data_error(
     assert main(["batch", str(corpus_dir), "--out", str(reports)]) == EXIT_OK
     path = reports / "pos_RDTSC.report.json"
     doc = json.loads(path.read_text())
-    doc[key] = value
+    assert doc["evasive"]
+    # a detection key is set on the first detection, any other on the report
+    (doc["detections"][0] if key == "normalized_pos" else doc)[key] = value
     path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["aggregate", str(reports)]) == EXIT_DATA

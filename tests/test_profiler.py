@@ -402,6 +402,15 @@ def test_report_with_an_unknown_technique_or_a_bad_detection_is_rejected(
         SampleReport.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("key", REPORT_KEYS)
+def test_report_value_of_the_wrong_json_type_is_rejected(key):
+    import json
+    doc = detected_report_doc()
+    doc[key] = [[1]]  # no field holds a list of lists
+    with pytest.raises(ValueError):
+        SampleReport.from_json(json.dumps(doc))
+
+
 def test_validation_diagnostics_become_warnings():
     from evprof.trace import validate_trace
     t = T().images()

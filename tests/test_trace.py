@@ -201,8 +201,8 @@ def test_string_arg_with_separators_survives():
 # -- the schema table ---------------------------------------------------------
 
 # Names inside composite values (struct layouts, published fields, register
-# maps) stay clear of the separators those syntaxes split on.
-names = st.text(alphabet="abcXYZ_019", min_size=1, max_size=6)
+# maps) include the separators those syntaxes split on.
+names = st.text(alphabet="abcXYZ_019@.:+,;()%", min_size=1, max_size=6)
 u64 = st.integers(min_value=0, max_value=2 ** 64 - 1)
 ints = st.integers(min_value=-2 ** 64, max_value=2 ** 64)
 positive = st.integers(min_value=1, max_value=2 ** 64)
