@@ -14,24 +14,29 @@ matches from standard-library code are discarded as legitimate use. Each
 surviving match is then mitigated by its rule's transform, when the run
 config enables it.
 
+A rule narrows its api or insn trigger with data, which ``_narrowed``
+reads: an exact string argument (``token``), case-insensitive substrings
+(``needles``, kept to device or file paths by ``path``), a WQL class and
+its fields (``wmi``), a cpuid leaf (``eax``), or a target in another
+process (``cross_process``). The generator builds each technique's
+proof-of-concept trace from the same fields. WMI checks are modeled as a
+``wmi_query`` API whose first string argument is the query text, and
+guard-page probing as a ``page_guard_access`` API event.
+
 Four techniques are so commonly used for legitimate purposes that they are
 flagged FP-prone and excluded from evasive classification by default:
 GetTickCount, cpuid_is_hypervisor, mouse_movement, NumberOfProcessors.
-
-WMI-based checks are modeled as a ``wmi_query`` API whose first string
-argument is the query text; rules match on the queried class and field.
-Guard-page probing is modeled as a ``page_guard_access`` API event.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .clock import STALL_APIS, VirtualClock
 from .config import RunConfig
-from .trace import ApiPayload, Diagnostic, TraceEvent
+from .trace import Diagnostic, TraceEvent
 
 CAT_ANTI_DEBUG = "AntiDebug"
 CAT_ANTI_DUMP = "AntiDump"
@@ -79,8 +84,13 @@ class TechniqueRule:
     trigger_desc: str
     api_names: tuple[str, ...] = ()
     mnemonic: str | None = None
-    # narrows an api/insn trigger; takes the whole event
-    predicate: Optional[Callable[[TraceEvent], bool]] = None
+    # narrowing fields of an api/insn trigger; a rule sets at most one
+    token: str | None = None               # exact string argument
+    needles: tuple[str, ...] = ()          # lowercase argument substrings
+    path: str | None = None                # device | file: where needles sit
+    wmi: tuple[str, tuple[str, ...]] | None = None   # (class, fields)
+    eax: int | None = None                 # cpuid leaf
+    cross_process: bool = False            # target_pid names another process
     watch_fields: tuple[str, ...] = ()
     mitigated: bool = False
     fp_prone: bool = False
@@ -109,78 +119,40 @@ class Effect:
 
 
 # ---------------------------------------------------------------------------
-# predicate helpers
+# narrowing
 
-def _any_str_contains(payload: ApiPayload, needles) -> bool:
-    for a in payload.str_args():
-        low = a.lower()
-        if any(n in low for n in needles):
-            return True
-    return False
+def _narrowed(r: TechniqueRule, event: TraceEvent) -> bool:
+    r"""Whether ``event`` meets the narrowing field ``r`` sets, if any.
 
-
-def _is_device_path(path: str) -> bool:
-    low = path.lower()
-    return low.startswith("\\\\.\\") or low.startswith("\\device\\")
-
-
-def _vm_artifact(device: bool) -> Callable[[TraceEvent], bool]:
-    """VM artifact in a device path if ``device``, else in a file path."""
-    return lambda event: any(
-        _is_device_path(a) == device
-        and any(n in a.lower() for n in VM_ARTIFACTS)
-        for a in event.payload.str_args())
-
-
-def parse_wmi_query(query: str) -> tuple[str | None, tuple[str, ...]]:
-    """Split a WQL query into (class, selected fields)."""
-    toks = query.replace(",", " , ").split()
-    klass = None
-    fields: list[str] = []
-    low = [t.lower() for t in toks]
-    if "from" in low:
-        idx = low.index("from")
-        if idx + 1 < len(toks):
-            klass = toks[idx + 1]
-        if low and low[0] == "select":
-            fields = [t for t in toks[1:idx] if t != ","]
-    return klass, tuple(fields)
-
-
-def _wmi(klass: str, *fields: str) -> Callable[[TraceEvent], bool]:
-    wanted = {f.lower() for f in fields}
-
-    def pred(event: TraceEvent) -> bool:
-        for a in event.payload.str_args():
-            qclass, qfields = parse_wmi_query(a)
-            if qclass is None or qclass.lower() != klass.lower():
-                continue
-            if not wanted:
-                return True
-            got = {f.lower() for f in qfields}
-            if "*" in got or got & wanted:
-                return True
+    A device path starts with ``\\.\`` or ``\device\``. A WQL query
+    matches when it selects ``*`` or one of the rule's fields from its
+    class; class and fields compare case-insensitively.
+    """
+    p = event.payload
+    if r.eax is not None:
+        return p.reg_in("eax") == r.eax
+    if r.cross_process:
+        return p.target_pid is not None and p.target_pid != event.pid
+    if r.token is not None:
+        return r.token in p.str_args()
+    if r.needles:
+        return any(
+            (r.path is None or (r.path == "device")
+             == low.startswith(("\\\\.\\", "\\device\\")))
+            and any(n in low for n in r.needles)
+            for low in map(str.lower, p.str_args()))
+    if r.wmi is not None:
+        klass, fields = r.wmi
+        wanted = {f.lower() for f in fields} | {"*"}
+        for query in p.str_args():
+            toks = query.lower().replace(",", " , ").split()
+            if "from" in toks[:-1]:
+                at = toks.index("from")
+                if (toks[0] == "select" and toks[at + 1] == klass.lower()
+                        and not wanted.isdisjoint(toks[1:at])):
+                    return True
         return False
-
-    return pred
-
-
-def _token(token: str) -> Callable[[TraceEvent], bool]:
-    return lambda event: token in event.payload.str_args()
-
-
-def _contains(*needles: str) -> Callable[[TraceEvent], bool]:
-    lows = tuple(n.lower() for n in needles)
-    return lambda event: _any_str_contains(event.payload, lows)
-
-
-def _eax_equals(value: int) -> Callable[[TraceEvent], bool]:
-    return lambda event: event.payload.reg_in("eax") == value
-
-
-def _cross_process(event: TraceEvent) -> bool:
-    target = event.payload.target_pid
-    return target is not None and target != event.pid
+    return True
 
 
 RULES: tuple[TechniqueRule, ...] = (
@@ -197,26 +169,26 @@ RULES: tuple[TechniqueRule, ...] = (
     TechniqueRule("NSIT_ThreadHideFromDebugger", CAT_ANTI_DEBUG, "api",
                   "NtSetInformationThread with ThreadHideFromDebugger",
                   api_names=("NtSetInformationThread",),
-                  predicate=_token("ThreadHideFromDebugger")),
+                  token="ThreadHideFromDebugger"),
     TechniqueRule("NtGlobalFlag", CAT_ANTI_DEBUG, "watch",
                   "read of PEB.NtGlobalFlag",
                   watch_fields=("PEB.NtGlobalFlag",)),
     TechniqueRule("NQIP_ProcessDebugPort", CAT_ANTI_DEBUG, "api",
                   "NtQueryInformationProcess with ProcessDebugPort",
                   api_names=("NtQueryInformationProcess",),
-                  predicate=_token("ProcessDebugPort")),
+                  token="ProcessDebugPort"),
     TechniqueRule("NQIP_ProcessDebugObject", CAT_ANTI_DEBUG, "api",
                   "NtQueryInformationProcess with ProcessDebugObject",
                   api_names=("NtQueryInformationProcess",),
-                  predicate=_token("ProcessDebugObject")),
+                  token="ProcessDebugObject"),
     TechniqueRule("NQIP_ProcessDebugFlag", CAT_ANTI_DEBUG, "api",
                   "NtQueryInformationProcess with ProcessDebugFlag",
                   api_names=("NtQueryInformationProcess",),
-                  predicate=_token("ProcessDebugFlag")),
+                  token="ProcessDebugFlag"),
     TechniqueRule("CanOpenCsrss", CAT_ANTI_DEBUG, "api",
                   "open attempt on csrss.exe",
                   api_names=("NtOpenProcess", "OpenProcess"),
-                  predicate=_contains("csrss")),
+                  needles=("csrss",)),
     TechniqueRule("MemoryBreakpoints_PageGuard", CAT_ANTI_DEBUG, "api",
                   "guard-page access expecting STATUS_GUARD_PAGE_VIOLATION",
                   api_names=("page_guard_access",), mitigated=True),
@@ -227,12 +199,12 @@ RULES: tuple[TechniqueRule, ...] = (
     TechniqueRule("HardwareBreakpoints", CAT_ANTI_DEBUG, "api",
                   "debug-register read via thread context",
                   api_names=("GetThreadContext", "NtGetContextThread"),
-                  predicate=_token("CONTEXT_DEBUG_REGISTERS")),
+                  token="CONTEXT_DEBUG_REGISTERS"),
     TechniqueRule("NQSI_SystemKernelDebuggerInformation", CAT_ANTI_DEBUG,
                   "api", "NtQuerySystemInformation with "
                   "SystemKernelDebuggerInformation",
                   api_names=("NtQuerySystemInformation",),
-                  predicate=_token("SystemKernelDebuggerInformation")),
+                  token="SystemKernelDebuggerInformation"),
     TechniqueRule("HeapFlags", CAT_ANTI_DEBUG, "watch",
                   "read of PEB.ProcessHeap.Flags",
                   watch_fields=("PEB.ProcessHeap.Flags",)),
@@ -245,15 +217,15 @@ RULES: tuple[TechniqueRule, ...] = (
     TechniqueRule("VirtualAlloc_WriteWatch", CAT_ANTI_DEBUG, "api",
                   "VirtualAlloc with MEM_WRITE_WATCH",
                   api_names=("VirtualAlloc", "VirtualAllocEx"),
-                  predicate=_token("MEM_WRITE_WATCH")),
+                  token="MEM_WRITE_WATCH"),
     TechniqueRule("NQO_ObjectTypeInformation", CAT_ANTI_DEBUG, "api",
                   "NtQueryObject with ObjectTypeInformation",
                   api_names=("NtQueryObject",),
-                  predicate=_token("ObjectTypeInformation")),
+                  token="ObjectTypeInformation"),
     TechniqueRule("NQO_ObjectAllTypesInformation", CAT_ANTI_DEBUG, "api",
                   "NtQueryObject with ObjectAllTypesInformation",
                   api_names=("NtQueryObject",),
-                  predicate=_token("ObjectAllTypesInformation")),
+                  token="ObjectAllTypesInformation"),
     TechniqueRule("GetTickCount", CAT_ANTI_DEBUG, "api",
                   "GetTickCount timing probe",
                   api_names=("GetTickCount",), fp_prone=True),
@@ -261,15 +233,15 @@ RULES: tuple[TechniqueRule, ...] = (
     # -- VM Checks (20) -----------------------------------------------------
     TechniqueRule("reg_keys", CAT_VM_CHECKS, "api",
                   "hypervisor artifact in registry key path",
-                  api_names=("RegOpenKey", "RegOpenKeyA", "RegOpenKeyW",
-                             "RegOpenKeyEx", "RegOpenKeyExA", "RegOpenKeyExW",
+                  api_names=("RegOpenKeyEx", "RegOpenKey", "RegOpenKeyA",
+                             "RegOpenKeyW", "RegOpenKeyExA", "RegOpenKeyExW",
                              "NtOpenKey"),
-                  predicate=_contains(*VM_ARTIFACTS)),
+                  needles=VM_ARTIFACTS),
     TechniqueRule("reg_key_value", CAT_VM_CHECKS, "api",
                   "hypervisor artifact in registry value",
                   api_names=("RegQueryValueEx", "RegQueryValueExA",
                              "RegQueryValueExW", "NtQueryValueKey"),
-                  predicate=_contains(*VM_ARTIFACTS)),
+                  needles=VM_ARTIFACTS),
     TechniqueRule("ldt_trick", CAT_VM_CHECKS, "insn",
                   "sldt location probe", mnemonic="sldt"),
     TechniqueRule("idt_trick", CAT_VM_CHECKS, "insn",
@@ -284,68 +256,67 @@ RULES: tuple[TechniqueRule, ...] = (
     TechniqueRule("Firmware_RSMB", CAT_VM_CHECKS, "api",
                   "raw SMBIOS firmware table read",
                   api_names=("GetSystemFirmwareTable",),
-                  predicate=_token("RSMB"), mitigated=True),
+                  token="RSMB", mitigated=True),
     TechniqueRule("Firmware_ACPI", CAT_VM_CHECKS, "api",
                   "ACPI firmware table read",
                   api_names=("GetSystemFirmwareTable",),
-                  predicate=_token("ACPI"), mitigated=True),
+                  token="ACPI", mitigated=True),
     TechniqueRule("Device_Artifacts", CAT_VM_CHECKS, "api",
                   "hypervisor device object open",
                   api_names=("CreateFile", "CreateFileA", "CreateFileW",
                              "NtCreateFile", "NtOpenFile"),
-                  predicate=_vm_artifact(device=True)),
+                  needles=VM_ARTIFACTS, path="device"),
     TechniqueRule("cpuid_hypervisor_vendor", CAT_VM_CHECKS, "insn",
                   "cpuid leaf 0x40000000 vendor read",
-                  mnemonic="cpuid", predicate=_eax_equals(0x40000000),
+                  mnemonic="cpuid", eax=0x40000000,
                   mitigated=True),
     TechniqueRule("cpuid_is_hypervisor", CAT_VM_CHECKS, "insn",
                   "cpuid leaf 1 hypervisor bit",
-                  mnemonic="cpuid", predicate=_eax_equals(1),
+                  mnemonic="cpuid", eax=1,
                   mitigated=True, fp_prone=True),
     TechniqueRule("mouse_movement", CAT_VM_CHECKS, "api",
                   "cursor position sampling",
                   api_names=("GetCursorPos",), mitigated=True, fp_prone=True),
     TechniqueRule("filesystem_artifacts", CAT_VM_CHECKS, "api",
                   "hypervisor artifact path on the filesystem",
-                  api_names=("CreateFile", "CreateFileA", "CreateFileW",
-                             "NtCreateFile", "NtOpenFile", "FindFirstFile",
-                             "FindFirstFileA", "FindFirstFileW",
+                  api_names=("FindFirstFile", "FindFirstFileA",
+                             "FindFirstFileW", "CreateFile", "CreateFileA",
+                             "CreateFileW", "NtCreateFile", "NtOpenFile",
                              "GetFileAttributes", "GetFileAttributesA",
                              "GetFileAttributesW"),
-                  predicate=_vm_artifact(device=False)),
+                  needles=VM_ARTIFACTS, path="file"),
     TechniqueRule("setupdi_diskdrive", CAT_VM_CHECKS, "api",
                   "disk drive property via SetupDi",
-                  api_names=("SetupDiGetDeviceRegistryProperty",
-                             "SetupDiGetDeviceRegistryPropertyA",
-                             "SetupDiGetDeviceRegistryPropertyW"),
+                  api_names=("SetupDiGetDeviceRegistryPropertyW",
+                             "SetupDiGetDeviceRegistryProperty",
+                             "SetupDiGetDeviceRegistryPropertyA"),
                   mitigated=True),
     TechniqueRule("manufacturer_computer_system_wmi", CAT_VM_CHECKS, "api",
                   "WMI Win32_ComputerSystem.Manufacturer",
                   api_names=("wmi_query",),
-                  predicate=_wmi("Win32_ComputerSystem", "Manufacturer")),
+                  wmi=("Win32_ComputerSystem", ("Manufacturer",))),
     TechniqueRule("model_computer_system_wmi", CAT_VM_CHECKS, "api",
                   "WMI Win32_ComputerSystem.Model",
                   api_names=("wmi_query",),
-                  predicate=_wmi("Win32_ComputerSystem", "Model")),
+                  wmi=("Win32_ComputerSystem", ("Model",))),
     TechniqueRule("vbox_mac_wmi", CAT_VM_CHECKS, "api",
                   "WMI adapter MAC address",
                   api_names=("wmi_query",),
-                  predicate=_wmi("Win32_NetworkAdapter", "MACAddress")),
+                  wmi=("Win32_NetworkAdapter", ("MACAddress",))),
     TechniqueRule("process_id_processor_wmi", CAT_VM_CHECKS, "api",
                   "WMI Win32_Processor id",
                   api_names=("wmi_query",),
-                  predicate=_wmi("Win32_Processor", "ProcessorId",
-                                 "ProcessId")),
+                  wmi=("Win32_Processor", ("ProcessorId", "ProcessId"))),
     TechniqueRule("serial_number_bios_wmi", CAT_VM_CHECKS, "api",
                   "WMI BIOS serial number",
                   api_names=("wmi_query",),
-                  predicate=_wmi("Win32_BIOS", "SerialNumber")),
+                  wmi=("Win32_BIOS", ("SerialNumber",))),
 
     # -- Resource Profiling (6) ----------------------------------------------
     TechniqueRule("process_enum", CAT_RESOURCE_PROFILING, "api",
                   "running process enumeration",
-                  api_names=("Process32First", "Process32FirstW",
-                             "Process32Next", "Process32NextW"),
+                  api_names=("Process32Next", "Process32First",
+                             "Process32FirstW", "Process32NextW"),
                   mitigated=True),
     TechniqueRule("memory_space", CAT_RESOURCE_PROFILING, "api",
                   "installed RAM probe",
@@ -353,17 +324,17 @@ RULES: tuple[TechniqueRule, ...] = (
                   mitigated=True),
     TechniqueRule("disk_size_getdiskfreespace", CAT_RESOURCE_PROFILING, "api",
                   "disk size via GetDiskFreeSpaceEx",
-                  api_names=("GetDiskFreeSpaceEx", "GetDiskFreeSpaceExA",
-                             "GetDiskFreeSpaceExW"),
+                  api_names=("GetDiskFreeSpaceExW", "GetDiskFreeSpaceEx",
+                             "GetDiskFreeSpaceExA"),
                   mitigated=True),
     TechniqueRule("dizk_size_deviceiocontrol", CAT_RESOURCE_PROFILING, "api",
                   "disk size via DeviceIoControl",
                   api_names=("DeviceIoControl",),
-                  predicate=_contains("ioctl_disk_get"), mitigated=True),
+                  needles=("ioctl_disk_get",), mitigated=True),
     TechniqueRule("disk_size_wmi", CAT_RESOURCE_PROFILING, "api",
                   "WMI disk size",
                   api_names=("wmi_query",),
-                  predicate=_wmi("Win32_DiskDrive", "Size"), mitigated=True),
+                  wmi=("Win32_DiskDrive", ("Size",)), mitigated=True),
     TechniqueRule("NumberOfProcessors", CAT_RESOURCE_PROFILING, "watch",
                   "processor count field read",
                   watch_fields=("PEB.NumberOfProcessors",
@@ -388,7 +359,7 @@ RULES: tuple[TechniqueRule, ...] = (
     TechniqueRule("Shellcode_injected", CAT_CODE_INJECTION, "api",
                   "cross-process write / thread / APC injection",
                   api_names=tuple(sorted(INJECTION_APIS)),
-                  predicate=_cross_process, mitigated=True),
+                  cross_process=True, mitigated=True),
 
     # -- Anti Instrumentation (1) -------------------------------------------
     TechniqueRule("Check_EIP", CAT_ANTI_INSTRUMENTATION, "insn",
@@ -634,7 +605,7 @@ def match_event(event: TraceEvent, tracker, clock: VirtualClock,
         return [], []
 
     for r in TRIGGERS.get((kind, name), ()):
-        if r.predicate is None or r.predicate(event):
+        if _narrowed(r, event):
             hits.append(r)
     if not hits or not tracker.is_red(event.pid, origin):
         return [], effects

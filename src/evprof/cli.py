@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import json
 import os
 import sys
@@ -120,31 +121,29 @@ def cmd_batch(args) -> int:
     _make_out_dir(args.out)
 
     work = [(path, cfg) for path in traces]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=args.jobs) as pool:
-            results = list(pool.map(_batch_worker, work))
-    else:
-        results = [_batch_worker(item) for item in work]
-
     failures = []
     written: dict[str, str] = {}   # sample_id -> trace it came from
-    for path, result, error in results:
-        if error is None:
-            sample_id, doc, _warnings = result
-            if sample_id in written:
-                error = (f"duplicate sample_id {sample_id!r}, already "
-                         f"written from {written[sample_id]}")
-            else:
-                try:
-                    with open(_report_path(args.out, sample_id), "w",
-                              encoding="utf-8") as fh:
-                        fh.write(doc)
-                    written[sample_id] = path
-                except (CliError, OSError) as exc:
-                    error = str(exc)
-        if error is not None:
-            failures.append((path, error))
+    # each report is written as its result arrives, in input order
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs)
+          if args.jobs > 1 else contextlib.nullcontext()) as pool:
+        results = ((_batch_worker(item) for item in work) if pool is None
+                   else pool.map(_batch_worker, work))
+        for path, result, error in results:
+            if error is None:
+                sample_id, doc, _warnings = result
+                if sample_id in written:
+                    error = (f"duplicate sample_id {sample_id!r}, already "
+                             f"written from {written[sample_id]}")
+                else:
+                    try:
+                        with open(_report_path(args.out, sample_id), "w",
+                                  encoding="utf-8") as fh:
+                            fh.write(doc)
+                        written[sample_id] = path
+                    except (CliError, OSError) as exc:
+                        error = str(exc)
+            if error is not None:
+                failures.append((path, error))
     print(f"batch: {len(written)} reports, {len(failures)} failures "
           f"(jobs={args.jobs})")
     for path, error in failures:

@@ -3,9 +3,11 @@
 Every one of the 53 catalog techniques has a recipe that emits a minimal
 well-formed trace exercising exactly that technique, from either red
 (sample-controlled) or benign (standard-library) code, padded with enough
-native filler calls to make the sample active. Negative twins reuse the
-positive events with only the provenance flipped, so red-area gating is
-the single variable under test.
+native filler calls to make the sample active. A recipe is built from the
+technique's catalog rule, with ``EXAMPLES`` giving the values the rule
+leaves open; six techniques keep a hand-written one. Negative twins reuse
+the positive events with only the provenance flipped, so red-area gating
+is the single variable under test.
 
 Output is deterministic: equal spec plus seed produces byte-identical
 traces, and a corpus build emits a manifest of expected per-sample
@@ -195,40 +197,109 @@ class TraceBuilder:
 # ---------------------------------------------------------------------------
 # per-technique recipes
 
-def _recipe_simple_api(name, args=(), ret=None, native=None):
-    def recipe(b: TraceBuilder, origin: int, technique: str):
-        b.api(name, args=args, ret=ret, origin=origin, native=native,
-              trigger=technique)
-    return recipe
+# What a rule leaves open about its proof of concept: an API's return value
+# and underived args, an insn's out_regs, a watched read's value (default 0).
+EXAMPLES = {
+    # Anti Debug
+    "IsDebuggerPresentAPI": dict(ret=vint(0)),
+    "CheckRemoteDebuggerPresentAPI": dict(args=(vint(0xFF),), ret=vint(0)),
+    "NSIT_ThreadHideFromDebugger": dict(ret=vint(0)),
+    "NQIP_ProcessDebugPort": dict(ret=vint(0)),
+    "NQIP_ProcessDebugObject": dict(ret=vint(0)),
+    "NQIP_ProcessDebugFlag": dict(ret=vint(1)),
+    "CanOpenCsrss": dict(args=(vstr("csrss.exe"),), ret=vint(0)),
+    "MemoryBreakpoints_PageGuard": dict(args=(vaddr(0x6000),), ret=vint(0)),
+    "HardwareBreakpoints": dict(ret=vint(0)),
+    "NQSI_SystemKernelDebuggerInformation": dict(ret=vint(0)),
+    "HeapFlags": dict(value=0x2),
+    "VirtualAlloc_WriteWatch": dict(args=(vlen(0x1000),), ret=vaddr(0x20000)),
+    "NQO_ObjectTypeInformation": dict(ret=vint(0)),
+    "NQO_ObjectAllTypesInformation": dict(ret=vint(0)),
+    "GetTickCount": dict(ret=vint(123_456)),
+
+    # VM Checks
+    "reg_keys": dict(args=(vstr("HARDWARE\\ACPI\\DSDT\\VBOX__"),),
+                     ret=vint(0)),
+    "reg_key_value": dict(args=(vstr("SystemBiosVersion"), vstr("VBOX")),
+                          ret=vint(0)),
+    "ldt_trick": dict(out_regs=(("val", 0),)),
+    "idt_trick": dict(out_regs=(("val", 0xFFFF0000),)),
+    "gdt_trick": dict(out_regs=(("val", 0xFFFF1000),)),
+    "str_trick": dict(out_regs=(("val", 0x28),)),
+    "vm_check_mac": dict(ret=vstr("08-00-27-11-22-33")),
+    "Firmware_RSMB": dict(ret=vlen(1024)),
+    "Firmware_ACPI": dict(ret=vlen(512)),
+    "Device_Artifacts": dict(args=(vstr("\\\\.\\VBoxMiniRdrDN"),),
+                             ret=vint(-1)),
+    "cpuid_hypervisor_vendor": dict(out_regs=(
+        ("ebx", 0x4B4D564B), ("ecx", 0x564B4D56), ("edx", 0x4D))),
+    "cpuid_is_hypervisor": dict(out_regs=(
+        ("ebx", 0x800), ("ecx", 0x80000000), ("edx", 0x1F8BFBFF))),
+    "mouse_movement": dict(ret=vstr("x=512,y=384")),
+    "filesystem_artifacts": dict(
+        args=(vstr("C:\\Windows\\System32\\drivers\\VBoxMouse.sys"),),
+        ret=vint(-1)),
+    "setupdi_diskdrive": dict(args=(vint(1),), ret=vstr("VBOX HARDDISK")),
+    "manufacturer_computer_system_wmi": dict(ret=vstr("innotek GmbH")),
+    "model_computer_system_wmi": dict(ret=vstr("VirtualBox")),
+    "vbox_mac_wmi": dict(ret=vstr("08:00:27:AA:BB:CC")),
+    "process_id_processor_wmi": dict(ret=vstr("178BFBFF")),
+    "serial_number_bios_wmi": dict(ret=vstr("0")),
+
+    # Resource Profiling
+    "process_enum": dict(ret=vstr("pin.exe")),
+    "memory_space": dict(ret=vint(2 * 1024 ** 3)),
+    "disk_size_getdiskfreespace": dict(args=(vstr("C:/"),),
+                                       ret=vint(40 * 1024 ** 3)),
+    "dizk_size_deviceiocontrol": dict(
+        args=(vstr("IOCTL_DISK_GET_LENGTH_INFO"),), ret=vint(40 * 1024 ** 3)),
+    "disk_size_wmi": dict(ret=vint(40 * 1024 ** 3)),
+
+    # Anti Instrumentation
+    "Check_EIP": dict(out_regs=(("eip", 0x7A001234),)),
+}
+
+# qualified name -> (address, width) of every field the preamble declares
+_WATCHED = {name: (address, width)
+            for layout in (PEB_LAYOUT, SHARED_USER_DATA_LAYOUT)
+            for name, address, width in layout.field_addresses()}
 
 
-def _recipe_insn(mnemonic, in_regs=(), out_regs=()):
-    def recipe(b: TraceBuilder, origin: int, technique: str):
-        b.insn(mnemonic, origin=origin, in_regs=in_regs, out_regs=out_regs,
-               trigger=technique)
-    return recipe
-
-
-def _recipe_peb_read(offset, size, value=0):
-    def recipe(b: TraceBuilder, origin: int, technique: str):
-        b.mem_read(PEB_BASE + offset, size, value, origin=origin,
-                   trigger=technique)
-    return recipe
+def _recipe_from_rule(rule: catalog.TechniqueRule):
+    """A rule's trigger as a recipe: its first API name, called with the
+    EXAMPLES args plus its ``token`` or a ``SELECT <first field> FROM
+    <class>`` query; its mnemonic, with its ``eax`` leaf; or a read of
+    its first watched field."""
+    example = EXAMPLES.get(rule.id, {})
+    if rule.trigger_kind == "watch":
+        address, width = _WATCHED[rule.watch_fields[0]]
+        return lambda b, origin, technique: b.mem_read(
+            address, width, example.get("value", 0), origin=origin,
+            trigger=technique)
+    if rule.trigger_kind == "insn":
+        in_regs = () if rule.eax is None else (("eax", rule.eax),)
+        return lambda b, origin, technique: b.insn(
+            rule.mnemonic, origin=origin, in_regs=in_regs,
+            out_regs=example.get("out_regs", ()), trigger=technique)
+    args = example.get("args", ())
+    if rule.token is not None:
+        args += (vstr(rule.token),)
+    elif rule.wmi is not None:
+        klass, fields = rule.wmi
+        args += (vstr(f"SELECT {fields[0]} FROM {klass}"),)
+    return lambda b, origin, technique: b.api(
+        rule.api_names[0], args=args, ret=example.get("ret"), origin=origin,
+        trigger=technique)
 
 
 def _recipe_number_of_processors(b: TraceBuilder, origin: int, technique: str):
     # the publishing call itself comes from library code; only the field
     # read carries the probe's provenance
     b.api("GetSystemInfo", args=(vaddr(SYSTEM_INFO_ADDR),), ret=vint(0),
-          origin=BENIGN_CODE, native=False,
+          origin=BENIGN_CODE,
           out_structs=(FieldRef("SYSTEM_INFO", "dwNumberOfProcessors",
                                 SYSTEM_INFO_ADDR, 4),))
     b.mem_read(SYSTEM_INFO_ADDR, 4, 1, origin=origin, trigger=technique)
-
-
-def _recipe_shared_user_data(b: TraceBuilder, origin: int, technique: str):
-    b.mem_read(SHARED_USER_DATA_BASE + 0x2C4, 1, 0, origin=origin,
-               trigger=technique)
 
 
 def _recipe_erase_pe_header(b: TraceBuilder, origin: int, technique: str):
@@ -259,139 +330,20 @@ def _recipe_injection(b: TraceBuilder, origin: int, technique: str):
           origin=origin, target_pid=VICTIM_PID, trigger=technique)
 
 
-RECIPES = {
-    # Anti Debug
-    "IsDebuggerPresentAPI": _recipe_simple_api(
-        "IsDebuggerPresent", ret=vint(0), native=False),
-    "IsDebuggerPresentPEB": _recipe_peb_read(0x2, 1),
-    "CheckRemoteDebuggerPresentAPI": _recipe_simple_api(
-        "CheckRemoteDebuggerPresent", args=(vint(0xFF),), ret=vint(0),
-        native=False),
-    "NSIT_ThreadHideFromDebugger": _recipe_simple_api(
-        "NtSetInformationThread", args=(vstr("ThreadHideFromDebugger"),),
-        ret=vint(0)),
-    "NtGlobalFlag": _recipe_peb_read(0x68, 4),
-    "NQIP_ProcessDebugPort": _recipe_simple_api(
-        "NtQueryInformationProcess", args=(vstr("ProcessDebugPort"),),
-        ret=vint(0)),
-    "NQIP_ProcessDebugObject": _recipe_simple_api(
-        "NtQueryInformationProcess", args=(vstr("ProcessDebugObject"),),
-        ret=vint(0)),
-    "NQIP_ProcessDebugFlag": _recipe_simple_api(
-        "NtQueryInformationProcess", args=(vstr("ProcessDebugFlag"),),
-        ret=vint(1)),
-    "CanOpenCsrss": _recipe_simple_api(
-        "NtOpenProcess", args=(vstr("csrss.exe"),), ret=vint(0)),
-    "MemoryBreakpoints_PageGuard": _recipe_simple_api(
-        "page_guard_access", args=(vaddr(0x6000),), ret=vint(0),
-        native=False),
-    "Interrupt_0x2d": _recipe_insn("int2d"),
-    "Interrupt_3": _recipe_insn("int3"),
-    "HardwareBreakpoints": _recipe_simple_api(
-        "GetThreadContext", args=(vstr("CONTEXT_DEBUG_REGISTERS"),),
-        ret=vint(0), native=False),
-    "NQSI_SystemKernelDebuggerInformation": _recipe_simple_api(
-        "NtQuerySystemInformation",
-        args=(vstr("SystemKernelDebuggerInformation"),), ret=vint(0)),
-    "HeapFlags": _recipe_peb_read(0x100, 4, value=0x2),
-    "HeapForceFlags": _recipe_peb_read(0x104, 4),
-    "SharedUserData_KernelDebugger": _recipe_shared_user_data,
-    "VirtualAlloc_WriteWatch": _recipe_simple_api(
-        "VirtualAlloc", args=(vlen(0x1000), vstr("MEM_WRITE_WATCH")),
-        ret=vaddr(0x20000), native=False),
-    "NQO_ObjectTypeInformation": _recipe_simple_api(
-        "NtQueryObject", args=(vstr("ObjectTypeInformation"),), ret=vint(0)),
-    "NQO_ObjectAllTypesInformation": _recipe_simple_api(
-        "NtQueryObject", args=(vstr("ObjectAllTypesInformation"),),
-        ret=vint(0)),
-    "GetTickCount": _recipe_simple_api(
-        "GetTickCount", ret=vint(123_456), native=False),
-
-    # VM Checks
-    "reg_keys": _recipe_simple_api(
-        "RegOpenKeyEx", args=(vstr("HARDWARE\\ACPI\\DSDT\\VBOX__"),),
-        ret=vint(0), native=False),
-    "reg_key_value": _recipe_simple_api(
-        "RegQueryValueEx", args=(vstr("SystemBiosVersion"), vstr("VBOX")),
-        ret=vint(0), native=False),
-    "ldt_trick": _recipe_insn("sldt", out_regs=(("val", 0),)),
-    "idt_trick": _recipe_insn("sidt", out_regs=(("val", 0xFFFF0000),)),
-    "gdt_trick": _recipe_insn("sgdt", out_regs=(("val", 0xFFFF1000),)),
-    "str_trick": _recipe_insn("str", out_regs=(("val", 0x28),)),
-    "vm_check_mac": _recipe_simple_api(
-        "GetAdaptersInfo", ret=vstr("08-00-27-11-22-33"), native=False),
-    "Firmware_RSMB": _recipe_simple_api(
-        "GetSystemFirmwareTable", args=(vstr("RSMB"),), ret=vlen(1024),
-        native=False),
-    "Firmware_ACPI": _recipe_simple_api(
-        "GetSystemFirmwareTable", args=(vstr("ACPI"),), ret=vlen(512),
-        native=False),
-    "Device_Artifacts": _recipe_simple_api(
-        "CreateFile", args=(vstr("\\\\.\\VBoxMiniRdrDN"),), ret=vint(-1),
-        native=False),
-    "cpuid_hypervisor_vendor": _recipe_insn(
-        "cpuid", in_regs=(("eax", 0x40000000),),
-        out_regs=(("ebx", 0x4B4D564B), ("ecx", 0x564B4D56), ("edx", 0x4D))),
-    "cpuid_is_hypervisor": _recipe_insn(
-        "cpuid", in_regs=(("eax", 1),),
-        out_regs=(("ebx", 0x800), ("ecx", 0x80000000), ("edx", 0x1F8BFBFF))),
-    "mouse_movement": _recipe_simple_api(
-        "GetCursorPos", ret=vstr("x=512,y=384"), native=False),
-    "filesystem_artifacts": _recipe_simple_api(
-        "FindFirstFile",
-        args=(vstr("C:\\Windows\\System32\\drivers\\VBoxMouse.sys"),),
-        ret=vint(-1), native=False),
-    "setupdi_diskdrive": _recipe_simple_api(
-        "SetupDiGetDeviceRegistryPropertyW", args=(vint(1),),
-        ret=vstr("VBOX HARDDISK"), native=False),
-    "manufacturer_computer_system_wmi": _recipe_simple_api(
-        "wmi_query", args=(vstr("SELECT Manufacturer FROM Win32_ComputerSystem"),),
-        ret=vstr("innotek GmbH"), native=False),
-    "model_computer_system_wmi": _recipe_simple_api(
-        "wmi_query", args=(vstr("SELECT Model FROM Win32_ComputerSystem"),),
-        ret=vstr("VirtualBox"), native=False),
-    "vbox_mac_wmi": _recipe_simple_api(
-        "wmi_query", args=(vstr("SELECT MACAddress FROM Win32_NetworkAdapter"),),
-        ret=vstr("08:00:27:AA:BB:CC"), native=False),
-    "process_id_processor_wmi": _recipe_simple_api(
-        "wmi_query", args=(vstr("SELECT ProcessorId FROM Win32_Processor"),),
-        ret=vstr("178BFBFF"), native=False),
-    "serial_number_bios_wmi": _recipe_simple_api(
-        "wmi_query", args=(vstr("SELECT SerialNumber FROM Win32_BIOS"),),
-        ret=vstr("0"), native=False),
-
-    # Resource Profiling
-    "process_enum": _recipe_simple_api(
-        "Process32Next", ret=vstr("pin.exe"), native=False),
-    "memory_space": _recipe_simple_api(
-        "GlobalMemoryStatusEx", ret=vint(2 * 1024 ** 3), native=False),
-    "disk_size_getdiskfreespace": _recipe_simple_api(
-        "GetDiskFreeSpaceExW", args=(vstr("C:/"),), ret=vint(40 * 1024 ** 3),
-        native=False),
-    "dizk_size_deviceiocontrol": _recipe_simple_api(
-        "DeviceIoControl", args=(vstr("IOCTL_DISK_GET_LENGTH_INFO"),),
-        ret=vint(40 * 1024 ** 3), native=False),
-    "disk_size_wmi": _recipe_simple_api(
-        "wmi_query", args=(vstr("SELECT Size FROM Win32_DiskDrive"),),
-        ret=vint(40 * 1024 ** 3), native=False),
+# the techniques whose trace the rule alone does not describe
+_HAND_WRITTEN = {
     "NumberOfProcessors": _recipe_number_of_processors,
-
-    # Timing Attacks
     "time_stalling": _recipe_time_stalling,
     "RDTSC": _recipe_rdtsc,
-
-    # Anti Dump
     "ErasePEHeader": _recipe_erase_pe_header,
     "SizeOfImage": _recipe_size_of_image,
-
-    # Code Injection
     "Shellcode_injected": _recipe_injection,
-
-    # Anti Instrumentation
-    "Check_EIP": _recipe_insn("fpu_eip_leak", out_regs=(("eip", 0x7A001234),)),
 }
 
-assert set(RECIPES) == set(catalog.KNOWN_TECHNIQUES)
+RECIPES = {r.id: _HAND_WRITTEN.get(r.id) or _recipe_from_rule(r)
+           for r in catalog.RULES}
+
+assert set(EXAMPLES) <= set(RECIPES) - set(_HAND_WRITTEN)
 
 
 class GenError(Exception):
@@ -524,9 +476,7 @@ def build_locky_loop(b: TraceBuilder, iterations: int = LOCKY_ITERATIONS) -> Non
 
 def build_injection_scenario(b: TraceBuilder) -> None:
     """Inject into another process, then run evasion from injected code."""
-    b.api("NtWriteVirtualMemory",
-          args=(vaddr(INJECT_ADDR), vlen(INJECT_LEN)), ret=vint(0),
-          target_pid=VICTIM_PID, trigger="Shellcode_injected")
+    _recipe_injection(b, RED_CODE, "Shellcode_injected")
     b.api("NtCreateThreadEx", args=(vaddr(INJECT_ADDR),), ret=vint(0),
           target_pid=VICTIM_PID, trigger="Shellcode_injected")
     b.emit("thread_start", ThreadStartPayload(parent_tid=MAIN_TID),

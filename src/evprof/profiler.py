@@ -68,8 +68,10 @@ class SampleReport:
         """Decode a report; a missing required key raises KeyError.
 
         A value whose JSON type does not match its field, a technique id
-        the catalog does not know, an evasive report without positions, or
-        a detection position outside [0, 100] raises ValueError.
+        the catalog does not know or listed twice, a techniques_count other
+        than the size of technique_set, an evasive report without
+        positions, or a detection position outside [0, 100] raises
+        ValueError.
         """
         doc = json.loads(text)
         if not isinstance(doc, dict):
@@ -90,6 +92,11 @@ class SampleReport:
         if not catalog.KNOWN_TECHNIQUES.issuperset(techniques):
             raise ValueError(f"unknown technique in technique_set "
                              f"{techniques!r}")
+        if len(set(techniques)) != len(techniques):
+            raise ValueError(f"technique_set {techniques!r} repeats an id")
+        if kwargs["techniques_count"] != len(techniques):
+            raise ValueError(f"techniques_count {kwargs['techniques_count']} "
+                             f"is not the size of technique_set")
         if kwargs["evasive"] and not (_is_pos(kwargs["first_pos"])
                                       and _is_pos(kwargs["last_pos"])):
             raise ValueError("evasive report without first_pos and last_pos "

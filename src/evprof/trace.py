@@ -19,6 +19,8 @@ Composite value syntaxes:
 * published fields (``out_structs``): ``NAME.field@0x<addr>:<width>``
   joined with ``;``.
 
+A field width lies in 0..``MAX_FIELD_WIDTH``.
+
 Addresses are abstract 64-bit unsigned integers; all structure knowledge a
 consumer needs flows through the layout declarations.
 """
@@ -39,6 +41,9 @@ INSN_MNEMONICS = frozenset({
 })
 
 MEM_ACCESS_SIZES = frozenset({1, 2, 4, 8})
+
+# widest declared field: a watchpoint lookup scans back this far
+MAX_FIELD_WIDTH = 64
 
 META_LABEL_KEYS = ("dataset", "family", "year", "packer", "protector")
 
@@ -157,6 +162,13 @@ def vlen(n: int) -> Value:
     return Value("l", n)
 
 
+def _width(text: str) -> int:
+    width = int(text)
+    if not 0 <= width <= MAX_FIELD_WIDTH:
+        raise TraceError(f"field width {width} outside 0..{MAX_FIELD_WIDTH}")
+    return width
+
+
 @dataclass(frozen=True)
 class StructLayout:
     """Declared instance of a structure: base address plus field offsets."""
@@ -189,7 +201,8 @@ class StructLayout:
                 for part in inner.split(","):
                     fname, rest = part.rsplit("+", 1)
                     off, width = rest.split(":", 1)
-                    fields.append((decode_text(fname), int(off, 0), int(width)))
+                    fields.append((decode_text(fname), int(off, 0),
+                                   _width(width)))
             return StructLayout(decode_text(name), int(base, 0), tuple(fields))
         except ValueError:
             raise TraceError(f"bad struct layout {text!r}")
@@ -221,7 +234,7 @@ class FieldRef:
             addr, width = rest.split(":", 1)
             struct, fld = name.split(".", 1)
             return FieldRef(decode_text(struct), decode_text(fld),
-                            int(addr, 0), int(width))
+                            int(addr, 0), _width(width))
         except ValueError:
             raise TraceError(f"bad out_struct field {text!r}")
 

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from evprof import cli
 from evprof.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from evprof.generate import roundtrip_specs, write_corpus
 from evprof.profiler import SampleReport
@@ -460,6 +461,8 @@ def test_gen_bad_spec_value_is_a_data_error_with_line(tmp_path, capsys,
 
 @pytest.mark.parametrize("key, value", [
     ("technique_set", ["NotATechnique"]),
+    ("technique_set", ["RDTSC", "RDTSC"]),
+    ("techniques_count", 2),
     ("detections", [1]),
     ("started", "yes"),
     ("first_pos", None),
@@ -481,6 +484,21 @@ def test_aggregate_report_with_bad_content_is_a_data_error(
     err = capsys.readouterr().err
     assert f"{path}: bad report: " in err
     assert "internal error" not in err
+
+
+def test_batch_writes_each_report_before_profiling_the_next(
+        corpus_dir, tmp_path, monkeypatch):
+    reports = tmp_path / "reports"
+    profile = cli._profile_file
+    written_before = []
+
+    def spy(path, cfg):
+        written_before.append(len(os.listdir(reports)))
+        return profile(path, cfg)
+
+    monkeypatch.setattr(cli, "_profile_file", spy)
+    assert main(["batch", str(corpus_dir), "--out", str(reports)]) == EXIT_OK
+    assert written_before == list(range(len(os.listdir(reports))))
 
 
 def test_analyze_out_in_a_missing_directory_is_a_data_error(

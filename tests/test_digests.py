@@ -1,4 +1,4 @@
-"""Golden digests: reports and summary.json of the built-in suites.
+"""Golden digests: generated inputs, reports and summaries, the catalog.
 
 Each suite goes through the public CLI (``gen --suite``, ``batch --jobs 1``,
 ``aggregate``), and the sha256 of every report file and of ``summary.json``
@@ -17,7 +17,10 @@ with
 and says why in its change notes.
 """
 
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import os
 import sys
@@ -25,6 +28,10 @@ import sys
 import pytest
 
 from evprof.cli import EXIT_OK, main
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench"))
+import workloads  # noqa: E402
 
 SUITES = ("roundtrip", "corpus60", "scenarios")
 # golden key prefix -> extra ``batch`` arguments; the default config keeps
@@ -44,6 +51,40 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 def sha256_of(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def dir_digests(path):
+    return {name: sha256_of(os.path.join(path, name))
+            for name in sorted(os.listdir(path))}
+
+
+def gen_digests(suite, work):
+    assert main(["gen", "--suite", suite, "--out", work]) == EXIT_OK
+    return dir_digests(work)
+
+
+def workload_digests(workload, work):
+    workloads.WRITERS[workload](work, 1, workloads.Sizes().scaled(0.1))
+    return dir_digests(work)
+
+
+def catalog_digests(fmt, work):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["catalog", "--format", fmt]) == EXIT_OK
+    return {name: hashlib.sha256(text.getvalue().encode()).hexdigest()
+            for name, text in (("stdout", out), ("stderr", err))}
+
+
+# golden key -> function of a scratch directory giving name -> sha256
+INPUTS = {
+    **{"gen/" + suite: functools.partial(gen_digests, suite)
+       for suite in SUITES},
+    **{"workload/" + name: functools.partial(workload_digests, name)
+       for name in workloads.WRITERS},
+    **{"catalog/" + fmt: functools.partial(catalog_digests, fmt)
+       for fmt in ("text", "csv")},
+}
 
 
 def suite_digests(suite, work, batch_args=()):
@@ -81,13 +122,25 @@ def test_suite_outputs_are_byte_identical(prefix, suite, golden, tmp_path):
     assert changed == []
 
 
+@pytest.mark.parametrize("key", sorted(INPUTS))
+def test_generated_inputs_are_byte_identical(key, golden, tmp_path):
+    actual = INPUTS[key](str(tmp_path))
+    expected = golden[key]
+    assert sorted(actual) == sorted(expected)
+    changed = sorted(name for name in expected if actual[name] != expected[name])
+    assert changed == []
+
+
 if __name__ == "__main__":
-    import contextlib
     import tempfile
     out = {}
     for prefix, suite in CASES:
         with tempfile.TemporaryDirectory() as work, \
                 contextlib.redirect_stdout(sys.stderr):
             out[prefix + suite] = suite_digests(suite, work, CONFIGS[prefix])
+    for key, digests in INPUTS.items():
+        with tempfile.TemporaryDirectory() as work, \
+                contextlib.redirect_stdout(sys.stderr):
+            out[key] = digests(work)
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

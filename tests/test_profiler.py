@@ -402,6 +402,20 @@ def test_report_with_an_unknown_technique_or_a_bad_detection_is_rejected(
         SampleReport.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("technique_set, techniques_count", [
+    (["IsDebuggerPresentAPI", "IsDebuggerPresentAPI"], 2),
+    (["IsDebuggerPresentAPI"], 2),
+    (["IsDebuggerPresentAPI"], 0),
+])
+def test_report_technique_set_must_hold_techniques_count_distinct_ids(
+        technique_set, techniques_count):
+    import json
+    doc = detected_report_doc()
+    doc.update(technique_set=technique_set, techniques_count=techniques_count)
+    with pytest.raises(ValueError):
+        SampleReport.from_json(json.dumps(doc))
+
+
 @pytest.mark.parametrize("key", REPORT_KEYS)
 def test_report_value_of_the_wrong_json_type_is_rejected(key):
     import json

@@ -1,17 +1,24 @@
 """Trace parsing, serialization, and validation."""
 
+import functools
+import time
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from evprof.trace import (
-    INSN_MNEMONICS, META_LABEL_KEYS, REGION_KINDS, REQUIRED, SCHEMA,
-    ApiPayload, FieldRef, ImageLoadPayload, InsnPayload, MemPayload,
-    MetaPayload, ProcessStartPayload, RegionAllocPayload, RegionFreePayload,
-    StructLayout, ThreadStartPayload, TraceError, TraceEvent, Value,
-    decode_text, encode_text, parse_trace, serialize_event, serialize_trace,
-    validate_trace,
+    INSN_MNEMONICS, MAX_FIELD_WIDTH, META_LABEL_KEYS, REGION_KINDS,
+    REQUIRED, SCHEMA, ApiPayload, FieldRef, ImageLoadPayload, InsnPayload,
+    MemPayload, MetaPayload, ProcessStartPayload, RegionAllocPayload,
+    RegionFreePayload, StructLayout, ThreadStartPayload, TraceError,
+    TraceEvent, Value, decode_text, encode_text, parse_trace,
+    serialize_event, serialize_trace, validate_trace,
 )
-from evprof.generate import GenSpec, TechniqueSpec, build_sample
+from evprof.config import RunConfig
+from evprof.generate import (
+    GenSpec, TechniqueSpec, build_sample, corpus60_specs, gen_corpus,
+)
+from evprof.profiler import run_sample
 
 from helpers import T
 
@@ -185,6 +192,57 @@ def test_record_decoder_errors_carry_the_line_number(line):
     with pytest.raises(TraceError) as exc:
         parse_trace(text)
     assert exc.value.line == 2
+
+
+FIELD_LINES = (
+    "kind=image_load name=a.dll base=0x9000 size=0x10 "
+    "region_kind=custom_library structs=S@0x10(x+0x0:{width})",
+    "kind=api name=A return_address=0x1 native=0 "
+    "out_structs=S.x@0x10:{width}",
+)
+
+
+@pytest.mark.parametrize("width", [-1, 65, 2 ** 40])
+@pytest.mark.parametrize("line", FIELD_LINES)
+def test_field_width_outside_0_to_64_is_rejected_with_its_line(line, width):
+    text = ("seq=0 pid=1 tid=1 insn_index=0 kind=meta sample_id=m\n"
+            f"seq=1 pid=1 tid=1 insn_index=1 {line.format(width=width)}\n")
+    with pytest.raises(TraceError, match="field width") as exc:
+        parse_trace(text)
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("width", [0, MAX_FIELD_WIDTH])
+@pytest.mark.parametrize("line", FIELD_LINES)
+def test_field_widths_at_the_bounds_parse(line, width):
+    parse_trace("seq=0 pid=1 tid=1 insn_index=0 kind=meta sample_id=m\n"
+                f"seq=1 pid=1 tid=1 insn_index=1 {line.format(width=width)}\n")
+
+
+def widest_field_trace(n):
+    """One field of the widest width, n 4-byte fields after it, n reads."""
+    fields = (("wide", 0, MAX_FIELD_WIDTH),) + tuple(
+        (f"f{i}", MAX_FIELD_WIDTH + 8 * i, 4) for i in range(n))
+    t = T(structs=(StructLayout("S", 0x100000, fields),)).images()
+    for i in range(n):
+        t.read(0x100000 + MAX_FIELD_WIDTH + 8 * (i * 7919 % n))
+    return serialize_trace(t.events)
+
+
+def test_profile_time_is_linear_in_reads_at_the_widest_field():
+    def best_time(text):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            run_sample(parse_trace(text))
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    n = 2000
+    small, large = widest_field_trace(n), widest_field_trace(4 * n)
+    # linear is 4; a field wide enough to span all the others makes each
+    # read scan every field, and the ratio 16
+    assert best_time(large) / best_time(small) < 8
 
 
 def test_string_arg_with_separators_survives():
@@ -447,3 +505,42 @@ def test_parse_preserves_event_and_kind_counts(filler, seed):
             counts[e.kind] = counts.get(e.kind, 0) + 1
         return counts
     assert kinds(parsed) == kinds(sample.events)
+
+
+# -- mutated corpus lines ----------------------------------------------------
+
+@functools.cache
+def corpus60_lines():
+    samples, _ = gen_corpus(corpus60_specs())
+    return [sample.text.splitlines() for _, sample in sorted(samples.items())]
+
+
+MUTANT_CHARS = st.sampled_from("0123456789abcdefxX =:,;@()+.%-_\\/*sidé")
+
+
+@st.composite
+def mutated_traces(draw):
+    """A corpus60 trace with characters of a few of its lines replaced,
+    inserted or deleted."""
+    lines = list(draw(st.sampled_from(corpus60_lines())))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(line)))
+            op = draw(st.sampled_from(("replace", "insert", "delete")))
+            ch = draw(MUTANT_CHARS) if op != "delete" else ""
+            skip = 0 if op == "insert" else 1
+            line = line[:at] + ch + line[at + skip:]
+        lines[i] = line
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=mutated_traces())
+def test_mutated_corpus_lines_fail_only_as_trace_errors(text):
+    try:
+        events = parse_trace(text)
+    except TraceError:
+        return
+    run_sample(events, RunConfig(), validate_trace(events)).to_json()
