@@ -2,15 +2,19 @@
 
 All percentages are computed over the number of started samples of the
 relevant group. Aggregation is a pure fold with an associative merge, so
-report sets can be combined in any order or in parallel: every counter is
-an integer until finalization and variance uses the exact integer identity
-n*var = (n*sumsq - sum^2) / n, which makes results independent of merge
-order.
+report sets can be combined in any order or in parallel: the fold state
+holds only counts (ints and ``Counter``s), each stored once, and two
+partial states merge by adding them. Everything else is derived at
+finalization. The mean, population standard deviation and maximum of the
+number of techniques come from a histogram of that number, the variance
+through the exact integer identity n*var = (n*sumsq - sum^2) / n, which
+makes results independent of merge order.
 
 The evasive footprint of a family is the intersection of the technique
-sets of its evasive samples; families without any evasive sample are
-omitted. Intersecting over non-evasive (empty-set) samples would force
-every footprint empty, so they do not participate.
+sets of its evasive samples: the techniques whose per-family count equals
+the family's number of evasive samples. Families without any evasive
+sample are omitted. Intersecting over non-evasive (empty-set) samples
+would force every footprint empty, so they do not participate.
 """
 
 from __future__ import annotations
@@ -73,79 +77,48 @@ def apply_labels(reports: list[SampleReport],
 # accumulator
 
 @dataclass
-class _IntStats:
-    n: int = 0
-    total: int = 0
-    total_sq: int = 0
-    max: int | None = None
-
-    def add(self, value: int) -> None:
-        self.n += 1
-        self.total += value
-        self.total_sq += value * value
-        self.max = value if self.max is None else max(self.max, value)
-
-    def merge(self, other: "_IntStats") -> None:
-        self.n += other.n
-        self.total += other.total
-        self.total_sq += other.total_sq
-        if other.max is not None:
-            self.max = other.max if self.max is None else max(self.max, other.max)
-
-    def mean(self) -> float | None:
-        return self.total / self.n if self.n else None
-
-    def pstd(self) -> float | None:
-        if not self.n:
-            return None
-        return math.sqrt(self.n * self.total_sq - self.total * self.total) / self.n
-
-
-@dataclass
 class _GroupCounters:
     total: int = 0
     started: int = 0
     active: int = 0
-    evasive: int = 0
     active_and_evasive: int = 0
     internet: int = 0
     child_process: int = 0
-    evasive_techniques: _IntStats = field(default_factory=_IntStats)
+    # techniques_count -> evasive samples; its total is the evasive count
+    evasive_techniques: Counter[int] = field(default_factory=Counter)
     category_samples: Counter[str] = field(default_factory=Counter)
     packed: int = 0
     packed_evasive: int = 0
     packed_categories: Counter[str] = field(default_factory=Counter)
     protected: int = 0
-    protected_evasive: int = 0
-    protected_techniques: _IntStats = field(default_factory=_IntStats)
-
-    def merge(self, other: "_GroupCounters") -> None:
-        for name, theirs in vars(other).items():
-            setattr(self, name, _merge(getattr(self, name), theirs))
-
-
-@dataclass
-class _Footprint:
-    techniques: set[str]
-    evasive_samples: int
-
-    def merge(self, other: "_Footprint") -> None:
-        self.techniques &= other.techniques
-        self.evasive_samples += other.evasive_samples
+    # techniques_count -> evasive protected samples
+    protected_techniques: Counter[int] = field(default_factory=Counter)
 
 
 def _merge(mine, theirs):
     """Fold two partial values of one fold-state field: ints add, dicts
-    merge per key (a key only in ``theirs`` is taken as it is), and anything
-    else folds through its own ``merge``."""
+    merge per key (a key only in ``theirs`` is taken as it is), and an
+    object merges field by field."""
     if isinstance(mine, int):
         return mine + theirs
     if isinstance(mine, dict):
         for key, value in theirs.items():
             mine[key] = _merge(mine[key], value) if key in mine else value
         return mine
-    mine.merge(theirs)
+    for name, value in vars(theirs).items():
+        setattr(mine, name, _merge(getattr(mine, name), value))
     return mine
+
+
+def _moments(hist: Counter[int]):
+    """(mean, population std, max) of the values a histogram counts."""
+    n = sum(hist.values())
+    if not n:
+        return None, None, None
+    total = sum(k * v for k, v in hist.items())
+    total_sq = sum(k * k * v for k, v in hist.items())
+    return (total / n, math.sqrt(n * total_sq - total * total) / n,
+            max(hist))
 
 
 def _pct(count: int, denom: int) -> float | None:
@@ -160,18 +133,16 @@ class CorpusAccumulator:
             raise AggregateError(f"unsupported group_by {group_by!r}")
         self.group_by = group_by
         self.groups: dict[str, _GroupCounters] = {}
-        self.started_total = 0
         self.technique_samples: Counter[str] = Counter()
         self.first_hist: Counter[int] = Counter()
         self.last_hist: Counter[int] = Counter()
         self.diff_hist: Counter[int] = Counter()
         self.slot_first_category: dict[str, Counter[str]] = {
             s: Counter() for s in TIMELINE_SLOTS}
-        self.multi_category_total = 0
+        # first category of each sample with two or more categories
         self.first_category_counts: Counter[str] = Counter()
-        self.non_antidebug_total = 0
-        self.non_antidebug_first: Counter[str] = Counter()
-        self.footprints: dict[str, _Footprint] = {}
+        self.family_evasive: Counter[str] = Counter()
+        self.family_techniques: dict[str, Counter[str]] = {}
 
     def add(self, report: SampleReport) -> None:
         key = report.labels.get(self.group_by, "") or "unlabeled"
@@ -182,14 +153,12 @@ class CorpusAccumulator:
         if not report.started:
             return
         group.started += 1
-        self.started_total += 1
         if report.active:
             group.active += 1
         if report.evasive:
-            group.evasive += 1
             if report.active:
                 group.active_and_evasive += 1
-            group.evasive_techniques.add(report.techniques_count)
+            group.evasive_techniques[report.techniques_count] += 1
         if report.internet:
             group.internet += 1
         if report.child_process:
@@ -213,20 +182,18 @@ class CorpusAccumulator:
         if protector:
             group.protected += 1
             if report.evasive:
-                group.protected_evasive += 1
-                group.protected_techniques.add(report.techniques_count)
+                group.protected_techniques[report.techniques_count] += 1
 
         if report.evasive:
             self._add_timeline(report)
-            self._add_order(report)
+            cats = report.categories_in_order
+            if len(cats) >= 2:
+                self.first_category_counts[cats[0]] += 1
             family = report.labels.get("family", "")
             if family:
-                fp = self.footprints.get(family)
-                techniques = set(report.technique_set)
-                if fp is None:
-                    self.footprints[family] = _Footprint(techniques, 1)
-                else:
-                    fp.merge(_Footprint(techniques, 1))
+                self.family_evasive[family] += 1
+                self.family_techniques.setdefault(family, Counter()).update(
+                    report.technique_set)
 
     def _add_timeline(self, report: SampleReport) -> None:
         first = report.first_pos
@@ -245,17 +212,6 @@ class CorpusAccumulator:
                 continue
             seen_slots.add(slot)
             self.slot_first_category[slot][d.category] += 1
-
-    def _add_order(self, report: SampleReport) -> None:
-        cats = report.categories_in_order
-        if len(cats) < 2:
-            return
-        self.multi_category_total += 1
-        first = cats[0]
-        self.first_category_counts[first] += 1
-        if first != catalog.CAT_ANTI_DEBUG:
-            self.non_antidebug_total += 1
-            self.non_antidebug_first[first] += 1
 
     def merge(self, other: "CorpusAccumulator") -> None:
         if other.group_by != self.group_by:
@@ -297,14 +253,14 @@ class CorpusAggregate:
             if g.started == 0:
                 self.diagnostics.append(
                     f"group {key!r}: no started samples, percentages undefined")
+            avg, std, most = _moments(g.evasive_techniques)
             self.groups[key] = GroupStats(
                 group=key, total=g.total, started=g.started,
                 active_pct=_pct(g.active, g.started),
-                evasive_pct=_pct(g.evasive, g.started),
+                evasive_pct=_pct(sum(g.evasive_techniques.values()),
+                                 g.started),
                 active_and_evasive_pct=_pct(g.active_and_evasive, g.started),
-                avg_techniques=g.evasive_techniques.mean(),
-                std_techniques=g.evasive_techniques.pstd(),
-                max_techniques=g.evasive_techniques.max,
+                avg_techniques=avg, std_techniques=std, max_techniques=most,
                 internet_pct=_pct(g.internet, g.started),
                 child_process_pct=_pct(g.child_process, g.started),
             )
@@ -315,7 +271,7 @@ class CorpusAggregate:
                           ) -> list[tuple[str, float]]:
         """Techniques by share of started samples using them, descending;
         ties break lexicographically by id."""
-        started = self._acc.started_total
+        started = sum(g.started for g in self._acc.groups.values())
         if not started:
             return []
         ranked = sorted(
@@ -365,8 +321,8 @@ class CorpusAggregate:
     # -- order of appearance ---------------------------------------------------
 
     def order_stats(self) -> dict:
-        acc = self._acc
-        total = acc.multi_category_total
+        first = self._acc.first_category_counts
+        total = sum(first.values())
         result = {
             "multi_category_samples": total,
             "first_category_shares": {},
@@ -376,30 +332,34 @@ class CorpusAggregate:
             result["flag"] = "no multi-category samples"
             return result
         result["first_category_shares"] = {
-            cat: 100.0 * n / total
-            for cat, n in sorted(acc.first_category_counts.items())
+            cat: 100.0 * n / total for cat, n in sorted(first.items())
         }
-        if acc.non_antidebug_total:
+        others = {cat: n for cat, n in sorted(first.items())
+                  if cat != catalog.CAT_ANTI_DEBUG}
+        others_total = sum(others.values())
+        if others_total:
             result["non_antidebug_first_shares"] = {
-                cat: 100.0 * n / acc.non_antidebug_total
-                for cat, n in sorted(acc.non_antidebug_first.items())
+                cat: 100.0 * n / others_total for cat, n in others.items()
             }
         return result
 
     # -- footprints ----------------------------------------------------------
 
     def evasive_footprint(self) -> dict[str, dict]:
+        acc = self._acc
         return {
             family: {
-                "techniques": sorted(fp.techniques),
-                "evasive_samples": fp.evasive_samples,
+                "techniques": sorted(
+                    tech for tech, n in acc.family_techniques[family].items()
+                    if n == samples),
+                "evasive_samples": samples,
             }
-            for family, fp in sorted(self._acc.footprints.items())
+            for family, samples in sorted(acc.family_evasive.items())
         }
 
     def footprint_summary(self) -> dict:
-        fps = self._acc.footprints
-        nonempty = sum(1 for fp in fps.values() if fp.techniques)
+        fps = self.evasive_footprint()
+        nonempty = sum(1 for fp in fps.values() if fp["techniques"])
         return {
             "families_with_evasive_sample": len(fps),
             "families_with_nonempty_footprint": nonempty,
@@ -412,19 +372,20 @@ class CorpusAggregate:
         out = {}
         for key in sorted(self._acc.groups):
             g = self._acc.groups[key]
+            avg, std, _ = _moments(g.protected_techniques)
             out[key] = {
                 "started": g.started,
                 "packed_over_started_pct": _pct(g.packed, g.started),
                 "evasive_over_packed_pct": _pct(g.packed_evasive, g.packed),
                 "protected_over_started_pct": _pct(g.protected, g.started),
                 "evasive_over_protected_pct":
-                    _pct(g.protected_evasive, g.protected),
+                    _pct(sum(g.protected_techniques.values()), g.protected),
                 "packed_category_prevalence_pct": {
                     cat: _pct(n, g.packed)
                     for cat, n in sorted(g.packed_categories.items())
                 },
-                "protected_avg_techniques": g.protected_techniques.mean(),
-                "protected_std_techniques": g.protected_techniques.pstd(),
+                "protected_avg_techniques": avg,
+                "protected_std_techniques": std,
             }
         return out
 

@@ -411,6 +411,7 @@ class ApiTraits:
     child_process: bool = False
 
 
+_PLAIN = ApiTraits()
 _VISIBLE = ApiTraits(externally_visible=True)
 _NET = ApiTraits(externally_visible=True, internet=True)
 _CHILD = ApiTraits(child_process=True)
@@ -442,7 +443,7 @@ API_TRAITS: dict[str, ApiTraits] = {
 
 
 def api_traits(name: str) -> ApiTraits:
-    return API_TRAITS.get(name, ApiTraits())
+    return API_TRAITS.get(name, _PLAIN)
 
 
 # ---------------------------------------------------------------------------
@@ -455,17 +456,17 @@ def _mouse_coordinates(seed: int, seq: int) -> tuple[int, int]:
     return x, y
 
 
-def _mit_cpuid_is_hypervisor(record, event, clock, config):
+def _mit_cpuid_is_hypervisor(event, clock, config):
     ecx = event.payload.reg_out("ecx") or 0
     return "ecx=0x%x" % (ecx & ~(1 << 31))
 
 
-def _mit_mouse(record, event, clock, config):
+def _mit_mouse(event, clock, config):
     x, y = _mouse_coordinates(config.seed, event.seq)
     return "x=%d,y=%d" % (x, y)
 
 
-def _mit_rdtsc(record, event, clock, config):
+def _mit_rdtsc(event, clock, config):
     # the clock has already answered this read
     returned = clock.last_rdtsc(event.pid, event.tid) if clock else None
     if returned is None:
@@ -475,23 +476,23 @@ def _mit_rdtsc(record, event, clock, config):
 
 MITIGATIONS: dict[str, Callable] = {
     "MemoryBreakpoints_PageGuard":
-        lambda r, e, c, cfg: "exception=STATUS_GUARD_PAGE_VIOLATION",
-    "Firmware_RSMB": lambda r, e, c, cfg: "buffer=scrubbed",
-    "Firmware_ACPI": lambda r, e, c, cfg: "buffer=scrubbed",
-    "cpuid_hypervisor_vendor": lambda r, e, c, cfg: "ebx=0x0,ecx=0x0,edx=0x0",
+        lambda e, c, cfg: "exception=STATUS_GUARD_PAGE_VIOLATION",
+    "Firmware_RSMB": lambda e, c, cfg: "buffer=scrubbed",
+    "Firmware_ACPI": lambda e, c, cfg: "buffer=scrubbed",
+    "cpuid_hypervisor_vendor": lambda e, c, cfg: "ebx=0x0,ecx=0x0,edx=0x0",
     "cpuid_is_hypervisor": _mit_cpuid_is_hypervisor,
     "mouse_movement": _mit_mouse,
-    "setupdi_diskdrive": lambda r, e, c, cfg: "buffer=zeroed",
-    "process_enum": lambda r, e, c, cfg: "parent=cmd.exe",
-    "memory_space": lambda r, e, c, cfg: str(RAM_SUBSTITUTE_BYTES),
-    "disk_size_getdiskfreespace": lambda r, e, c, cfg: str(DISK_SUBSTITUTE_BYTES),
-    "dizk_size_deviceiocontrol": lambda r, e, c, cfg: str(DISK_SUBSTITUTE_BYTES),
-    "disk_size_wmi": lambda r, e, c, cfg: "result=empty",
-    "NumberOfProcessors": lambda r, e, c, cfg: str(PROCESSOR_COUNT_SUBSTITUTE),
-    "time_stalling": lambda r, e, c, cfg: "wait_ms=0",
+    "setupdi_diskdrive": lambda e, c, cfg: "buffer=zeroed",
+    "process_enum": lambda e, c, cfg: "parent=cmd.exe",
+    "memory_space": lambda e, c, cfg: str(RAM_SUBSTITUTE_BYTES),
+    "disk_size_getdiskfreespace": lambda e, c, cfg: str(DISK_SUBSTITUTE_BYTES),
+    "dizk_size_deviceiocontrol": lambda e, c, cfg: str(DISK_SUBSTITUTE_BYTES),
+    "disk_size_wmi": lambda e, c, cfg: "result=empty",
+    "NumberOfProcessors": lambda e, c, cfg: str(PROCESSOR_COUNT_SUBSTITUTE),
+    "time_stalling": lambda e, c, cfg: "wait_ms=0",
     "RDTSC": _mit_rdtsc,
-    "Shellcode_injected": lambda r, e, c, cfg: f"target_pid={cfg.honeypot_pid}",
-    "Check_EIP": lambda r, e, c, cfg: "eip=0x%x" % e.payload.address,
+    "Shellcode_injected": lambda e, c, cfg: f"target_pid={cfg.honeypot_pid}",
+    "Check_EIP": lambda e, c, cfg: "eip=0x%x" % e.payload.address,
 }
 
 assert set(MITIGATIONS) == {r.id for r in RULES if r.mitigated}
@@ -514,7 +515,7 @@ def apply_mitigation(record: DetectionRecord, event: TraceEvent,
     if forced is not None and forced not in ("on", "off"):
         value = forced
     else:
-        value = MITIGATIONS[record.technique](record, event, clock, config)
+        value = MITIGATIONS[record.technique](event, clock, config)
     record.substituted_value = value
     record.mitigated = True
     return value

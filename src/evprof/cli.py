@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
-import json
 import os
 import sys
 from dataclasses import replace

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import catalog
 from .trace import (
     META_LABEL_KEYS, ApiPayload, FieldRef, ImageLoadPayload, InsnPayload,
     MemPayload, MetaPayload, StructLayout, ThreadStartPayload, TraceError,
-    TraceEvent, Value, decode_text, encode_text, serialize_trace, tokenize,
+    TraceEvent, decode_text, encode_text, serialize_trace, tokenize,
     vaddr, vdur, vint, vlen, vstr,
 )
 

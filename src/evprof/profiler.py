@@ -152,6 +152,7 @@ _OPTIONAL_REPORT_KEYS = frozenset({"labels", "visible_api_counts",
 class SampleProfiler:
     """Single-sample pipeline; feed events in seq order, then finish().
 
+    Fills ``report`` as events arrive; ``finish`` derives the rest of it.
     Keeps the per-event effect log (rewritten waits, adjusted time reads,
     rdtsc substitutions, reroutes) for inspection.
     """
@@ -165,18 +166,10 @@ class SampleProfiler:
             self.tracker, honeypot_pid=self.config.honeypot_pid,
             active=self.config.mitigation_enabled("Shellcode_injected"))
         self.effects: list[Effect] = []
-        self.detections: list[DetectionRecord] = []
         self.routed_events: list[TraceEvent] = []
-        self._sample_id = ""
-        self._labels: dict[str, str] = {}
-        self._native_api_count = 0
-        self._event_count = 0
+        self.report = SampleReport(sample_id="")
         self._max_seq = 0
-        self._internet = False
-        self._child_process = False
-        self._visible_counts: dict[str, int] = {}
         self._visible_seqs: list[int] = []
-        self._warnings: list[str] = []
         # kinds without an entry (insn, mem_read, mem_write) go to _match
         self._handlers = {
             "meta": self._on_meta,
@@ -191,14 +184,14 @@ class SampleProfiler:
     # -- event handling ------------------------------------------------------
 
     def process(self, event: TraceEvent) -> None:
-        self._event_count += 1
+        self.report.total_event_count += 1
         self._max_seq = event.seq
         self._handlers.get(event.kind, self._match)(event)
 
     def _on_meta(self, event: TraceEvent) -> None:
         p = event.payload
-        self._sample_id = p.sample_id
-        self._labels = dict(p.labels)
+        self.report.sample_id = p.sample_id
+        self.report.labels = dict(p.labels)
         for layout in p.structs:
             self.tracker.install_watchpoints(event.pid, layout, event.seq)
 
@@ -240,15 +233,17 @@ class SampleProfiler:
 
     def _on_api(self, event: TraceEvent) -> None:
         p = event.payload
+        report = self.report
         if p.native:
-            self._native_api_count += 1
+            report.native_api_count += 1
         traits = catalog.api_traits(p.name)
         if traits.internet:
-            self._internet = True
+            report.internet = True
         if traits.child_process:
-            self._child_process = True
+            report.child_process = True
         if traits.externally_visible:
-            self._visible_counts[p.name] = self._visible_counts.get(p.name, 0) + 1
+            counts = report.visible_api_counts
+            counts[p.name] = counts.get(p.name, 0) + 1
             self._visible_seqs.append(event.seq)
 
         # matching reads the original event: the Shellcode_injected rule
@@ -266,36 +261,31 @@ class SampleProfiler:
         records, effects = catalog.match_event(
             event, self.tracker, self.clock, self.config)
         self.effects.extend(effects)
-        self.detections.extend(records)
+        self.report.detections.extend(records)
 
     def _register(self, event: TraceEvent, region: MemoryRegion) -> bool:
         """Map ``region``; a refused one becomes a warning and False."""
         try:
             self.tracker.register_region(region)
         except Exception as exc:
-            self._warnings.append(f"seq {event.seq}: {exc}")
+            self.report.warnings.append(f"seq {event.seq}: {exc}")
             return False
         return True
 
     # -- reporting -------------------------------------------------------------
 
     def finish(self) -> SampleReport:
-        report = SampleReport(sample_id=self._sample_id,
-                              labels=dict(self._labels))
-        report.native_api_count = self._native_api_count
-        report.total_event_count = self._event_count
-        report.started = self._native_api_count >= 1
-        report.active = self._native_api_count >= 50
-        report.internet = self._internet
-        report.child_process = self._child_process
-        report.visible_api_counts = dict(sorted(self._visible_counts.items()))
+        report = self.report
+        report.started = report.native_api_count >= 1
+        report.active = report.native_api_count >= 50
+        report.visible_api_counts = dict(
+            sorted(report.visible_api_counts.items()))
 
         max_seq = max(self._max_seq, 1)
-        for record in self.detections:
+        for record in report.detections:
             record.normalized_pos = 100.0 * record.seq / max_seq
-        report.detections = list(self.detections)
 
-        counted = [d for d in self.detections
+        counted = [d for d in report.detections
                    if not (self.config.exclude_fp_prone
                            and d.technique in catalog.FP_PRONE_TECHNIQUES)]
         report.technique_set = sorted({d.technique for d in counted})
@@ -313,8 +303,7 @@ class SampleProfiler:
 
         for diag in (self.tracker.diagnostics + self.clock.diagnostics
                      + self.router.diagnostics):
-            self._warnings.append(str(diag))
-        report.warnings = list(self._warnings)
+            report.warnings.append(str(diag))
         return report
 
     def _visible_split(self, counted: list[DetectionRecord]) -> dict:
@@ -340,7 +329,7 @@ def run_sample(events: list[TraceEvent], config: RunConfig | None = None,
     """
     profiler = SampleProfiler(config)
     if diagnostics:
-        profiler._warnings.extend(str(d) for d in diagnostics)
+        profiler.report.warnings.extend(str(d) for d in diagnostics)
     for event in events:
         profiler.process(event)
     return profiler.finish()

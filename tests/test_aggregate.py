@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from evprof.aggregate import (
     AggregateError, CorpusAccumulator, aggregate_reports, apply_labels,
@@ -336,13 +336,13 @@ def test_duplicate_label_rows_rejected(tmp_path):
 
 # -- merge associativity ------------------------------------------------------
 
-def corpus_reports():
+def corpus_reports(seed=7, size=40):
     import random
-    rng = random.Random(7)
+    rng = random.Random(seed)
     pool = ["RDTSC", "HeapFlags", "idt_trick", "IsDebuggerPresentAPI",
             "ErasePEHeader", "process_enum", "time_stalling"]
     reports = []
-    for i in range(40):
+    for i in range(size):
         k = rng.randrange(0, 4)
         techs = rng.sample(pool, k)
         positions = sorted(rng.randrange(0, 101) for _ in range(k))
@@ -374,12 +374,18 @@ def merged(left, right):
     return left
 
 
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+SIZES = st.integers(min_value=1, max_value=40)
+
+
 @settings(max_examples=25, deadline=None)
 @given(cuts=st.lists(st.integers(min_value=0, max_value=40),
                      min_size=2, max_size=2),
-       group_by=st.sampled_from(["dataset", "year", "family"]))
-def test_merge_associativity(cuts, group_by):
-    reports = corpus_reports()
+       group_by=st.sampled_from(["dataset", "year", "family"]),
+       seed=SEEDS)
+@example(cuts=[10, 30], group_by="family", seed=7)
+def test_merge_associativity(cuts, group_by, seed):
+    reports = corpus_reports(seed)
     i, j = sorted(cuts)
     parts = (reports[:i], reports[i:j], reports[j:])
     want = fold(reports, group_by).finalize().summary_document()
@@ -415,8 +421,16 @@ def assert_float_eq(a, b, path=""):
         assert a == b, f"{path}: {a!r} != {b!r}"
 
 
-def test_group_stats_match_brute_force():
-    reports = corpus_reports()
+def over_corpora(test):
+    """Run ``test(seed, size)`` on the seed-7 corpus of 40 reports and on
+    corpora of hypothesis-drawn seed and size."""
+    return settings(max_examples=50, deadline=None)(
+        example(seed=7, size=40)(given(seed=SEEDS, size=SIZES)(test)))
+
+
+@over_corpora
+def test_group_stats_match_brute_force(seed, size):
+    reports = corpus_reports(seed, size)
     for group_by in ("dataset", "year", "family"):
         mine = aggregate_reports(reports, group_by).groups
         theirs = oracles.oracle_group_stats(reports, group_by)
@@ -438,14 +452,16 @@ def test_group_stats_match_brute_force():
             assert stats.max_techniques == o["max_techniques"]
 
 
-def test_ranking_matches_brute_force():
-    reports = corpus_reports()
+@over_corpora
+def test_ranking_matches_brute_force(seed, size):
+    reports = corpus_reports(seed, size)
     assert aggregate_reports(reports, "dataset").technique_ranking() == \
         oracles.oracle_ranking(reports)
 
 
-def test_timeline_matches_brute_force():
-    reports = corpus_reports()
+@over_corpora
+def test_timeline_matches_brute_force(seed, size):
+    reports = corpus_reports(seed, size)
     mine = aggregate_reports(reports, "dataset").timeline()
     theirs = oracles.oracle_timeline(reports)
     assert mine["evasive_samples"] == theirs["evasive_samples"]
@@ -462,8 +478,9 @@ def test_timeline_matches_brute_force():
             assert entry["share_pct"] == pytest.approx(expected, abs=1e-9)
 
 
-def test_order_matches_brute_force():
-    reports = corpus_reports()
+@over_corpora
+def test_order_matches_brute_force(seed, size):
+    reports = corpus_reports(seed, size)
     mine = aggregate_reports(reports, "dataset").order_stats()
     theirs = oracles.oracle_order(reports)
     assert mine["multi_category_samples"] == theirs["multi_category_samples"]
@@ -473,14 +490,16 @@ def test_order_matches_brute_force():
                     theirs["non_antidebug_first_shares"])
 
 
-def test_footprints_match_brute_force():
-    reports = corpus_reports()
+@over_corpora
+def test_footprints_match_brute_force(seed, size):
+    reports = corpus_reports(seed, size)
     assert aggregate_reports(reports, "family").evasive_footprint() == \
         oracles.oracle_footprints(reports)
 
 
-def test_packer_stats_match_brute_force():
-    reports = corpus_reports()
+@over_corpora
+def test_packer_stats_match_brute_force(seed, size):
+    reports = corpus_reports(seed, size)
     mine = aggregate_reports(reports, "dataset").packer_stats()
     theirs = oracles.oracle_packer_stats(reports, "dataset")
     assert set(mine) == set(theirs)
