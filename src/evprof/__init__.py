@@ -25,7 +25,6 @@ from .trace import (
     TraceError,
     TraceEvent,
     parse_trace,
-    parse_trace_file,
     serialize_event,
     serialize_trace,
     validate_trace,

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 from . import catalog
 from .profiler import SampleReport, TIMELINE_SLOTS, timeline_slot
+from .trace import LABEL_COLUMNS
 
 
 class AggregateError(Exception):
@@ -36,9 +37,6 @@ class AggregateError(Exception):
 
 class LabelError(Exception):
     pass
-
-
-LABEL_COLUMNS = ("sample_id", "family", "year", "packer", "protector")
 
 
 def load_labels(path) -> dict[str, dict[str, str]]:

@@ -48,12 +48,13 @@ def _build_config(args) -> RunConfig:
 
 
 def _profile_file(path: str, cfg: RunConfig) -> tuple[str, str, list[str]]:
-    """Worker: returns (sample_id, report json, warnings)."""
+    """Worker: returns (sample_id, report json, warnings). A read or parse
+    error is a CliError whose message leaves out ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            events = parse_trace(fh.read())
+            events = parse_trace(fh)
     except (OSError, UnicodeDecodeError, TraceError) as exc:
-        raise CliError(f"{path}: {exc}")
+        raise CliError(str(exc))
     diagnostics = validate_trace(events)
     report = run_sample(events, cfg, diagnostics)
     return report.sample_id, report.to_json(), [str(d) for d in diagnostics]
@@ -79,7 +80,10 @@ def _make_out_dir(path: str) -> None:
 
 def cmd_analyze(args) -> int:
     cfg = _build_config(args)
-    sample_id, doc, warnings = _profile_file(args.trace, cfg)
+    try:
+        sample_id, doc, warnings = _profile_file(args.trace, cfg)
+    except CliError as exc:
+        raise CliError(f"{args.trace}: {exc}") from None
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     if args.out:

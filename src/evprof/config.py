@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
+
+
+HONEYPOT_PID = 99999  # the decoy process injection is rerouted to
 
 
 class ConfigError(Exception):
@@ -26,7 +29,7 @@ class RunConfig:
     # technique id -> "on" | "off" | forced substituted value
     overrides: tuple[tuple[str, str], ...] = ()
     seed: int = 0
-    honeypot_pid: int = 99999
+    honeypot_pid: int = HONEYPOT_PID
     clock: ClockConfig = field(default_factory=ClockConfig)
 
     def override_for(self, technique: str) -> str | None:
@@ -49,31 +52,40 @@ class RunConfig:
                 raise ConfigError(f"override references unknown technique {key!r}")
 
 
-_CLOCK_KEYS = ("tick_rate", "stall_threshold_ms", "infinite_wait_cap_ms",
-               "sandwich_window", "rdtsc_requires_sandwich")
-_RUN_KEYS = ("mitigate", "exclude_fp_prone", "seed", "honeypot_pid")
+# config file key -> (dataclass holding the field, its default); the clock
+# fields sit at the top level of the file
+_KEYS = {f.name: (cls, f.default) for cls in (RunConfig, ClockConfig)
+         for f in fields(cls) if f.name != "clock"}
 
 
 def load_config_file(path) -> RunConfig:
-    """Load a JSON config file into a RunConfig."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """Load a JSON config file into a RunConfig.
+
+    The file is one object. Its keys are the RunConfig and ClockConfig
+    field names; each value has its default's JSON type, and ``overrides``
+    is an object of strings. Any other file is a ConfigError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad config file {path}: {exc}")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"bad config file {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"bad config file {path}: expected an object")
-    cfg = RunConfig()
-    clock_kwargs = {}
+    values = {RunConfig: {}, ClockConfig: {}}
     for key, value in data.items():
-        if key in _CLOCK_KEYS:
-            clock_kwargs[key] = value
-        elif key in _RUN_KEYS:
-            cfg = replace(cfg, **{key: value})
-        elif key == "overrides":
-            cfg = replace(cfg, overrides=tuple(sorted(value.items())))
-        else:
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-    if clock_kwargs:
-        cfg = replace(cfg, clock=replace(cfg.clock, **clock_kwargs))
-    return cfg
+        cls, default = _KEYS[key]
+        if key == "overrides":
+            if type(value) is not dict or not all(
+                    type(v) is str for v in value.values()):
+                raise ConfigError(f"config key {key!r}: {value!r} is not an "
+                                  f"object of strings")
+            value = tuple(sorted(value.items()))
+        elif type(value) is not type(default):
+            raise ConfigError(f"config key {key!r}: {value!r} is not of "
+                              f"type {type(default).__name__}")
+        values[cls][key] = value
+    return RunConfig(**values[RunConfig],
+                     clock=ClockConfig(**values[ClockConfig]))

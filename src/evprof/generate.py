@@ -16,22 +16,23 @@ verdicts for oracle comparison.
 
 from __future__ import annotations
 
+import csv
 import json
 import random
 from dataclasses import dataclass, replace
 
 from . import catalog
+from .config import HONEYPOT_PID
 from .trace import (
-    META_LABEL_KEYS, ApiPayload, FieldRef, ImageLoadPayload, InsnPayload,
-    MemPayload, MetaPayload, StructLayout, ThreadStartPayload, TraceError,
-    TraceEvent, decode_text, encode_text, serialize_trace, tokenize,
-    vaddr, vdur, vint, vlen, vstr,
+    LABEL_COLUMNS, META_LABEL_KEYS, ApiPayload, FieldRef, ImageLoadPayload,
+    InsnPayload, MemPayload, MetaPayload, StructLayout, ThreadStartPayload,
+    TraceError, TraceEvent, decode_text, encode_text, serialize_trace,
+    tokenize, vaddr, vdur, vint, vlen, vstr,
 )
 
 MAIN_PID = 1000
 MAIN_TID = 1100
 VICTIM_PID = 555
-HONEYPOT_PID = 99999
 
 MAIN_BASE = 0x400000
 MAIN_SIZE = 0x10000
@@ -587,18 +588,14 @@ def write_corpus(specs: list[GenSpec], out_dir) -> dict:
               encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    labeled = {sid: dict(s.spec.labels) for sid, s in samples.items()
-               if s.spec.labels}
+    labeled = [dict(s.spec.labels, sample_id=sid)
+               for sid, s in sorted(samples.items()) if s.spec.labels]
     if labeled:
-        lines = ["sample_id,family,year,packer,protector"]
-        for sid in sorted(labeled):
-            lab = labeled[sid]
-            lines.append(",".join([
-                sid, lab.get("family", ""), lab.get("year", ""),
-                lab.get("packer", ""), lab.get("protector", "")]))
         with open(os.path.join(out_dir, "labels.csv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+                  encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [LABEL_COLUMNS] + [[row.get(k, "") for k in LABEL_COLUMNS]
+                                   for row in labeled])
     return manifest
 
 
@@ -799,29 +796,31 @@ def _parse_genspec(fields: dict[str, str]) -> GenSpec:
     if "sample_id" not in fields:
         raise ValueError("missing sample_id")
     techniques = []
-    if fields.get("techniques"):
-        for part in fields["techniques"].split(";"):
+    if raw := fields.pop("techniques", ""):
+        for part in raw.split(";"):
             head, _, origin = part.partition(":")
             tid, _, pos = head.partition("@")
             techniques.append(TechniqueSpec(
                 decode_text(tid), float(pos) if pos else 50.0,
                 origin or "red"))
     visible = []
-    if fields.get("visible"):
-        for part in fields["visible"].split(";"):
+    if raw := fields.pop("visible", ""):
+        for part in raw.split(";"):
             name, _, pos = part.partition("@")
             visible.append((decode_text(name), float(pos) if pos else 50.0))
-    labels = tuple((key, decode_text(fields[key]))
-                   for key in META_LABEL_KEYS if key in fields)
-    return GenSpec(
-        sample_id=decode_text(fields["sample_id"]),
+    spec = GenSpec(
+        sample_id=decode_text(fields.pop("sample_id")),
         techniques=tuple(techniques),
-        filler=int(fields.get("filler", 60)),
+        filler=int(fields.pop("filler", 60)),
         visible=tuple(visible),
-        labels=labels,
-        scenario=fields.get("scenario"),
-        seed=int(fields.get("seed", 0)),
+        labels=tuple((key, decode_text(fields.pop(key)))
+                     for key in META_LABEL_KEYS if key in fields),
+        scenario=fields.pop("scenario", None),
+        seed=int(fields.pop("seed", 0)),
     )
+    if fields:
+        raise ValueError(f"unexpected fields {sorted(fields)}")
+    return spec
 
 
 def format_genspec(spec: GenSpec) -> str:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as dc_replace
 
 from .catalog import INJECTION_APIS
+from .config import HONEYPOT_PID
 from .memory import MemoryRegion, MemoryTracker
 from .trace import ApiPayload, Diagnostic, TraceEvent
 
@@ -35,8 +36,8 @@ class InjectionRouter:
     the red area.
     """
 
-    def __init__(self, tracker: MemoryTracker, honeypot_pid: int = 99999,
-                 active: bool = True):
+    def __init__(self, tracker: MemoryTracker,
+                 honeypot_pid: int = HONEYPOT_PID, active: bool = True):
         self.tracker = tracker
         self.honeypot_pid = honeypot_pid
         self.active = active

@@ -36,6 +36,14 @@ def timeline_slot(pos: float) -> str:
     return TIMELINE_SLOTS[2]
 
 
+def verdict(native_api_count: int, technique_set: list[str]) -> dict:
+    """The report fields its native API count and technique set decide."""
+    return {"started": native_api_count >= 1,
+            "active": native_api_count >= 50,
+            "evasive": bool(technique_set),
+            "techniques_count": len(technique_set)}
+
+
 @dataclass
 class SampleReport:
     """One sample's verdict; the field order is the report's key order."""
@@ -68,10 +76,10 @@ class SampleReport:
         """Decode a report; a missing required key raises KeyError.
 
         A value whose JSON type does not match its field, a technique id
-        the catalog does not know or listed twice, a techniques_count other
-        than the size of technique_set, an evasive report without
-        positions, or a detection position outside [0, 100] raises
-        ValueError.
+        the catalog does not know or listed twice, a started, active,
+        evasive or techniques_count other than ``verdict`` derives, an
+        evasive report without positions, or a detection position outside
+        [0, 100] raises ValueError.
         """
         doc = json.loads(text)
         if not isinstance(doc, dict):
@@ -94,9 +102,11 @@ class SampleReport:
                              f"{techniques!r}")
         if len(set(techniques)) != len(techniques):
             raise ValueError(f"technique_set {techniques!r} repeats an id")
-        if kwargs["techniques_count"] != len(techniques):
-            raise ValueError(f"techniques_count {kwargs['techniques_count']} "
-                             f"is not the size of technique_set")
+        derived = verdict(kwargs["native_api_count"], techniques)
+        for name, value in derived.items():
+            if kwargs[name] != value:
+                raise ValueError(f"{name} {kwargs[name]!r} disagrees with "
+                                 f"native_api_count and technique_set")
         if kwargs["evasive"] and not (_is_pos(kwargs["first_pos"])
                                       and _is_pos(kwargs["last_pos"])):
             raise ValueError("evasive report without first_pos and last_pos "
@@ -276,8 +286,6 @@ class SampleProfiler:
 
     def finish(self) -> SampleReport:
         report = self.report
-        report.started = report.native_api_count >= 1
-        report.active = report.native_api_count >= 50
         report.visible_api_counts = dict(
             sorted(report.visible_api_counts.items()))
 
@@ -289,8 +297,8 @@ class SampleProfiler:
                    if not (self.config.exclude_fp_prone
                            and d.technique in catalog.FP_PRONE_TECHNIQUES)]
         report.technique_set = sorted({d.technique for d in counted})
-        report.techniques_count = len(report.technique_set)
-        report.evasive = bool(report.technique_set)
+        vars(report).update(
+            verdict(report.native_api_count, report.technique_set))
         if counted:
             report.first_pos = counted[0].normalized_pos
             report.last_pos = counted[-1].normalized_pos

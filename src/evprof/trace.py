@@ -27,6 +27,7 @@ consumer needs flows through the layout declarations.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
@@ -46,6 +47,8 @@ MEM_ACCESS_SIZES = frozenset({1, 2, 4, 8})
 MAX_FIELD_WIDTH = 64
 
 META_LABEL_KEYS = ("dataset", "family", "year", "packer", "protector")
+# the label file's header; a trace's dataset label is not a column
+LABEL_COLUMNS = ("sample_id",) + META_LABEL_KEYS[1:]
 
 VALUE_TYPES = frozenset({"i", "s", "d", "a", "l"})
 
@@ -535,23 +538,20 @@ def _take(toks: dict[str, str], fields) -> dict:
 def parse_trace(source) -> list[TraceEvent]:
     """Parse a trace into its ordered event list.
 
-    ``source`` may be text, bytes, or any iterable of lines. Raises
-    TraceError (with line number) on malformed records, missing or
-    unexpected fields, non-monotonic sequence numbers, unknown kinds, or a
-    missing/duplicated/misplaced meta record; an error raised by a field
-    decoder gets the line number added. Unknown API names are accepted
-    as-is.
+    ``source`` is text or an open text file. A record ends where a line of
+    a text-mode file ends: at LF, CR LF or CR. Blank lines are skipped but
+    still counted in line numbers. Raises TraceError (with line number) on
+    malformed records, missing or unexpected fields, non-monotonic sequence
+    numbers, unknown kinds, or a missing/duplicated/misplaced meta record;
+    an error raised by a field decoder gets the line number added. Unknown
+    API names are accepted as-is.
     """
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
     if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in source]
+        source = io.StringIO(source, newline=None)
 
     events: list[TraceEvent] = []
     last_seq: int | None = None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(source, start=1):
         if not line.strip():
             continue
         try:
@@ -573,18 +573,11 @@ def parse_trace(source) -> list[TraceEvent]:
             if toks:
                 raise TraceError(f"unexpected fields {sorted(toks)}")
         except TraceError as exc:
-            if exc.line is not None:
-                raise
             raise TraceError(str(exc), lineno) from None
         events.append(TraceEvent(**head))
     if not events:
         raise TraceError("empty trace: missing meta record")
     return events
-
-
-def parse_trace_file(path) -> list[TraceEvent]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_trace(fh.read())
 
 
 # ---------------------------------------------------------------------------

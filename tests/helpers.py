@@ -57,10 +57,12 @@ class T:
         return self._emit("meta", MetaPayload(sample_id, tuple(labels),
                                               tuple(structs)))
 
-    def main_image(self, header=None, size_of_image_addr=MAIN_BASE + 0x50):
+    def main_image(self, header=None, size_of_image_addr=MAIN_BASE + 0x50,
+                   structs=()):
         return self._emit("image_load", ImageLoadPayload(
             "main.exe", MAIN_BASE, MAIN_SIZE, "main_image",
-            header=header, size_of_image_addr=size_of_image_addr))
+            header=header, size_of_image_addr=size_of_image_addr,
+            structs=tuple(structs)))
 
     def stdlib(self):
         return self._emit("image_load", ImageLoadPayload(

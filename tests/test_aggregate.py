@@ -334,6 +334,16 @@ def test_duplicate_label_rows_rejected(tmp_path):
         load_labels(path)
 
 
+def test_generated_label_file_reads_back_every_label(tmp_path):
+    from evprof.generate import GenSpec, write_corpus
+    labels = (("family", 'a,b "c"'), ("year", "2019"), ("packer", "x\ny"))
+    write_corpus([GenSpec(sample_id="s1", filler=1, labels=labels),
+                  GenSpec(sample_id="s2", filler=1)], tmp_path)
+    assert load_labels(tmp_path / "labels.csv") == {
+        "s1": {"family": 'a,b "c"', "year": "2019", "packer": "x\ny",
+               "protector": ""}}
+
+
 # -- merge associativity ------------------------------------------------------
 
 def corpus_reports(seed=7, size=40):

@@ -248,6 +248,41 @@ def test_bad_config_file_usage_error(corpus_dir, tmp_path):
     assert main(["analyze", "--config", str(cfg), str(trace)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("content", [
+    {"overrides": []},
+    {"sandwich_window": "50"},
+    None,  # no file
+    {"mitigate": "no"},
+    {"seed": "x"},
+    {"honeypot_pid": None},
+    {"overrides": {"RDTSC": 5}},
+    "{",
+])
+def test_config_file_with_a_bad_value_is_a_usage_error(
+        corpus_dir, tmp_path, capsys, content):
+    cfg = tmp_path / "run.json"
+    if content is not None:
+        cfg.write_text(content if isinstance(content, str)
+                       else json.dumps(content))
+    trace = corpus_dir / "pos_RDTSC.trace"
+    assert main(["analyze", "--config", str(cfg), str(trace)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(("error: config key ", "error: bad config file "))
+
+
+def test_config_file_keys_are_the_config_fields(tmp_path):
+    from dataclasses import asdict
+    from evprof.config import ClockConfig, RunConfig, load_config_file
+    cfg = RunConfig(mitigate=False, overrides=(("RDTSC", "off"),), seed=3,
+                    honeypot_pid=7, clock=ClockConfig(
+                        tick_rate=5, rdtsc_requires_sandwich=False))
+    doc = asdict(cfg)
+    doc.update(doc.pop("clock"), overrides=dict(cfg.overrides))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    assert load_config_file(path) == cfg
+
+
 def test_divergence_study_via_override(corpus_dir, tmp_path):
     trace = corpus_dir / "pos_GetTickCount.trace"
     out_a = tmp_path / "a.json"
@@ -398,6 +433,33 @@ def test_analyze_invalid_utf8_file_is_a_data_error(tmp_path, capsys):
     assert "internal error" not in capsys.readouterr().err
 
 
+def test_undecodable_trace_is_a_data_error_named_once(corpus_dir, tmp_path,
+                                                      capsys):
+    import shutil
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    names = [n for n in sorted(os.listdir(corpus_dir))
+             if n.endswith(".trace")][:3]
+    for name in names:
+        shutil.copy(corpus_dir / name, mixed / name)
+    # the bad byte is past the first read buffer of the file
+    bad = mixed / "zz.trace"
+    bad.write_bytes((corpus_dir / names[0]).read_bytes()
+                    + b"seq=99999 \xff\n")
+    assert main(["analyze", str(bad)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode")
+    assert err.count(str(bad)) == 1
+    out = tmp_path / "reports"
+    assert main(["batch", str(mixed), "--out", str(out)]) == EXIT_OK
+    failed = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("failed:")]
+    assert len(failed) == 1
+    assert failed[0].startswith(f"failed: {bad}: 'utf-8' codec")
+    assert failed[0].count(str(bad)) == 1
+    assert len(read_reports(out)) == 3
+
+
 # as written in the trace; "%00" decodes to NUL
 BAD_SAMPLE_IDS = ["../escaped", "a/b", "a\\b", ".", "..", "", "a%00b"]
 
@@ -446,7 +508,7 @@ def test_batch_duplicate_sample_id_is_a_failure(tmp_path, capsys):
 
 @pytest.mark.parametrize("fields", [
     "techniques=RDTSC@x:red", "filler=zz", "techniques=RDTSC@5:blue",
-    "filler=1 filler=2",
+    "filler=1 filler=2", "techniqes=RDTSC@10",
 ])
 def test_gen_bad_spec_value_is_a_data_error_with_line(tmp_path, capsys,
                                                       fields):
@@ -468,6 +530,9 @@ def test_gen_bad_spec_value_is_a_data_error_with_line(tmp_path, capsys,
     ("first_pos", None),
     ("normalized_pos", "x"),
     ("normalized_pos", 150.0),
+    ("evasive", False),
+    ("started", False),
+    ("active", False),
 ])
 def test_aggregate_report_with_bad_content_is_a_data_error(
         corpus_dir, tmp_path, capsys, key, value):

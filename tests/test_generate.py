@@ -187,6 +187,12 @@ def test_genspec_bad_value_is_a_gen_error_with_line(fields, message):
     assert str(exc.value).startswith(f"line 2: {message}")
 
 
+def test_genspec_unknown_key_is_a_gen_error_with_line():
+    with pytest.raises(GenError) as exc:
+        parse_genspec_file("sample_id=a\nsample_id=b techniqes=RDTSC@10\n")
+    assert str(exc.value) == "line 2: unexpected fields ['techniqes']"
+
+
 def test_locky_fixture_ratio_matched_at_least_once():
     spec = GenSpec(sample_id="locky", filler=60, scenario="locky", seed=3)
     sample = build_sample(spec)

@@ -1,6 +1,9 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every top-level function and class it defines is referenced somewhere."""
 
 import ast
+import functools
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -32,3 +35,43 @@ def test_scan_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# -- every top-level function and class is referenced ------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+SCANNED = [*MODULES, Path(evprof.__file__), *sorted(
+    p for d in ("tests", "perfbench") for p in (ROOT / d).glob("*.py"))]
+
+
+def name_uses(tree) -> Counter:
+    """How often each name, or attribute name, is read or bound in ``tree``."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def unreferenced_definitions(module, uses: Counter) -> list[str]:
+    """Top-level functions and classes of ``module`` that no name in
+    ``uses`` refers to outside their own definition."""
+    return sorted(node.name for node in module.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and uses[node.name] == name_uses(node)[node.name])
+
+
+@functools.cache
+def all_uses() -> Counter:
+    return sum((name_uses(ast.parse(p.read_text(encoding="utf-8")))
+                for p in SCANNED), Counter())
+
+
+def test_scan_flags_a_definition_used_only_by_itself():
+    module = ast.parse("def f():\n    return f()\n\n"
+                       "def g():\n    pass\n\nclass C:\n    pass\n\ng()\n")
+    assert unreferenced_definitions(module, name_uses(module)) == ["C", "f"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_definition_is_referenced(path):
+    module = ast.parse(path.read_text(encoding="utf-8"))
+    assert unreferenced_definitions(module, all_uses()) == []

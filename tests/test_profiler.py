@@ -8,7 +8,7 @@ from evprof.profiler import (
 )
 from evprof.trace import Value, vdur
 
-from helpers import BENIGN, PEB_BASE, T, header_bytes
+from helpers import BENIGN, PEB, PEB_BASE, T, header_bytes
 
 
 def profile(t, config=None):
@@ -416,6 +416,20 @@ def test_report_technique_set_must_hold_techniques_count_distinct_ids(
         SampleReport.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("changes", [
+    # evasive without a technique: the corpus fold would count it evasive
+    {"evasive": True, "technique_set": [], "techniques_count": 0},
+    {"started": False, "native_api_count": 3},
+    {"active": True, "started": True, "native_api_count": 10},
+])
+def test_report_verdict_must_follow_from_its_counts(changes):
+    import json
+    doc = detected_report_doc()
+    doc.update(changes)
+    with pytest.raises(ValueError, match="disagrees with native_api_count"):
+        SampleReport.from_json(json.dumps(doc))
+
+
 @pytest.mark.parametrize("key", REPORT_KEYS)
 def test_report_value_of_the_wrong_json_type_is_rejected(key):
     import json
@@ -433,3 +447,23 @@ def test_validation_diagnostics_become_warnings():
     diags = validate_trace(t.events)
     report = run_sample(t.events, None, diags)
     assert any("tick" in w for w in report.warnings)
+
+
+# -- region and image handling --------------------------------------------------
+
+def test_freed_region_leaves_the_red_area():
+    t = T().images()
+    t.alloc(0x20000000, 0x1000, "exec_alloc")
+    red = t.api("IsDebuggerPresent", origin=0x20000010, native=False)
+    t.free(0x20000000)
+    t.api("IsDebuggerPresent", origin=0x20000010, native=False)
+    report = profile(t)
+    assert [d.seq for d in report.detections] == [red.seq]
+    assert report.warnings == []
+
+
+def test_image_load_structs_install_watchpoints():
+    t = T(structs=())
+    t.main_image(structs=(PEB,))
+    t.read(PEB_BASE + 0x2, size=1)
+    assert profile(t).technique_set == ["IsDebuggerPresentPEB"]

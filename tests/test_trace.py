@@ -1,6 +1,7 @@
 """Trace parsing, serialization, and validation."""
 
 import functools
+import io
 import time
 
 import pytest
@@ -68,6 +69,21 @@ def test_duplicate_meta_rejected():
     )
     with pytest.raises(TraceError, match="duplicate meta"):
         parse_trace(text)
+
+
+def test_blank_lines_are_skipped_and_still_counted():
+    lines = MINIMAL.splitlines()
+    text = lines[0] + "\n\n  \t\n" + lines[1] + "\n\n"
+    assert parse_trace(text) == parse_trace(MINIMAL)
+    with pytest.raises(TraceError) as exc:
+        parse_trace(text + "seq=9 kind=api\n")
+    assert exc.value.line == 6
+
+
+def test_bad_percent_escape_is_an_error_with_its_line():
+    with pytest.raises(TraceError) as exc:
+        parse_trace(MINIMAL.replace("name=NtClose", "name=Nt%G1"))
+    assert str(exc.value).startswith("line 2: bad percent escape")
 
 
 def test_empty_input_rejected():
@@ -405,6 +421,13 @@ def test_cpuid_missing_outputs_diagnosed():
     assert diags[0].seq == t.events[-1].seq
 
 
+def test_cpuid_missing_eax_input_diagnosed():
+    t = T()
+    t.insn("cpuid", out_regs=(("ebx", 0), ("ecx", 0), ("edx", 0)))
+    assert [d.message for d in validate_trace(t.events)] == \
+        ["cpuid missing EAX input"]
+
+
 def test_rdtsc_missing_tick_diagnosed():
     t = T()
     t.insn("rdtsc")
@@ -515,13 +538,16 @@ def corpus60_lines():
     return [sample.text.splitlines() for _, sample in sorted(samples.items())]
 
 
-MUTANT_CHARS = st.sampled_from("0123456789abcdefxX =:,;@()+.%-_\\/*sidé")
+MUTANT_CHARS = "0123456789abcdefxX =:,;@()+.%-_\\/*sidé"
+# characters str.splitlines breaks a line at, and a text-mode file does not
+# (it reads \r as a line end)
+LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 @st.composite
-def mutated_traces(draw):
+def mutated_traces(draw, chars=MUTANT_CHARS):
     """A corpus60 trace with characters of a few of its lines replaced,
-    inserted or deleted."""
+    inserted or deleted; an inserted or replacing one is from ``chars``."""
     lines = list(draw(st.sampled_from(corpus60_lines())))
     for _ in range(draw(st.integers(1, 4))):
         i = draw(st.integers(0, len(lines) - 1))
@@ -529,7 +555,7 @@ def mutated_traces(draw):
         for _ in range(draw(st.integers(1, 3))):
             at = draw(st.integers(0, len(line)))
             op = draw(st.sampled_from(("replace", "insert", "delete")))
-            ch = draw(MUTANT_CHARS) if op != "delete" else ""
+            ch = draw(st.sampled_from(chars)) if op != "delete" else ""
             skip = 0 if op == "insert" else 1
             line = line[:at] + ch + line[at + skip:]
         lines[i] = line
@@ -544,3 +570,18 @@ def test_mutated_corpus_lines_fail_only_as_trace_errors(text):
     except TraceError:
         return
     run_sample(events, RunConfig(), validate_trace(events)).to_json()
+
+
+def parse_outcome(source):
+    """The events parsed from ``source``, or the TraceError message."""
+    try:
+        return parse_trace(source)
+    except TraceError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=mutated_traces(MUTANT_CHARS + LINE_BREAKS))
+def test_text_and_text_mode_file_parse_alike(text):
+    fh = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+    assert parse_outcome(text) == parse_outcome(fh)
