@@ -17,6 +17,7 @@ verdicts for oracle comparison.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import random
 from dataclasses import dataclass, replace
@@ -780,8 +781,10 @@ def corpus60_specs(seed: int = 0) -> list[GenSpec]:
 # genspec files (same key=value token dialect as traces)
 
 def parse_genspec_file(text: str) -> list[GenSpec]:
+    """One spec per line; lines end where a trace record ends, at LF, CR LF
+    or CR."""
     specs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -78,8 +78,10 @@ class SampleReport:
         A value whose JSON type does not match its field, a technique id
         the catalog does not know or listed twice, a started, active,
         evasive or techniques_count other than ``verdict`` derives, an
-        evasive report without positions, or a detection position outside
-        [0, 100] raises ValueError.
+        evasive report without positions, a detection position outside
+        [0, 100], or a categories_in_order other than the categories of
+        technique_set, each once and, with detections, in the order the
+        detections of technique_set first show them, raises ValueError.
         """
         doc = json.loads(text)
         if not isinstance(doc, dict):
@@ -100,7 +102,8 @@ class SampleReport:
         if not catalog.KNOWN_TECHNIQUES.issuperset(techniques):
             raise ValueError(f"unknown technique in technique_set "
                              f"{techniques!r}")
-        if len(set(techniques)) != len(techniques):
+        technique_ids = set(techniques)
+        if len(technique_ids) != len(techniques):
             raise ValueError(f"technique_set {techniques!r} repeats an id")
         derived = verdict(kwargs["native_api_count"], techniques)
         for name, value in derived.items():
@@ -111,6 +114,11 @@ class SampleReport:
                                       and _is_pos(kwargs["last_pos"])):
             raise ValueError("evasive report without first_pos and last_pos "
                              "in [0, 100]")
+        categories = kwargs["categories_in_order"]
+        if (len(set(categories)) != len(categories) or set(categories)
+                != {catalog.rule(t).category for t in technique_ids}):
+            raise ValueError(f"categories_in_order {categories!r} is not "
+                             f"the categories of technique_set, once each")
         detections = []
         for d in kwargs.get("detections", ()):
             record = DetectionRecord(*[d[name] for name in _DETECTION_KEYS])
@@ -123,6 +131,11 @@ class SampleReport:
                                  f"must be strings and normalized_pos a "
                                  f"number in [0, 100]")
             detections.append(record)
+        if "detections" in kwargs and categories != list(dict.fromkeys(
+                d.category for d in detections
+                if d.technique in technique_ids)):
+            raise ValueError(f"categories_in_order {categories!r} is not the "
+                             f"order the counted detections first show them")
         kwargs["detections"] = detections
         return SampleReport(**kwargs)
 

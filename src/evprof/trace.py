@@ -6,7 +6,9 @@ percent-encoded so that spaces and separator characters never appear raw.
 The first record must be the single ``meta`` record; ``seq`` must be
 strictly increasing across the file. ``SCHEMA`` lists each kind's fields
 with their codecs and defaults; parsing, serialization and the
-unexpected-field check all read it.
+unexpected-field check all read it. The records are slotted dataclasses,
+not frozen, so they are cheap to build; nothing may mutate a parsed event
+(``dataclasses.replace`` makes a changed copy).
 
 Composite value syntaxes:
 
@@ -28,7 +30,8 @@ consumer needs flows through the layout declarations.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from functools import partial
 from typing import Iterable, Union
 
 REGION_KINDS = frozenset({
@@ -111,7 +114,7 @@ def decode_text(text: str) -> str:
         raise TraceError(f"bad percent-encoded UTF-8 in {text!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Value:
     """One typed argument or return value of an API record."""
 
@@ -145,24 +148,8 @@ class Value:
         return Value(t, value)
 
 
-def vint(v: int) -> Value:
-    return Value("i", v)
-
-
-def vstr(v: str) -> Value:
-    return Value("s", v)
-
-
-def vdur(ms: int) -> Value:
-    return Value("d", ms)
-
-
-def vaddr(a: int) -> Value:
-    return Value("a", a)
-
-
-def vlen(n: int) -> Value:
-    return Value("l", n)
+# Value constructors, one per type
+vint, vstr, vdur, vaddr, vlen = (partial(Value, t) for t in "isdal")
 
 
 def _width(text: str) -> int:
@@ -172,7 +159,7 @@ def _width(text: str) -> int:
     return width
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StructLayout:
     """Declared instance of a structure: base address plus field offsets."""
 
@@ -211,7 +198,7 @@ class StructLayout:
             raise TraceError(f"bad struct layout {text!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FieldRef:
     """A struct field published at an absolute address (API out-parameter)."""
 
@@ -242,14 +229,14 @@ class FieldRef:
             raise TraceError(f"bad out_struct field {text!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MetaPayload:
     sample_id: str
     labels: tuple[tuple[str, str], ...] = ()
     structs: tuple[StructLayout, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ImageLoadPayload:
     name: str
     base: int
@@ -260,7 +247,7 @@ class ImageLoadPayload:
     structs: tuple[StructLayout, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RegionAllocPayload:
     base: int
     size: int
@@ -268,23 +255,23 @@ class RegionAllocPayload:
     name: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RegionFreePayload:
     base: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ProcessStartPayload:
     parent_pid: int | None = None
     name: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ThreadStartPayload:
     parent_tid: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ApiPayload:
     name: str
     args: tuple[Value, ...]
@@ -298,7 +285,7 @@ class ApiPayload:
         return tuple(str(a.v) for a in self.args if a.t == "s")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class InsnPayload:
     mnemonic: str
     address: int
@@ -306,19 +293,13 @@ class InsnPayload:
     out_regs: tuple[tuple[str, int], ...] = ()
 
     def reg_in(self, name: str) -> int | None:
-        for k, v in self.in_regs:
-            if k == name:
-                return v
-        return None
+        return next((v for k, v in self.in_regs if k == name), None)
 
     def reg_out(self, name: str) -> int | None:
-        for k, v in self.out_regs:
-            if k == name:
-                return v
-        return None
+        return next((v for k, v in self.out_regs if k == name), None)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MemPayload:
     address: int
     size: int
@@ -331,7 +312,7 @@ Payload = Union[MetaPayload, ImageLoadPayload, RegionAllocPayload,
                 ApiPayload, InsnPayload, MemPayload]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
     seq: int
     pid: int
@@ -382,8 +363,8 @@ def _one_of(names: frozenset, what: str):
 
 def _joined(sep: str, decode, encode):
     """Codec for a sequence of items joined with ``sep``."""
-    return (lambda raw: tuple(decode(part) for part in raw.split(sep)),
-            lambda items: sep.join(encode(item) for item in items))
+    return (lambda raw: tuple([decode(part) for part in raw.split(sep)]),
+            lambda items: sep.join([encode(item) for item in items]))
 
 
 def _parse_reg(text: str) -> tuple[str, int]:
@@ -504,35 +485,53 @@ def serialize_trace(events: Iterable[TraceEvent]) -> str:
 
 def tokenize(line: str) -> dict[str, str]:
     """Split one record into its ``key=value`` tokens; keys are unique."""
-    out: dict[str, str] = {}
-    for tok in line.split():
-        key, sep, value = tok.partition("=")
+    parts = line.split()
+    try:
+        out = dict([tok.split("=", 1) for tok in parts])
+    except ValueError:  # a token without "="
+        out = {}
+    if len(out) == len(parts) and "" not in out:
+        return out
+    seen = set()  # word the error of the first bad token
+    for tok in parts:
+        key, sep, _ = tok.partition("=")
         if not sep or not key:
             raise TraceError(f"malformed token {tok!r}")
-        if key in out:
+        if key in seen:
             raise TraceError(f"duplicate field {key!r}")
-        out[key] = value
-    return out
+        seen.add(key)
 
 
-def _take(toks: dict[str, str], fields) -> dict:
-    """Pop and decode ``fields`` from ``toks``, keyed by attribute."""
-    values = {}
-    for key, attr, (decode, _), default in fields:
-        if key is None:
-            values[attr] = decode(toks)
-            continue
-        raw = toks.pop(key, None)
+def _take(toks: dict[str, str], rows) -> list:
+    """Pop and decode ``rows`` from ``toks``, in row order; each value goes
+    to the position of its attribute in the record class."""
+    values = [None] * len(rows)
+    for key, decode, default, at in rows:
+        # the labels row (key None) decodes the labels it pops itself
+        raw = toks if key is None else toks.pop(key, None)
         if raw is not None:
             try:
-                values[attr] = decode(raw)
+                values[at] = decode(raw)
             except ValueError as exc:
                 raise TraceError(f"field {key!r}: {exc}") from None
         elif default is REQUIRED:
             raise TraceError(f"missing field {key!r}")
         else:
-            values[attr] = default
+            values[at] = default
     return values
+
+
+def _decoding(cls, rows):
+    """``rows`` as (key, decode, default, position among ``cls``'s fields)."""
+    names = [f.name for f in fields(cls)]
+    return tuple((key, decode, default, names.index(attr))
+                 for key, attr, (decode, _), default in rows)
+
+
+_HEAD = _decoding(TraceEvent, _EVENT_FIELDS)
+# kind -> (payload class, its decoding rows)
+_DECODING = {kind: (cls, _decoding(cls, rows))
+             for kind, (cls, rows) in SCHEMA.items()}
 
 
 def parse_trace(source) -> list[TraceEvent]:
@@ -552,13 +551,13 @@ def parse_trace(source) -> list[TraceEvent]:
     events: list[TraceEvent] = []
     last_seq: int | None = None
     for lineno, line in enumerate(source, start=1):
-        if not line.strip():
-            continue
         try:
             toks = tokenize(line)
-            head = _take(toks, _EVENT_FIELDS)
-            seq, kind = head["seq"], head["kind"]
-            if kind not in SCHEMA:
+            if not toks:
+                continue
+            head = _take(toks, _HEAD)
+            seq, kind = head[0], head[4]
+            if kind not in _DECODING:
                 raise TraceError(f"unknown kind {kind!r}")
             if last_seq is not None and seq <= last_seq:
                 raise TraceError(
@@ -568,13 +567,13 @@ def parse_trace(source) -> list[TraceEvent]:
                 raise TraceError("first record must be the meta record")
             if events and kind == "meta":
                 raise TraceError("duplicate meta record")
-            cls, fields = SCHEMA[kind]
-            head["payload"] = cls(**_take(toks, fields))
+            cls, rows = _DECODING[kind]
+            payload = cls(*_take(toks, rows))
             if toks:
                 raise TraceError(f"unexpected fields {sorted(toks)}")
         except TraceError as exc:
             raise TraceError(str(exc), lineno) from None
-        events.append(TraceEvent(**head))
+        events.append(TraceEvent(*head, payload))
     if not events:
         raise TraceError("empty trace: missing meta record")
     return events

@@ -521,6 +521,14 @@ def test_gen_bad_spec_value_is_a_data_error_with_line(tmp_path, capsys,
     assert "internal error" not in err
 
 
+def test_gen_spec_line_holding_a_form_feed_is_one_sample(tmp_path):
+    spec = tmp_path / "samples.gspec"
+    spec.write_text("sample_id=a\x0cfiller=5\n")
+    out = tmp_path / "gen"
+    assert main(["gen", "--spec", str(spec), "--out", str(out)]) == EXIT_OK
+    assert sorted(p.name for p in out.glob("*.trace")) == ["a.trace"]
+
+
 @pytest.mark.parametrize("key, value", [
     ("technique_set", ["NotATechnique"]),
     ("technique_set", ["RDTSC", "RDTSC"]),
@@ -533,6 +541,8 @@ def test_gen_bad_spec_value_is_a_data_error_with_line(tmp_path, capsys,
     ("evasive", False),
     ("started", False),
     ("active", False),
+    ("categories_in_order", ["NotACategory", "AntiDebug"]),
+    ("categories_in_order", ["TimingAttacks", "TimingAttacks"]),
 ])
 def test_aggregate_report_with_bad_content_is_a_data_error(
         corpus_dir, tmp_path, capsys, key, value):

@@ -1,4 +1,5 @@
-"""Golden digests: generated inputs, reports and summaries, the catalog.
+"""Golden digests: generated inputs, reports and summaries, the catalog,
+and what the parser makes of mutated traces.
 
 Each suite goes through the public CLI (``gen --suite``, ``batch --jobs 1``,
 ``aggregate``), and the sha256 of every report file and of ``summary.json``
@@ -23,11 +24,15 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 
 import pytest
 
 from evprof.cli import EXIT_OK, main
+from evprof.trace import TraceError, parse_trace, serialize_trace
+
+from mutants import LINE_BREAKS, MUTANT_CHARS, corpus60_lines, mutate
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
@@ -76,6 +81,26 @@ def catalog_digests(fmt, work):
             for name, text in (("stdout", out), ("stderr", err))}
 
 
+def parse_outcome_digests(work):
+    """Per corpus60 trace, the sha256 of what ``parse_trace`` makes of its
+    2000 seeded mutants: each mutant's serialized events or its TraceError
+    text with the line number. Pins error wording, line numbers and which
+    error a line with several faults reports. ``work`` is not used."""
+    rng = random.Random(10)
+    traces = corpus60_lines()
+    outcomes = {}
+    for _ in range(2000):
+        which = rng.randrange(len(traces))
+        text = mutate(traces[which], rng.randint, MUTANT_CHARS + LINE_BREAKS)
+        try:
+            outcome = serialize_trace(parse_trace(text))
+        except TraceError as exc:
+            outcome = f"TraceError: {exc}\n"
+        outcomes.setdefault(f"trace{which:02d}", []).append(outcome)
+    return {name: hashlib.sha256("".join(texts).encode()).hexdigest()
+            for name, texts in sorted(outcomes.items())}
+
+
 # golden key -> function of a scratch directory giving name -> sha256
 INPUTS = {
     **{"gen/" + suite: functools.partial(gen_digests, suite)
@@ -84,6 +109,7 @@ INPUTS = {
        for name in workloads.WRITERS},
     **{"catalog/" + fmt: functools.partial(catalog_digests, fmt)
        for fmt in ("text", "csv")},
+    "parse/mutated-corpus60": parse_outcome_digests,
 }
 
 

@@ -168,6 +168,12 @@ def test_genspec_comments_and_blank_lines_skipped():
     assert specs[0].sample_id == "a"
 
 
+@pytest.mark.parametrize("space", "\x0b\x0c\x85\u2028")
+def test_genspec_line_ends_only_at_lf_or_cr(space):
+    specs = parse_genspec_file(f"sample_id=a{space}filler=5\rsample_id=b\n")
+    assert [(s.sample_id, s.filler) for s in specs] == [("a", 5), ("b", 60)]
+
+
 def test_genspec_missing_sample_id_rejected():
     with pytest.raises(GenError):
         parse_genspec_file("filler=5\n")

@@ -430,6 +430,42 @@ def test_report_verdict_must_follow_from_its_counts(changes):
         SampleReport.from_json(json.dumps(doc))
 
 
+def fp_prone_first_report_doc(config):
+    """A report detecting GetTickCount (FP-prone, AntiDebug), Check_EIP
+    (AntiInstrumentation) and IsDebuggerPresentAPI (AntiDebug), in that
+    order: the FP-prone setting decides which category comes first."""
+    import json
+    from evprof.generate import GenSpec, TechniqueSpec, build_sample
+    spec = GenSpec(sample_id="fp_first", techniques=(
+        TechniqueSpec("GetTickCount", pos=10.0),
+        TechniqueSpec("Check_EIP", pos=40.0),
+        TechniqueSpec("IsDebuggerPresentAPI", pos=70.0)))
+    return json.loads(run_sample(build_sample(spec).events,
+                                 config).to_json())
+
+
+@pytest.mark.parametrize("exclude_fp_prone, first", [
+    (True, "AntiInstrumentation"), (False, "AntiDebug")])
+def test_report_categories_in_order_follow_the_counted_detections(
+        exclude_fp_prone, first):
+    import json
+    doc = fp_prone_first_report_doc(RunConfig(
+        exclude_fp_prone=exclude_fp_prone))
+    cats = doc["categories_in_order"]
+    assert len(cats) == 2 and cats[0] == first
+    assert SampleReport.from_json(json.dumps(doc)).categories_in_order == cats
+    doc["categories_in_order"] = cats[::-1]
+    with pytest.raises(ValueError, match="counted detections"):
+        SampleReport.from_json(json.dumps(doc))
+    # without detections only the set of categories can be checked
+    del doc["detections"]
+    assert SampleReport.from_json(json.dumps(doc)).categories_in_order \
+        == cats[::-1]
+    doc["categories_in_order"] = cats[1:]
+    with pytest.raises(ValueError, match="once each"):
+        SampleReport.from_json(json.dumps(doc))
+
+
 @pytest.mark.parametrize("key", REPORT_KEYS)
 def test_report_value_of_the_wrong_json_type_is_rejected(key):
     import json
@@ -437,6 +473,26 @@ def test_report_value_of_the_wrong_json_type_is_rejected(key):
     doc[key] = [[1]]  # no field holds a list of lists
     with pytest.raises(ValueError):
         SampleReport.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("mitigate", [True, False])
+def test_profiling_leaves_the_parsed_events_unchanged(mitigate):
+    # records are not frozen: nothing downstream of the parser may mutate
+    # one, and a rerouted event is a copy
+    from evprof.generate import gen_corpus, scenario_specs
+    from evprof.trace import parse_trace, serialize_trace
+    samples, _ = gen_corpus(scenario_specs())
+    rerouted = 0
+    for sid, sample in sorted(samples.items()):
+        events = parse_trace(sample.text)
+        before = serialize_trace(events)
+        profiler = SampleProfiler(RunConfig(mitigate=mitigate))
+        for event in events:
+            profiler.process(event)
+        profiler.finish()
+        rerouted += len(profiler.routed_events)
+        assert serialize_trace(events) == before, sid
+    assert (rerouted > 0) == mitigate
 
 
 def test_validation_diagnostics_become_warnings():

@@ -1,6 +1,5 @@
 """Trace parsing, serialization, and validation."""
 
-import functools
 import io
 import time
 
@@ -13,7 +12,7 @@ from evprof.trace import (
     MemPayload, MetaPayload, ProcessStartPayload, RegionAllocPayload,
     RegionFreePayload, StructLayout, ThreadStartPayload, TraceError,
     TraceEvent, Value, decode_text, encode_text, parse_trace,
-    serialize_event, serialize_trace, validate_trace,
+    serialize_event, serialize_trace, tokenize, validate_trace,
 )
 from evprof.config import RunConfig
 from evprof.generate import (
@@ -22,6 +21,7 @@ from evprof.generate import (
 from evprof.profiler import run_sample
 
 from helpers import T
+from mutants import LINE_BREAKS, MUTANT_CHARS, corpus60_lines, mutate
 
 MINIMAL = (
     "seq=0 pid=1 tid=1 insn_index=0 kind=meta sample_id=m\n"
@@ -118,6 +118,21 @@ def test_malformed_token_reports_line():
     with pytest.raises(TraceError) as exc:
         parse_trace(text)
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("line, message", [
+    ("a=1 b a=2", "malformed token 'b'"),
+    ("a=1 a=2 b", "duplicate field 'a'"),
+    ("a=1 =2 a=3", "malformed token '=2'"),
+    ("a==1 a=", "duplicate field 'a'"),
+])
+def test_tokenize_reports_the_first_bad_token(line, message):
+    with pytest.raises(TraceError, match=f"^{message}$"):
+        tokenize(line)
+
+
+def test_tokenize_splits_at_the_first_equals_sign():
+    assert tokenize("a==1 b=x=y c=") == {"a": "=1", "b": "x=y", "c": ""}
 
 
 def test_unknown_mnemonic_rejected():
@@ -259,6 +274,44 @@ def test_profile_time_is_linear_in_reads_at_the_widest_field():
     # linear is 4; a field wide enough to span all the others makes each
     # read scan every field, and the ratio 16
     assert best_time(large) / best_time(small) < 8
+
+
+def best_parse_time(text):
+    """Best of 3 wall times of parsing ``text``, which may be an error."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        try:
+            parse_trace(text)
+        except TraceError:
+            pass
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def api_lines(n):
+    meta = "seq=0 pid=1 tid=1 insn_index=0 kind=meta sample_id=m\n"
+    return meta + "".join(
+        f"seq={i} pid=1 tid=1 insn_index={i} kind=api name=NtClose "
+        f"args=i:{i},s:x ret=i:0 return_address=0x401000 native=1\n"
+        for i in range(1, n + 1))
+
+
+def long_record(last):
+    """A meta record of n stray tokens ending in ``last``."""
+    return lambda n: ("seq=0 pid=1 tid=1 insn_index=0 kind=meta sample_id=m "
+                      + " ".join(f"k{i}=1" for i in range(n)) + f" {last}\n")
+
+
+@pytest.mark.parametrize("trace, n", [
+    (api_lines, 2000),
+    (long_record("stray=1"), 1000),  # unexpected fields
+    (long_record("k0"), 1000),       # malformed last token
+    (long_record("k0=2"), 1000),     # duplicated last token
+], ids=["lines", "tokens", "malformed-token", "duplicate-token"])
+def test_parse_time_is_linear_in_lines_and_tokens(trace, n):
+    # linear is 4; the tokenizer's error path rescans the line once
+    assert best_parse_time(trace(4 * n)) / best_parse_time(trace(n)) < 8
 
 
 def test_string_arg_with_separators_survives():
@@ -532,34 +585,11 @@ def test_parse_preserves_event_and_kind_counts(filler, seed):
 
 # -- mutated corpus lines ----------------------------------------------------
 
-@functools.cache
-def corpus60_lines():
-    samples, _ = gen_corpus(corpus60_specs())
-    return [sample.text.splitlines() for _, sample in sorted(samples.items())]
-
-
-MUTANT_CHARS = "0123456789abcdefxX =:,;@()+.%-_\\/*sidé"
-# characters str.splitlines breaks a line at, and a text-mode file does not
-# (it reads \r as a line end)
-LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-
-
 @st.composite
 def mutated_traces(draw, chars=MUTANT_CHARS):
-    """A corpus60 trace with characters of a few of its lines replaced,
-    inserted or deleted; an inserted or replacing one is from ``chars``."""
-    lines = list(draw(st.sampled_from(corpus60_lines())))
-    for _ in range(draw(st.integers(1, 4))):
-        i = draw(st.integers(0, len(lines) - 1))
-        line = lines[i]
-        for _ in range(draw(st.integers(1, 3))):
-            at = draw(st.integers(0, len(line)))
-            op = draw(st.sampled_from(("replace", "insert", "delete")))
-            ch = draw(st.sampled_from(chars)) if op != "delete" else ""
-            skip = 0 if op == "insert" else 1
-            line = line[:at] + ch + line[at + skip:]
-        lines[i] = line
-    return "\n".join(lines) + "\n"
+    """A corpus60 trace mutated by ``mutants.mutate`` with ``chars``."""
+    lines = draw(st.sampled_from(corpus60_lines()))
+    return mutate(lines, lambda lo, hi: draw(st.integers(lo, hi)), chars)
 
 
 @settings(max_examples=300, deadline=None)
