@@ -27,7 +27,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import catalog
-from .profiler import SampleReport, TIMELINE_SLOTS, timeline_slot
+from .profiler import (SampleReport, TIMELINE_SLOTS, counted_detections,
+                       timeline_slot)
 from .trace import LABEL_COLUMNS
 
 
@@ -200,11 +201,8 @@ class CorpusAccumulator:
         self.last_hist[int(last)] += 1
         self.diff_hist[int(last - first)] += 1
 
-        counted = set(report.technique_set)
         seen_slots = set()
-        for d in report.detections:
-            if d.technique not in counted:
-                continue
+        for d in counted_detections(report.detections, report.technique_set):
             slot = timeline_slot(d.normalized_pos)
             if slot in seen_slots:
                 continue

@@ -166,9 +166,14 @@ def _load_reports(path: str) -> list[SampleReport]:
         full = os.path.join(path, entry)
         try:
             with open(full, "r", encoding="utf-8") as fh:
-                reports.append(SampleReport.from_json(fh.read()))
+                report = SampleReport.from_json(fh.read())
+            # one file per name, so this also refuses a repeated sample_id
+            if entry != report.sample_id + ".report.json":
+                raise ValueError(f"sample_id {report.sample_id!r} does not "
+                                 f"match the file name")
         except (OSError, ValueError, KeyError) as exc:
             raise CliError(f"{full}: bad report: {exc}")
+        reports.append(report)
     if not reports:
         raise CliError(f"{path}: no .report.json files found")
     return reports

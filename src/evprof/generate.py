@@ -530,16 +530,6 @@ def divergent_pair(sample_id: str = "divergent", seed: int = 11
 # ---------------------------------------------------------------------------
 # suites
 
-def gen_technique_trace(technique: str, origin: str = "red",
-                        seed: int = 0) -> GeneratedSample:
-    """Minimal trace exercising exactly one technique from one origin."""
-    prefix = "pos" if origin == "red" else "neg"
-    spec = GenSpec(sample_id=f"{prefix}_{technique}",
-                   techniques=(TechniqueSpec(technique, pos=60.0, origin=origin),),
-                   filler=60, seed=seed)
-    return build_sample(spec)
-
-
 def roundtrip_specs(seed: int = 0) -> list[GenSpec]:
     """53 red-origin positives plus 53 benign-origin negative twins."""
     specs = []

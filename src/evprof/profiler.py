@@ -36,12 +36,27 @@ def timeline_slot(pos: float) -> str:
     return TIMELINE_SLOTS[2]
 
 
-def verdict(native_api_count: int, technique_set: list[str]) -> dict:
-    """The report fields its native API count and technique set decide."""
+def counted_detections(detections: list[DetectionRecord],
+                       technique_set: list[str]) -> list[DetectionRecord]:
+    """The detections a report's statistics count: those of a technique in
+    its technique_set, which leaves out the FP-prone four when they are
+    excluded."""
+    counted = set(technique_set)
+    return [d for d in detections if d.technique in counted]
+
+
+def derived_fields(native_api_count: int, technique_set: list[str],
+                   counted: list[DetectionRecord]) -> dict:
+    """The report fields its native API count, technique set and counted
+    detections decide."""
     return {"started": native_api_count >= 1,
             "active": native_api_count >= 50,
             "evasive": bool(technique_set),
-            "techniques_count": len(technique_set)}
+            "techniques_count": len(technique_set),
+            "first_pos": counted[0].normalized_pos if counted else None,
+            "last_pos": counted[-1].normalized_pos if counted else None,
+            "categories_in_order": list(dict.fromkeys(
+                _CATEGORY[d.technique] for d in counted))}
 
 
 @dataclass
@@ -75,13 +90,14 @@ class SampleReport:
     def from_json(text: str) -> "SampleReport":
         """Decode a report; a missing required key raises KeyError.
 
-        A value whose JSON type does not match its field, a technique id
-        the catalog does not know or listed twice, a started, active,
-        evasive or techniques_count other than ``verdict`` derives, an
-        evasive report without positions, a detection position outside
-        [0, 100], or a categories_in_order other than the categories of
-        technique_set, each once and, with detections, in the order the
-        detections of technique_set first show them, raises ValueError.
+        Raises ValueError on: a value whose JSON type does not match its
+        field; a detection whose technique the catalog does not know, whose
+        category is not that technique's, or whose normalized_pos is
+        outside [0, 100]; a technique_set other than the techniques of the
+        detections, sorted, with or without the FP-prone four; and any of
+        the fields ``derived_fields`` derives from the counted detections
+        other than it derives. So an evasive report must carry its
+        detections: a missing ``detections`` key decodes as none.
         """
         doc = json.loads(text)
         if not isinstance(doc, dict):
@@ -98,45 +114,34 @@ class SampleReport:
                     type(v) in items for v in
                     (value.values() if type(value) is dict else value)):
                 raise ValueError(f"{name} {value!r} does not match its type")
-        techniques = kwargs["technique_set"]
-        if not catalog.KNOWN_TECHNIQUES.issuperset(techniques):
-            raise ValueError(f"unknown technique in technique_set "
-                             f"{techniques!r}")
-        technique_ids = set(techniques)
-        if len(technique_ids) != len(techniques):
-            raise ValueError(f"technique_set {techniques!r} repeats an id")
-        derived = verdict(kwargs["native_api_count"], techniques)
-        for name, value in derived.items():
-            if kwargs[name] != value:
-                raise ValueError(f"{name} {kwargs[name]!r} disagrees with "
-                                 f"native_api_count and technique_set")
-        if kwargs["evasive"] and not (_is_pos(kwargs["first_pos"])
-                                      and _is_pos(kwargs["last_pos"])):
-            raise ValueError("evasive report without first_pos and last_pos "
-                             "in [0, 100]")
-        categories = kwargs["categories_in_order"]
-        if (len(set(categories)) != len(categories) or set(categories)
-                != {catalog.rule(t).category for t in technique_ids}):
-            raise ValueError(f"categories_in_order {categories!r} is not "
-                             f"the categories of technique_set, once each")
         detections = []
         for d in kwargs.get("detections", ()):
             record = DetectionRecord(*[d[name] for name in _DETECTION_KEYS])
             # only the values the corpus fold reads: a report can hold
             # thousands of detections
-            if not (type(record.technique) is str
-                    and type(record.category) is str
-                    and _is_pos(record.normalized_pos)):
-                raise ValueError(f"detection {d!r}: technique and category "
-                                 f"must be strings and normalized_pos a "
-                                 f"number in [0, 100]")
+            technique, pos = record.technique, record.normalized_pos
+            if not (type(technique) is str
+                    and technique in _CATEGORY
+                    and record.category == _CATEGORY[technique]
+                    and type(pos) in (int, float) and 0 <= pos <= 100):
+                raise ValueError(f"detection {d!r}: technique must be a "
+                                 f"catalog id, category its category and "
+                                 f"normalized_pos a number in [0, 100]")
             detections.append(record)
-        if "detections" in kwargs and categories != list(dict.fromkeys(
-                d.category for d in detections
-                if d.technique in technique_ids)):
-            raise ValueError(f"categories_in_order {categories!r} is not the "
-                             f"order the counted detections first show them")
         kwargs["detections"] = detections
+        techniques = kwargs["technique_set"]
+        detected = {d.technique for d in detections}
+        if techniques not in (sorted(detected), sorted(
+                detected - catalog.FP_PRONE_TECHNIQUES)):
+            raise ValueError(f"technique_set {techniques!r} disagrees with "
+                             f"the techniques of the detections")
+        derived = derived_fields(kwargs["native_api_count"], techniques,
+                                 counted_detections(detections, techniques))
+        for name, value in derived.items():
+            if kwargs[name] != value:
+                raise ValueError(f"{name} {kwargs[name]!r} disagrees with "
+                                 f"native_api_count, technique_set and the "
+                                 f"counted detections")
         return SampleReport(**kwargs)
 
 
@@ -160,13 +165,11 @@ def _json_types(annotation: str):
     return types, items
 
 
-def _is_pos(value) -> bool:
-    return type(value) in (int, float) and 0 <= value <= 100
-
-
 _REPORT_KEYS = tuple(f.name for f in fields(SampleReport))
 _REPORT_TYPES = {f.name: _json_types(f.type) for f in fields(SampleReport)}
 _DETECTION_KEYS = tuple(f.name for f in fields(DetectionRecord))
+# each technique's catalog category, a dict read per detection
+_CATEGORY = {r.id: r.category for r in catalog.RULES}
 # keys a report may omit; they take the field's default
 _OPTIONAL_REPORT_KEYS = frozenset({"labels", "visible_api_counts",
                                    "warnings", "detections"})
@@ -306,20 +309,13 @@ class SampleProfiler:
         for record in report.detections:
             record.normalized_pos = 100.0 * record.seq / max_seq
 
-        counted = [d for d in report.detections
-                   if not (self.config.exclude_fp_prone
-                           and d.technique in catalog.FP_PRONE_TECHNIQUES)]
-        report.technique_set = sorted({d.technique for d in counted})
-        vars(report).update(
-            verdict(report.native_api_count, report.technique_set))
-        if counted:
-            report.first_pos = counted[0].normalized_pos
-            report.last_pos = counted[-1].normalized_pos
-            seen: list[str] = []
-            for d in counted:
-                if d.category not in seen:
-                    seen.append(d.category)
-            report.categories_in_order = seen
+        report.technique_set = sorted({
+            d.technique for d in report.detections
+            if not (self.config.exclude_fp_prone
+                    and d.technique in catalog.FP_PRONE_TECHNIQUES)})
+        counted = counted_detections(report.detections, report.technique_set)
+        vars(report).update(derived_fields(
+            report.native_api_count, report.technique_set, counted))
         report.externally_visible_split = self._visible_split(counted)
 
         for diag in (self.tracker.diagnostics + self.clock.diagnostics

@@ -9,43 +9,31 @@ from evprof.aggregate import (
     AggregateError, CorpusAccumulator, aggregate_reports, apply_labels,
     behavior_diff, load_labels,
 )
+from evprof import catalog
 from evprof.catalog import DetectionRecord
-from evprof.profiler import SampleReport
+from evprof.profiler import SampleReport, counted_detections, derived_fields
 
 import oracles
 
 
-def make_report(sample_id="s", started=True, active=True, evasive=None,
-                techniques=(), positions=None, labels=None, internet=False,
-                child=False, visible=None):
+def make_report(sample_id="s", started=True, active=True, techniques=(),
+                positions=None, labels=None, internet=False, child=False,
+                visible=None):
     techniques = list(techniques)
-    report = SampleReport(sample_id=sample_id, labels=dict(labels or {}))
-    report.started = started
-    report.active = active
-    report.native_api_count = 50 if active else (1 if started else 0)
-    report.technique_set = sorted(set(techniques))
-    report.techniques_count = len(report.technique_set)
-    report.evasive = bool(report.technique_set) if evasive is None else evasive
-    report.internet = internet
-    report.child_process = child
-    report.visible_api_counts = dict(visible or {})
+    report = SampleReport(
+        sample_id=sample_id, labels=dict(labels or {}),
+        native_api_count=(50 if active else 1) if started else 0,
+        technique_set=sorted(set(techniques)), internet=internet,
+        child_process=child, visible_api_counts=dict(visible or {}))
     positions = positions or list(range(10, 10 + 10 * len(techniques), 10))
-    from evprof import catalog
     for tech, pos in zip(techniques, positions):
         report.detections.append(DetectionRecord(
             technique=tech, category=catalog.rule(tech).category,
             seq=int(pos), pid=1, tid=1, normalized_pos=float(pos)))
     report.detections.sort(key=lambda d: d.seq)
-    counted = [d for d in report.detections
-               if d.technique in set(report.technique_set)]
-    if counted:
-        report.first_pos = counted[0].normalized_pos
-        report.last_pos = counted[-1].normalized_pos
-        seen = []
-        for d in counted:
-            if d.category not in seen:
-                seen.append(d.category)
-        report.categories_in_order = seen
+    vars(report).update(derived_fields(
+        report.native_api_count, report.technique_set,
+        counted_detections(report.detections, report.technique_set)))
     return report
 
 

@@ -529,6 +529,9 @@ def test_gen_spec_line_holding_a_form_feed_is_one_sample(tmp_path):
     assert sorted(p.name for p in out.glob("*.trace")) == ["a.trace"]
 
 
+DELETED = object()  # the key is removed from the report
+
+
 @pytest.mark.parametrize("key, value", [
     ("technique_set", ["NotATechnique"]),
     ("technique_set", ["RDTSC", "RDTSC"]),
@@ -543,6 +546,10 @@ def test_gen_spec_line_holding_a_form_feed_is_one_sample(tmp_path):
     ("active", False),
     ("categories_in_order", ["NotACategory", "AntiDebug"]),
     ("categories_in_order", ["TimingAttacks", "TimingAttacks"]),
+    ("first_pos", 99.0),
+    ("last_pos", 0.0),
+    ("category", "AntiDebug"),
+    ("detections", DELETED),
 ])
 def test_aggregate_report_with_bad_content_is_a_data_error(
         corpus_dir, tmp_path, capsys, key, value):
@@ -552,13 +559,33 @@ def test_aggregate_report_with_bad_content_is_a_data_error(
     doc = json.loads(path.read_text())
     assert doc["evasive"]
     # a detection key is set on the first detection, any other on the report
-    (doc["detections"][0] if key == "normalized_pos" else doc)[key] = value
+    target = doc["detections"][0] if key in ("normalized_pos",
+                                             "category") else doc
+    if value is DELETED:
+        del target[key]
+    else:
+        target[key] = value
     path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["aggregate", str(reports)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert f"{path}: bad report: " in err
     assert "internal error" not in err
+
+
+@pytest.mark.parametrize("name", ["copy.report.json",
+                                  "pos_RDTSC.report.json.report.json"])
+def test_aggregate_report_not_named_for_its_sample_is_a_data_error(
+        corpus_dir, tmp_path, capsys, name):
+    # a copy under another name would otherwise be folded twice
+    reports = tmp_path / "reports"
+    assert main(["batch", str(corpus_dir), "--out", str(reports)]) == EXIT_OK
+    copy = reports / name
+    copy.write_text((reports / "pos_RDTSC.report.json").read_text())
+    capsys.readouterr()
+    assert main(["aggregate", str(reports)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{copy}: bad report: sample_id 'pos_RDTSC' does not match" in err
 
 
 def test_batch_writes_each_report_before_profiling_the_next(

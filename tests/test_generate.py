@@ -6,8 +6,8 @@ from evprof import catalog
 from evprof.config import RunConfig
 from evprof.generate import (
     GenError, GenSpec, TechniqueSpec, build_sample, corpus60_specs,
-    divergent_pair, format_genspec, gen_corpus, gen_technique_trace,
-    parse_genspec_file, roundtrip_specs, scenario_specs, themida_spec,
+    divergent_pair, format_genspec, gen_corpus, parse_genspec_file,
+    roundtrip_specs, scenario_specs, themida_spec,
 )
 from evprof.profiler import SampleProfiler, run_sample
 from evprof.trace import parse_trace, validate_trace
@@ -53,15 +53,21 @@ def test_generated_traces_validate_cleanly():
         assert validate_trace(parse_trace(sample.text)) == []
 
 
+def roundtrip_sample(sample_id):
+    """The sample of the ``roundtrip`` suite named ``sample_id``."""
+    spec, = [s for s in roundtrip_specs() if s.sample_id == sample_id]
+    return build_sample(spec)
+
+
 def test_positive_trace_is_active_and_detects_once():
-    sample = gen_technique_trace("IsDebuggerPresentPEB", "red")
+    sample = roundtrip_sample("pos_IsDebuggerPresentPEB")
     report = profile_sample(sample)
     assert report.active
     assert [d.technique for d in report.detections] == ["IsDebuggerPresentPEB"]
 
 
 def test_negative_twin_detects_nothing():
-    sample = gen_technique_trace("IsDebuggerPresentPEB", "benign")
+    sample = roundtrip_sample("neg_IsDebuggerPresentPEB")
     report = profile_sample(sample)
     assert report.active
     assert report.detections == []

@@ -1,5 +1,7 @@
 """Per-sample orchestration: verdicts, positions, splits, determinism."""
 
+import functools
+
 import pytest
 
 from evprof.config import ClockConfig, RunConfig
@@ -325,6 +327,29 @@ def test_report_json_round_trip():
     assert clone.labels == {"family": "fam", "year": "2019"}
 
 
+@functools.cache
+def suite_events(suite):
+    from evprof.generate import (
+        corpus60_specs, gen_corpus, roundtrip_specs, scenario_specs)
+    from evprof.trace import parse_trace
+    specs = {"roundtrip": roundtrip_specs, "corpus60": corpus60_specs,
+             "scenarios": scenario_specs}[suite]()
+    samples, _ = gen_corpus(specs)
+    return [parse_trace(sample.text) for _, sample in sorted(samples.items())]
+
+
+@pytest.mark.parametrize("exclude_fp_prone", [True, False])
+@pytest.mark.parametrize("mitigate", [True, False])
+@pytest.mark.parametrize("suite", ["roundtrip", "corpus60", "scenarios"])
+def test_every_report_of_a_suite_decodes_to_itself(suite, mitigate,
+                                                   exclude_fp_prone):
+    # the decoder's checks reject nothing the profiler writes
+    config = RunConfig(mitigate=mitigate, exclude_fp_prone=exclude_fp_prone)
+    for events in suite_events(suite):
+        text = run_sample(events, config).to_json()
+        assert SampleReport.from_json(text).to_json() == text
+
+
 REPORT_KEYS = [
     "sample_id", "labels", "started", "active", "native_api_count",
     "total_event_count", "evasive", "techniques_count", "technique_set",
@@ -372,13 +397,21 @@ def test_detection_missing_a_key_is_rejected(key):
 
 def test_report_optional_keys_default_and_extra_keys_are_ignored():
     import json
-    doc = detected_report_doc()
+    t = T(labels=(("family", "fam"),)).images()
+    t.api("NtWriteFile")
+    doc = json.loads(profile(t).to_json())
+    assert not doc["evasive"] and doc["labels"] and doc["visible_api_counts"]
     for key in OPTIONAL_REPORT_KEYS:
         del doc[key]
     doc["future_key"] = 1
     report = SampleReport.from_json(json.dumps(doc))
     assert (report.labels, report.visible_api_counts, report.warnings,
             report.detections) == ({}, {}, [], [])
+    # an evasive report must carry the detections its fields derive from
+    doc = detected_report_doc()
+    del doc["detections"]
+    with pytest.raises(ValueError):
+        SampleReport.from_json(json.dumps(doc))
 
 
 def test_report_that_is_not_an_object_is_rejected():
@@ -426,7 +459,7 @@ def test_report_verdict_must_follow_from_its_counts(changes):
     import json
     doc = detected_report_doc()
     doc.update(changes)
-    with pytest.raises(ValueError, match="disagrees with native_api_count"):
+    with pytest.raises(ValueError, match="disagrees with"):
         SampleReport.from_json(json.dumps(doc))
 
 
@@ -457,12 +490,10 @@ def test_report_categories_in_order_follow_the_counted_detections(
     doc["categories_in_order"] = cats[::-1]
     with pytest.raises(ValueError, match="counted detections"):
         SampleReport.from_json(json.dumps(doc))
-    # without detections only the set of categories can be checked
+    # without detections the report is rejected
+    doc["categories_in_order"] = cats
     del doc["detections"]
-    assert SampleReport.from_json(json.dumps(doc)).categories_in_order \
-        == cats[::-1]
-    doc["categories_in_order"] = cats[1:]
-    with pytest.raises(ValueError, match="once each"):
+    with pytest.raises(ValueError):
         SampleReport.from_json(json.dumps(doc))
 
 
