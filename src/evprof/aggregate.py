@@ -432,20 +432,6 @@ def aggregate_reports(reports: list[SampleReport],
     return acc.finalize()
 
 
-def behavior_diff(report_a: SampleReport, report_b: SampleReport) -> dict:
-    """Compare two runs of one sample under different configurations."""
-    if report_a.sample_id != report_b.sample_id:
-        raise AggregateError(
-            f"behavior diff needs two runs of one sample, got "
-            f"{report_a.sample_id!r} and {report_b.sample_id!r}")
-    return {
-        "same_techniques":
-            set(report_a.technique_set) == set(report_b.technique_set),
-        "same_visible_effects":
-            report_a.visible_api_counts == report_b.visible_api_counts,
-    }
-
-
 # ---------------------------------------------------------------------------
 # rendering
 

@@ -30,7 +30,6 @@ GetTickCount, cpuid_is_hypervisor, mouse_movement, NumberOfProcessors.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -450,6 +449,7 @@ def api_traits(name: str) -> ApiTraits:
 # mitigation transforms
 
 def _mouse_coordinates(seed: int, seq: int) -> tuple[int, int]:
+    import hashlib  # here, not at start-up: few samples move the mouse
     digest = hashlib.blake2b(f"{seed}:{seq}".encode(), digest_size=8).digest()
     x = int.from_bytes(digest[:4], "little") % 1920
     y = int.from_bytes(digest[4:], "little") % 1080

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import os
 import sys
@@ -126,9 +125,15 @@ def cmd_batch(args) -> int:
     work = [(path, cfg) for path in traces]
     failures = []
     written: dict[str, str] = {}   # sample_id -> trace it came from
+    if args.jobs > 1:
+        # imported here: a run without a pool does not pay for it at start-up
+        import concurrent.futures
+        pool_context = concurrent.futures.ProcessPoolExecutor(
+            max_workers=args.jobs)
+    else:
+        pool_context = contextlib.nullcontext()
     # each report is written as its result arrives, in input order
-    with (concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs)
-          if args.jobs > 1 else contextlib.nullcontext()) as pool:
+    with pool_context as pool:
         results = ((_batch_worker(item) for item in work) if pool is None
                    else pool.map(_batch_worker, work))
         for path, result, error in results:
@@ -236,12 +241,8 @@ def cmd_gen(args) -> int:
             raise CliError(f"{args.spec}: {exc}")
         except generate.GenError as exc:
             raise CliError(str(exc))
-    elif args.suite == "roundtrip":
-        specs = generate.roundtrip_specs(seed=args.seed or 0)
-    elif args.suite == "corpus60":
-        specs = generate.corpus60_specs(seed=args.seed or 0)
-    elif args.suite == "scenarios":
-        specs = generate.scenario_specs(seed=args.seed or 0)
+    elif args.suite:
+        specs = generate.suite_specs(args.suite, seed=args.seed or 0)
     else:
         raise CliError("gen needs --spec FILE or --suite NAME", EXIT_USAGE)
     try:

@@ -19,16 +19,17 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import random
 from dataclasses import dataclass, replace
 
-from . import catalog
+from . import catalog, suites
 from .config import HONEYPOT_PID
 from .trace import (
     LABEL_COLUMNS, META_LABEL_KEYS, ApiPayload, FieldRef, ImageLoadPayload,
     InsnPayload, MemPayload, MetaPayload, StructLayout, ThreadStartPayload,
-    TraceError, TraceEvent, decode_text, encode_text, serialize_trace,
-    tokenize, vaddr, vdur, vint, vlen, vstr,
+    TraceError, TraceEvent, decode_text, serialize_trace, tokenize, vaddr,
+    vdur, vint, vlen, vstr,
 )
 
 MAIN_PID = 1000
@@ -91,6 +92,8 @@ class TechniqueSpec:
     origin: str = "red"     # red | benign
 
     def __post_init__(self):
+        if self.id not in RECIPES:
+            raise ValueError(f"unknown technique {self.id!r}")
         if not 0 <= self.pos <= 100:
             raise ValueError(f"position {self.pos} outside [0, 100]")
         if self.origin not in ("red", "benign"):
@@ -105,9 +108,18 @@ class GenSpec:
     # externally visible behavior calls: (api name, position percent)
     visible: tuple[tuple[str, float], ...] = ()
     labels: tuple[tuple[str, str], ...] = ()
-    scenario: str | None = None   # locky | injection | divergent_mitigated |
-                                  # divergent_bare | themida
+    scenario: str | None = None   # one of SCENARIO_NAMES
     seed: int = 0
+
+    def __post_init__(self):
+        if self.scenario not in SCENARIO_NAMES:
+            raise ValueError(f"unknown scenario {self.scenario!r}")
+
+
+# what build_sample appends after the scheduled body: the last three add
+# nothing and only name the kind of sample
+SCENARIO_NAMES = (None, "locky", "injection", "pe_same_value",
+                  "divergent_mitigated", "divergent_bare", "themida")
 
 
 @dataclass
@@ -370,10 +382,6 @@ def _preamble(b: TraceBuilder) -> None:
 
 
 def build_sample(spec: GenSpec) -> GeneratedSample:
-    for t in spec.techniques:
-        if t.id not in RECIPES:
-            raise GenError(f"unknown technique {t.id!r}")
-
     b = TraceBuilder(spec)
     _preamble(b)
 
@@ -412,10 +420,6 @@ def build_sample(spec: GenSpec) -> GeneratedSample:
         # rewrites the signature with the bytes already stored: no change,
         # so no Anti-Dump detection may come out of it
         b.mem_write(MAIN_BASE, 2, 0x5A4D)
-    elif spec.scenario == "divergent_bare":
-        pass  # divergence is expressed by the GenSpec visible list
-    elif spec.scenario not in (None, "divergent_mitigated", "themida"):
-        raise GenError(f"unknown scenario {spec.scenario!r}")
 
     return _finish_sample(b)
 
@@ -488,45 +492,6 @@ def build_injection_scenario(b: TraceBuilder) -> None:
           trigger="IsDebuggerPresentAPI")
 
 
-THEMIDA_TECHNIQUES = (
-    "IsDebuggerPresentAPI", "IsDebuggerPresentPEB", "NtGlobalFlag",
-    "CheckRemoteDebuggerPresentAPI", "cpuid_hypervisor_vendor", "idt_trick",
-    "str_trick", "memory_space", "disk_size_getdiskfreespace", "RDTSC",
-    "ErasePEHeader", "Check_EIP",
-)
-
-
-def themida_spec(sample_id: str = "themida_bundle", seed: int = 7) -> GenSpec:
-    """A protector-style bundle: many techniques across many categories."""
-    techs = tuple(
-        TechniqueSpec(tid, pos=5.0 + 7.0 * i)
-        for i, tid in enumerate(THEMIDA_TECHNIQUES)
-    )
-    return GenSpec(sample_id=sample_id, techniques=techs, filler=80,
-                   labels=(("family", "protected"), ("year", "2020"),
-                           ("protector", "themida")),
-                   scenario="themida", seed=seed)
-
-
-def divergent_pair(sample_id: str = "divergent", seed: int = 11
-                   ) -> tuple[GenSpec, GenSpec]:
-    """Two runs of one sample: mitigated (full behavior) and bare.
-
-    The bare run models the malware detecting the analysis and bailing
-    out: the post-check externally visible activity never happens.
-    """
-    check = (TechniqueSpec("IsDebuggerPresentAPI", pos=20.0),)
-    mitigated = GenSpec(
-        sample_id=sample_id, techniques=check, filler=60,
-        visible=(("NtWriteFile", 70.0), ("NtWriteFile", 80.0),
-                 ("RegSetValueEx", 85.0), ("connect", 90.0)),
-        scenario="divergent_mitigated", seed=seed)
-    bare = GenSpec(
-        sample_id=sample_id, techniques=check, filler=60,
-        visible=(), scenario="divergent_bare", seed=seed)
-    return mitigated, bare
-
-
 # ---------------------------------------------------------------------------
 # suites
 
@@ -543,44 +508,40 @@ def roundtrip_specs(seed: int = 0) -> list[GenSpec]:
     return specs
 
 
-def gen_corpus(specs: list[GenSpec]) -> tuple[dict[str, GeneratedSample], dict]:
-    """Build every spec and the expected-verdict manifest."""
+def suite_specs(name: str, seed: int = 0) -> list[GenSpec]:
+    """The specs of the built-in suite ``name``: ``roundtrip``, or the
+    genspec text of ``corpus60`` or ``scenarios`` with ``seed`` added to
+    each line's seed."""
+    if name == "roundtrip":
+        return roundtrip_specs(seed)
+    text = {"corpus60": suites.CORPUS60, "scenarios": suites.SCENARIOS}[name]
+    return [replace(spec, seed=spec.seed + seed)
+            for spec in parse_genspec_file(text)]
+
+
+def write_corpus(specs: list[GenSpec], out_dir) -> dict:
+    """Write one trace per spec into ``out_dir``, then ``manifest.json``
+    (each sample's expected verdicts) and, when any spec has labels,
+    ``labels.csv``. Returns the manifest.
+
+    Each sample is dropped once its trace is written, before the next one
+    is built, so memory holds one sample at a time.
+    """
     seen = set()
     for spec in specs:
         if spec.sample_id in seen:
             raise GenError(f"duplicate sample id {spec.sample_id!r}")
         seen.add(spec.sample_id)
-    samples = {}
-    manifest_samples = {}
-    for spec in specs:
-        sample = build_sample(spec)
-        samples[spec.sample_id] = sample
-        manifest_samples[spec.sample_id] = {
-            "trace_file": spec.sample_id + ".trace",
-            "labels": dict(spec.labels),
-            "expect_detections": sample.expect_detections,
-            "expect_technique_set": sample.expect_technique_set,
-            "expect_evasive": sample.expect_evasive,
-            "positions": {k: v for k, v in sorted(sample.positions.items())},
-        }
-    manifest = {"samples": dict(sorted(manifest_samples.items()))}
-    return samples, manifest
-
-
-def write_corpus(specs: list[GenSpec], out_dir) -> dict:
-    import os
     os.makedirs(out_dir, exist_ok=True)
-    samples, manifest = gen_corpus(specs)
-    for sample_id in sorted(samples):
-        path = os.path.join(out_dir, sample_id + ".trace")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(samples[sample_id].text)
+    entries = {spec.sample_id: _write_sample(spec, out_dir) for spec in specs}
+    manifest = {"samples": dict(sorted(entries.items()))}
     with open(os.path.join(out_dir, "manifest.json"), "w",
               encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    labeled = [dict(s.spec.labels, sample_id=sid)
-               for sid, s in sorted(samples.items()) if s.spec.labels]
+    labeled = [dict(spec.labels, sample_id=spec.sample_id)
+               for spec in sorted(specs, key=lambda s: s.sample_id)
+               if spec.labels]
     if labeled:
         with open(os.path.join(out_dir, "labels.csv"), "w",
                   encoding="utf-8", newline="") as fh:
@@ -590,182 +551,21 @@ def write_corpus(specs: list[GenSpec], out_dir) -> dict:
     return manifest
 
 
-def scenario_specs(seed: int = 0) -> list[GenSpec]:
-    return [
-        GenSpec(sample_id="locky_loop", filler=60, scenario="locky",
-                labels=(("family", "locky"), ("year", "2016")), seed=seed),
-        GenSpec(sample_id="injector", filler=60, scenario="injection",
-                labels=(("family", "injector"), ("year", "2018")), seed=seed),
-        themida_spec(seed=seed),
-    ]
-
-
-def _ts(*pairs) -> tuple[TechniqueSpec, ...]:
-    return tuple(TechniqueSpec(tid, pos=pos) for tid, pos in pairs)
-
-
-def corpus60_specs(seed: int = 0) -> list[GenSpec]:
-    """A 60-sample labeled fixture corpus exercising every aggregate."""
-    specs: list[GenSpec] = []
-
-    def add(sid, techniques=(), family=None, year=None, packer="",
-            protector="", dataset="malware", filler=60, visible=(),
-            scenario=None):
-        labels = [("dataset", dataset)]
-        if family:
-            labels.append(("family", family))
-        if year:
-            labels.append(("year", year))
-        if packer:
-            labels.append(("packer", packer))
-        if protector:
-            labels.append(("protector", protector))
-        specs.append(GenSpec(
-            sample_id=sid, techniques=techniques, filler=filler,
-            visible=tuple(visible), labels=tuple(labels), scenario=scenario,
-            seed=seed + len(specs)))
-
-    # fam_alpha: shared IsDebuggerPresentAPI, AntiDebug always first
-    add("s01", _ts(("IsDebuggerPresentAPI", 10), ("RDTSC", 50)),
-        family="fam_alpha", year="2016",
-        visible=(("NtWriteFile", 5), ("NtWriteFile", 70), ("connect", 90)))
-    add("s02", _ts(("IsDebuggerPresentAPI", 12), ("idt_trick", 60)),
-        family="fam_alpha", year="2016",
-        visible=(("RegSetValueEx", 80),))
-    add("s03", _ts(("IsDebuggerPresentAPI", 8),),
-        family="fam_alpha", year="2016")
-    add("s04", _ts(("IsDebuggerPresentAPI", 15), ("ErasePEHeader", 70)),
-        family="fam_alpha", year="2017",
-        visible=(("NtWriteFile", 90), ("NtWriteFile", 95)))
-    add("s05", _ts(("IsDebuggerPresentAPI", 11), ("memory_space", 40)),
-        family="fam_alpha", year="2017",
-        visible=(("CreateProcessW", 75),))
-
-    # fam_beta: disjoint techniques, empty footprint
-    add("s06", _ts(("vm_check_mac", 30),), family="fam_beta", year="2017")
-    add("s07", _ts(("CanOpenCsrss", 45),), family="fam_beta", year="2017")
-    add("s08", _ts(("SizeOfImage", 55),), family="fam_beta", year="2018")
-    add("s09", _ts(("time_stalling", 25),), family="fam_beta", year="2018")
-
-    # fam_gamma: two shared techniques
-    add("s10", _ts(("IsDebuggerPresentPEB", 5), ("RDTSC", 20)),
-        family="fam_gamma", year="2018")
-    add("s11", _ts(("IsDebuggerPresentPEB", 6), ("RDTSC", 22),
-                   ("HeapFlags", 60)),
-        family="fam_gamma", year="2018")
-    add("s12", _ts(("IsDebuggerPresentPEB", 4), ("RDTSC", 18),
-                   ("reg_keys", 75)),
-        family="fam_gamma", year="2019")
-    add("s13", _ts(("IsDebuggerPresentPEB", 7), ("RDTSC", 24)),
-        family="fam_gamma", year="2019")
-
-    # fam_delta: mixed evasive and clean samples
-    add("s14", _ts(("process_enum", 35),), family="fam_delta", year="2019",
-        visible=(("connect", 60),))
-    add("s15", (), family="fam_delta", year="2019")
-    add("s16", (), family="fam_delta", year="2020")
-    add("s17", (), family="fam_delta", year="2020",
-        visible=(("NtWriteFile", 50),))
-
-    # fam_epsilon: timing attacks come first
-    add("s18", _ts(("RDTSC", 5), ("IsDebuggerPresentPEB", 50)),
-        family="fam_epsilon", year="2020")
-    add("s19", _ts(("RDTSC", 6), ("NtGlobalFlag", 55)),
-        family="fam_epsilon", year="2020")
-    add("s20", _ts(("time_stalling", 4), ("CanOpenCsrss", 45)),
-        family="fam_epsilon", year="2020")
-
-    # fam_zeta: VM checks / anti dump first
-    add("s21", _ts(("idt_trick", 5), ("ErasePEHeader", 60)),
-        family="fam_zeta", year="2016")
-    add("s22", _ts(("gdt_trick", 6), ("SizeOfImage", 65)),
-        family="fam_zeta", year="2016")
-    add("s23", _ts(("ErasePEHeader", 5), ("RDTSC", 80)),
-        family="fam_zeta", year="2017")
-
-    # packed samples: anti-dump dominated
-    packed_extras = ("RDTSC", "IsDebuggerPresentAPI", "vm_check_mac",
-                     "process_enum", "memory_space", "CanOpenCsrss",
-                     "idt_trick", "time_stalling")
-    for i, extra in enumerate(packed_extras):
-        add(f"s{24 + i:02d}",
-            _ts(("ErasePEHeader", 8), (extra, 40 + 3 * i)),
-            family=f"fam_pack{i % 2}", year=str(2016 + i % 5), packer="upx")
-
-    # protected samples: many techniques each
-    protected_sets = (
-        ("IsDebuggerPresentAPI", "IsDebuggerPresentPEB", "RDTSC"),
-        ("IsDebuggerPresentAPI", "NtGlobalFlag", "idt_trick", "memory_space"),
-        ("CheckRemoteDebuggerPresentAPI", "HeapFlags", "str_trick",
-         "disk_size_getdiskfreespace", "RDTSC"),
-        ("IsDebuggerPresentAPI", "IsDebuggerPresentPEB", "NtGlobalFlag",
-         "cpuid_hypervisor_vendor", "ErasePEHeader", "time_stalling",
-         "Check_EIP"),
-        ("vm_check_mac", "SharedUserData_KernelDebugger"),
-    )
-    for i, techs in enumerate(protected_sets):
-        add(f"s{32 + i:02d}",
-            _ts(*((t, 10 + 8 * j) for j, t in enumerate(techs))),
-            family="fam_prot", year=str(2016 + i), protector="themida")
-
-    # never started / started but not active
-    add("s37", (), filler=0, family="fam_delta", year="2016")
-    add("s38", (), filler=0, family="fam_delta", year="2017")
-    add("s39", (), filler=20, family="fam_delta", year="2018")
-    add("s40", (), filler=20, family="fam_delta", year="2019")
-
-    # FP-prone-only samples: detections but not evasive
-    add("s41", _ts(("GetTickCount", 30),), dataset="goodware",
-        family="fam_good", year="2020")
-    add("s42", _ts(("mouse_movement", 35),), dataset="goodware",
-        family="fam_good", year="2020")
-    add("s43", _ts(("cpuid_is_hypervisor", 40),), dataset="goodware",
-        family="fam_good", year="2020")
-    add("s44", _ts(("NumberOfProcessors", 45),), dataset="goodware",
-        family="fam_good", year="2020")
-
-    # clean goodware with ordinary behavior
-    for i in range(6):
-        add(f"s{45 + i:02d}", (), dataset="goodware", family="fam_good",
-            year=str(2016 + i % 5),
-            visible=(("NtWriteFile", 20 + 10 * i), ("RegSetValueEx", 80)))
-
-    # scenario samples
-    add("s51", (), family="fam_inject", year="2020", scenario="injection",
-        visible=(("connect", 95),))
-    add("s52", (), family="fam_locky", year="2016", scenario="locky")
-    themida = themida_spec(sample_id="s53", seed=seed + 53)
-    specs.append(replace(
-        themida,
-        labels=(("dataset", "malware"), ("family", "fam_prot"),
-                ("year", "2020"), ("protector", "themida"))))
-
-    # mixed evasive samples with visible-call splits
-    split_cases = (
-        ("s54", "NQIP_ProcessDebugPort", (("NtWriteFile", 5),
-                                          ("NtWriteFile", 60),
-                                          ("connect", 85))),
-        ("s55", "Firmware_RSMB", (("RegSetValueEx", 70),)),
-        ("s56", "setupdi_diskdrive", (("NtWriteFile", 10),
-                                      ("NtWriteFile", 12),
-                                      ("send", 88))),
-        ("s57", "dizk_size_deviceiocontrol", (("WSASend", 91),)),
-        ("s58", "Interrupt_3", (("NtWriteFile", 75), ("NtWriteFile", 82))),
-        ("s59", "wmi_mix", ()),
-        ("s60", "Shellcode_injected", (("connect", 90),)),
-    )
-    for sid, tech, visible in split_cases:
-        if tech == "wmi_mix":
-            add(sid, _ts(("serial_number_bios_wmi", 30),
-                         ("disk_size_wmi", 50)),
-                family="fam_wmi", year="2019", visible=visible)
-        else:
-            add(sid, _ts((tech, 30),), family="fam_misc", year="2019",
-                visible=visible)
-
-    assert len(specs) == 60, len(specs)
-    return specs
-
+def _write_sample(spec: GenSpec, out_dir) -> dict:
+    """Build ``spec``'s sample, write its trace and return its manifest
+    entry."""
+    sample = build_sample(spec)
+    with open(os.path.join(out_dir, spec.sample_id + ".trace"), "w",
+              encoding="utf-8") as fh:
+        fh.write(sample.text)
+    return {
+        "trace_file": spec.sample_id + ".trace",
+        "labels": dict(spec.labels),
+        "expect_detections": sample.expect_detections,
+        "expect_technique_set": sample.expect_technique_set,
+        "expect_evasive": sample.expect_evasive,
+        "positions": dict(sorted(sample.positions.items())),
+    }
 
 # ---------------------------------------------------------------------------
 # genspec files (same key=value token dialect as traces)
@@ -814,21 +614,3 @@ def _parse_genspec(fields: dict[str, str]) -> GenSpec:
     if fields:
         raise ValueError(f"unexpected fields {sorted(fields)}")
     return spec
-
-
-def format_genspec(spec: GenSpec) -> str:
-    toks = ["sample_id=" + encode_text(spec.sample_id)]
-    if spec.techniques:
-        toks.append("techniques=" + ";".join(
-            "%s@%g:%s" % (encode_text(t.id), t.pos, t.origin)
-            for t in spec.techniques))
-    toks.append("filler=%d" % spec.filler)
-    if spec.visible:
-        toks.append("visible=" + ";".join(
-            "%s@%g" % (encode_text(n), p) for n, p in spec.visible))
-    for key, value in spec.labels:
-        toks.append("%s=%s" % (key, encode_text(value)))
-    if spec.scenario:
-        toks.append("scenario=" + spec.scenario)
-    toks.append("seed=%d" % spec.seed)
-    return " ".join(toks)

@@ -1,10 +1,12 @@
-"""Hand-rolled trace construction for tests.
+"""Hand-rolled trace construction and other fixtures for tests.
 
-Deliberately independent of evprof.generate: tests that check the
-generator or the profiler need fixtures built straight from the event
-dataclasses.
+The ``T`` builder is deliberately independent of evprof.generate: tests
+that check the generator or the profiler need fixtures built straight from
+the event dataclasses.
 """
 
+from evprof.aggregate import AggregateError
+from evprof.generate import GenSpec, TechniqueSpec, build_sample
 from evprof.trace import (
     ApiPayload, ImageLoadPayload, InsnPayload, MemPayload, MetaPayload,
     RegionAllocPayload, RegionFreePayload, StructLayout, ThreadStartPayload,
@@ -115,3 +117,44 @@ class T:
     def thread_start(self, pid, tid, parent_tid=None):
         return self._emit("thread_start", ThreadStartPayload(parent_tid),
                           pid=pid, tid=tid, insn_index=0)
+
+
+# -- generated samples and run comparisons -----------------------------------
+
+def build_samples(specs):
+    """Each spec's generated sample, by sample id: what ``write_corpus``
+    writes, all held in memory at once."""
+    return {spec.sample_id: build_sample(spec)
+            for spec in sorted(specs, key=lambda s: s.sample_id)}
+
+
+def divergent_pair(sample_id="divergent", seed=11):
+    """Two runs of one sample: mitigated (full behavior) and bare.
+
+    The bare run models the malware detecting the analysis and bailing
+    out: the post-check externally visible activity never happens.
+    """
+    check = (TechniqueSpec("IsDebuggerPresentAPI", pos=20.0),)
+    mitigated = GenSpec(
+        sample_id=sample_id, techniques=check, filler=60,
+        visible=(("NtWriteFile", 70.0), ("NtWriteFile", 80.0),
+                 ("RegSetValueEx", 85.0), ("connect", 90.0)),
+        scenario="divergent_mitigated", seed=seed)
+    bare = GenSpec(
+        sample_id=sample_id, techniques=check, filler=60,
+        visible=(), scenario="divergent_bare", seed=seed)
+    return mitigated, bare
+
+
+def behavior_diff(report_a, report_b):
+    """Compare two runs of one sample under different configurations."""
+    if report_a.sample_id != report_b.sample_id:
+        raise AggregateError(
+            f"behavior diff needs two runs of one sample, got "
+            f"{report_a.sample_id!r} and {report_b.sample_id!r}")
+    return {
+        "same_techniques":
+            set(report_a.technique_set) == set(report_b.technique_set),
+        "same_visible_effects":
+            report_a.visible_api_counts == report_b.visible_api_counts,
+    }

@@ -6,7 +6,9 @@ so a hypothesis strategy and a seeded ``random.Random`` share one mutator.
 
 import functools
 
-from evprof.generate import corpus60_specs, gen_corpus
+from evprof.generate import suite_specs
+
+from helpers import build_samples
 
 MUTANT_CHARS = "0123456789abcdefxX =:,;@()+.%-_\\/*sidé"
 # characters str.splitlines breaks a line at, and a text-mode file does not
@@ -17,8 +19,8 @@ LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 @functools.cache
 def corpus60_lines():
     """Each corpus60 trace as its list of lines, in sample id order."""
-    samples, _ = gen_corpus(corpus60_specs())
-    return [sample.text.splitlines() for _, sample in sorted(samples.items())]
+    return [sample.text.splitlines()
+            for sample in build_samples(suite_specs("corpus60")).values()]
 
 
 def mutate(lines, pick, chars=MUTANT_CHARS):

@@ -19,14 +19,13 @@ from evprof.cli import main as cli_main
 from evprof.clock import VirtualClock
 from evprof.config import RunConfig
 from evprof.generate import (
-    GenSpec, build_sample, corpus60_specs, gen_corpus, roundtrip_specs,
-    write_corpus,
+    GenSpec, build_sample, roundtrip_specs, suite_specs, write_corpus,
 )
 from evprof.profiler import SampleProfiler, SampleReport, run_sample
 from evprof.trace import Value, parse_trace, vdur
 
 import oracles
-from helpers import PEB_BASE, T, header_bytes
+from helpers import PEB_BASE, T, build_samples, header_bytes
 from test_clock import oracle_rdtsc
 
 RATIO_TOL = 1e-9
@@ -70,7 +69,7 @@ def test_criterion_1_catalog_integrity():
 @criterion(2, "round-trip soundness, 106 traces")
 def test_criterion_2_roundtrip_soundness():
     start = time.monotonic()
-    samples, manifest = gen_corpus(roundtrip_specs())
+    samples = build_samples(roundtrip_specs())
     assert len(samples) == 106
     for sid, sample in samples.items():
         report = profile_text(sample.text)
@@ -210,7 +209,7 @@ def test_criterion_6_injection_end_to_end():
 def test_criterion_7_aggregator_oracle_equivalence(tmp_path):
     start = time.monotonic()
     corpus = tmp_path / "corpus"
-    write_corpus(corpus60_specs(), corpus)
+    write_corpus(suite_specs("corpus60"), corpus)
     assert cli_main(["batch", str(corpus), "--out",
                      str(tmp_path / "reports"), "--jobs", "4"]) == 0
     reports = []
@@ -332,8 +331,8 @@ def test_criterion_8_determinism(tmp_path):
 
     gen_a = tmp_path / "gen_a"
     gen_b = tmp_path / "gen_b"
-    write_corpus(corpus60_specs(seed=5), gen_a)
-    write_corpus(corpus60_specs(seed=5), gen_b)
+    write_corpus(suite_specs("corpus60", seed=5), gen_a)
+    write_corpus(suite_specs("corpus60", seed=5), gen_b)
     for name in sorted(os.listdir(gen_a)):
         assert (gen_a / name).read_bytes() == (gen_b / name).read_bytes()
 

@@ -7,13 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from evprof.aggregate import (
     AggregateError, CorpusAccumulator, aggregate_reports, apply_labels,
-    behavior_diff, load_labels,
+    load_labels,
 )
 from evprof import catalog
 from evprof.catalog import DetectionRecord
 from evprof.profiler import SampleReport, counted_detections, derived_fields
 
 import oracles
+from helpers import behavior_diff
 
 
 def make_report(sample_id="s", started=True, active=True, techniques=(),

@@ -9,8 +9,10 @@ import pytest
 
 from evprof import cli
 from evprof.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from evprof.generate import roundtrip_specs, write_corpus
+from evprof.generate import roundtrip_specs, suite_specs, write_corpus
 from evprof.profiler import SampleReport
+
+from helpers import behavior_diff
 
 
 @pytest.fixture(scope="module")
@@ -145,9 +147,8 @@ def test_gen_without_inputs_usage_error(tmp_path):
 
 
 def test_aggregate_pipeline(tmp_path):
-    from evprof.generate import corpus60_specs
     corpus = tmp_path / "c60"
-    write_corpus(corpus60_specs(), corpus)
+    write_corpus(suite_specs("corpus60"), corpus)
     reports = tmp_path / "reports"
     assert main(["batch", str(corpus), "--out", str(reports),
                  "--jobs", "4"]) == EXIT_OK
@@ -163,9 +164,8 @@ def test_aggregate_pipeline(tmp_path):
 
 
 def test_aggregate_group_by_family_footprints(tmp_path):
-    from evprof.generate import corpus60_specs
     corpus = tmp_path / "c60"
-    write_corpus(corpus60_specs(), corpus)
+    write_corpus(suite_specs("corpus60"), corpus)
     reports = tmp_path / "reports"
     main(["batch", str(corpus), "--out", str(reports)])
     assert main(["aggregate", str(reports), "--group-by", "family",
@@ -184,9 +184,8 @@ def test_aggregate_no_reports_nonzero(tmp_path):
 
 
 def test_aggregate_csv_format(tmp_path):
-    from evprof.generate import corpus60_specs
     corpus = tmp_path / "c60"
-    write_corpus(corpus60_specs()[:8], corpus)
+    write_corpus(suite_specs("corpus60")[:8], corpus)
     reports = tmp_path / "reports"
     main(["batch", str(corpus), "--out", str(reports)])
     tables = tmp_path / "csv"
@@ -217,6 +216,18 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert len(proc.stdout.strip().splitlines()) == 54
+
+
+def test_start_up_imports_neither_the_pool_nor_hashlib():
+    # each costs milliseconds of every start; only a --jobs pool and the
+    # mouse-movement mitigation need them. -S keeps site hooks out.
+    code = ("import sys, evprof.cli; print(sorted("
+            "{'concurrent.futures', 'hashlib'} & set(sys.modules)))")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_config_file_and_flag_precedence(corpus_dir, tmp_path):
@@ -293,7 +304,6 @@ def test_divergence_study_via_override(corpus_dir, tmp_path):
                  "--out", str(out_b)]) == EXIT_OK
     a = SampleReport.from_json(out_a.read_text())
     b = SampleReport.from_json(out_b.read_text())
-    from evprof.aggregate import behavior_diff
     diff = behavior_diff(a, b)
     assert diff["same_techniques"] is True
 

@@ -1,17 +1,20 @@
 """Generator determinism, coverage, and scenario fixtures."""
 
+import json
+import weakref
+
 import pytest
 
-from evprof import catalog
+from evprof import catalog, generate
 from evprof.config import RunConfig
 from evprof.generate import (
-    GenError, GenSpec, TechniqueSpec, build_sample, corpus60_specs,
-    divergent_pair, format_genspec, gen_corpus, parse_genspec_file,
-    roundtrip_specs, scenario_specs, themida_spec,
+    GenError, GenSpec, TechniqueSpec, build_sample, parse_genspec_file,
+    roundtrip_specs, suite_specs, write_corpus,
 )
 from evprof.profiler import SampleProfiler, run_sample
 from evprof.trace import parse_trace, validate_trace
-from evprof.aggregate import behavior_diff
+
+from helpers import behavior_diff, build_samples, divergent_pair
 
 
 def profile_sample(sample, config=None):
@@ -35,20 +38,22 @@ def test_different_seed_changes_filler():
     assert build_sample(a).text != build_sample(b).text
 
 
-def test_unknown_technique_rejected():
-    with pytest.raises(GenError):
-        build_sample(GenSpec(sample_id="x",
-                             techniques=(TechniqueSpec("Nope"),)))
+def test_unknown_technique_and_scenario_rejected():
+    with pytest.raises(ValueError, match="unknown technique 'Nope'"):
+        TechniqueSpec("Nope")
+    with pytest.raises(ValueError, match="unknown scenario 'nope'"):
+        GenSpec(sample_id="x", scenario="nope")
 
 
-def test_duplicate_sample_ids_rejected():
+def test_duplicate_sample_ids_rejected_before_any_file(tmp_path):
     specs = [GenSpec(sample_id="dup"), GenSpec(sample_id="dup")]
     with pytest.raises(GenError):
-        gen_corpus(specs)
+        write_corpus(specs, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_generated_traces_validate_cleanly():
-    for spec in scenario_specs() + [themida_spec()]:
+    for spec in suite_specs("scenarios"):
         sample = build_sample(spec)
         assert validate_trace(parse_trace(sample.text)) == []
 
@@ -82,9 +87,8 @@ def test_same_value_header_write_variant_detects_nothing():
 
 
 def test_roundtrip_corpus_serialization_is_lossless():
-    samples, _ = gen_corpus(roundtrip_specs())
     from evprof.trace import serialize_trace
-    for sample in samples.values():
+    for sample in build_samples(roundtrip_specs()).values():
         assert serialize_trace(parse_trace(sample.text)) == sample.text
 
 
@@ -116,7 +120,8 @@ def test_position_targeting_is_close():
 
 
 def test_themida_bundle_detects_all():
-    spec = themida_spec()
+    spec, = [s for s in suite_specs("scenarios")
+             if s.sample_id == "themida_bundle"]
     report = profile_sample(build_sample(spec))
     assert report.techniques_count >= 10
     cats = {catalog.rule(t).category for t in report.technique_set}
@@ -134,25 +139,54 @@ def test_divergent_pair_diff():
 
 
 def test_corpus60_has_60_labeled_samples():
-    specs = corpus60_specs()
-    assert len(specs) == 60
-    samples, manifest = gen_corpus(specs)
-    assert len(manifest["samples"]) == 60
+    specs = suite_specs("corpus60")
+    assert len({s.sample_id for s in specs}) == 60
     datasets = {dict(s.labels).get("dataset") for s in specs}
     assert datasets == {"malware", "goodware"}
 
 
-def test_corpus60_verdicts_match_manifest():
-    samples, manifest = gen_corpus(corpus60_specs())
-    for sid, sample in samples.items():
-        report = profile_sample(sample)
-        entry = manifest["samples"][sid]
+def test_suite_seed_shifts_every_line_seed():
+    for name in ("corpus60", "scenarios"):
+        base = suite_specs(name)
+        assert [s.seed + 3 for s in base] == \
+            [s.seed for s in suite_specs(name, seed=3)]
+
+
+def test_corpus60_verdicts_match_manifest(tmp_path):
+    manifest = write_corpus(suite_specs("corpus60"), tmp_path)
+    assert len(manifest["samples"]) == 60
+    for sid, entry in manifest["samples"].items():
+        report = run_sample(parse_trace(
+            (tmp_path / entry["trace_file"]).read_text(encoding="utf-8")))
         assert report.evasive == entry["expect_evasive"], sid
         assert report.technique_set == entry["expect_technique_set"], sid
+    written = json.loads((tmp_path / "manifest.json").read_text())
+    assert written == manifest
 
 
-def test_genspec_file_round_trip():
-    specs = [
+def test_write_corpus_drops_each_sample_before_building_the_next(
+        tmp_path, monkeypatch):
+    built = []
+
+    def build(spec):
+        assert [ref() for ref in built] == [None] * len(built)
+        sample = real_build(spec)
+        built.append(weakref.ref(sample))
+        return sample
+
+    real_build = generate.build_sample
+    monkeypatch.setattr(generate, "build_sample", build)
+    write_corpus(roundtrip_specs()[:3], tmp_path)
+    assert len(built) == 3
+
+
+def test_genspec_file_reads_every_key():
+    text = ("sample_id=one techniques=RDTSC@20;HeapFlags@60:benign "
+            "filler=30 visible=NtWriteFile@80 family=fam year=2019 "
+            "packer=upx seed=5\n"
+            "sample_id=two filler=10 scenario=locky seed=6\n"
+            "sample_id=th%72ee techniques=RDTSC visible=connect\n")
+    assert parse_genspec_file(text) == [
         GenSpec(sample_id="one", filler=30, seed=5,
                 techniques=(TechniqueSpec("RDTSC", pos=20.0),
                             TechniqueSpec("HeapFlags", pos=60.0,
@@ -161,10 +195,9 @@ def test_genspec_file_round_trip():
                 labels=(("family", "fam"), ("year", "2019"),
                         ("packer", "upx"))),
         GenSpec(sample_id="two", filler=10, seed=6, scenario="locky"),
+        GenSpec(sample_id="three", techniques=(TechniqueSpec("RDTSC"),),
+                visible=(("connect", 50.0),)),
     ]
-    text = "\n".join(format_genspec(s) for s in specs) + "\n"
-    parsed = parse_genspec_file(text)
-    assert parsed == specs
 
 
 def test_genspec_comments_and_blank_lines_skipped():
@@ -189,6 +222,8 @@ def test_genspec_missing_sample_id_rejected():
     ("techniques=RDTSC@x:red", "could not convert string to float: 'x'"),
     ("filler=zz", "invalid literal for int()"),
     ("techniques=RDTSC@5:blue", "origin must be red or benign, got 'blue'"),
+    ("techniques=Nope@5", "unknown technique 'Nope'"),
+    ("scenario=nope", "unknown scenario 'nope'"),
     ("filler=1 filler=2", "duplicate field 'filler'"),
     ("seed=0x", "invalid literal for int()"),
 ])
@@ -230,7 +265,6 @@ def test_locky_fixture_ratio_matched_at_least_once():
 
 def test_write_corpus_outputs(tmp_path):
     out = tmp_path / "corpus"
-    from evprof.generate import write_corpus
     manifest = write_corpus(roundtrip_specs()[:4], out)
     files = sorted(p.name for p in out.iterdir())
     assert "manifest.json" in files

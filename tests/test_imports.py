@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module, and
-every top-level function and class it defines is referenced somewhere."""
+every top-level function and class it defines is referenced by the program:
+the package or the benchmark, not only by tests."""
 
 import ast
 import functools
@@ -37,11 +38,11 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-# -- every top-level function and class is referenced ------------------------
+# -- every top-level function and class is referenced by the program --------
 
 ROOT = Path(__file__).resolve().parent.parent
-SCANNED = [*MODULES, Path(evprof.__file__), *sorted(
-    p for d in ("tests", "perfbench") for p in (ROOT / d).glob("*.py"))]
+INIT = Path(evprof.__file__)
+PROGRAM = [*MODULES, INIT, *sorted((ROOT / "perfbench").glob("*.py"))]
 
 
 def name_uses(tree) -> Counter:
@@ -60,9 +61,16 @@ def unreferenced_definitions(module, uses: Counter) -> list[str]:
 
 
 @functools.cache
-def all_uses() -> Counter:
+def program_uses() -> Counter:
+    """Name uses in src/evprof and perfbench/, plus one for each name the
+    package's ``__init__`` re-exports. Uses in tests/ do not count: code
+    only tests call belongs in tests/."""
+    init = ast.parse(INIT.read_text(encoding="utf-8"))
+    exported = Counter(alias.name for node in init.body
+                       if isinstance(node, ast.ImportFrom)
+                       for alias in node.names)
     return sum((name_uses(ast.parse(p.read_text(encoding="utf-8")))
-                for p in SCANNED), Counter())
+                for p in PROGRAM), exported)
 
 
 def test_scan_flags_a_definition_used_only_by_itself():
@@ -74,4 +82,4 @@ def test_scan_flags_a_definition_used_only_by_itself():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_definition_is_referenced(path):
     module = ast.parse(path.read_text(encoding="utf-8"))
-    assert unreferenced_definitions(module, all_uses()) == []
+    assert unreferenced_definitions(module, program_uses()) == []

@@ -295,9 +295,13 @@ OPS = st.one_of(
 )
 
 
+def op_pid(op):
+    return op[2] if op[0] == "access" else op[1]
+
+
 def apply_op(tracker, op, seq):
     """Run one operation; return what it returned or the error it raised."""
-    kind, pid = op[0], op[2] if op[0] == "access" else op[1]
+    kind, pid = op[0], op_pid(op)
     try:
         if kind == "register":
             _, _, base, size, rkind = op
@@ -335,21 +339,39 @@ def apply_op(tracker, op, seq):
         return ("refused", str(exc))
 
 
+def pid_state(tracker, pid, shadow_bases):
+    """The tables of ``pid``, with its PE shadows at ``shadow_bases``."""
+    return (tracker.regions(pid),
+            [(wp.address, wp.width, wp.field, wp.live)
+             for wp in tracker.watchpoints(pid)],
+            [tracker.pe_shadow_bytes(pid, base) for base in shadow_bases])
+
+
 def table_state(tracker):
-    return [(pid, tracker.regions(pid),
-             [(wp.address, wp.width, wp.field, wp.live)
-              for wp in tracker.watchpoints(pid)],
-             [tracker.pe_shadow_bytes(pid, base) for base in range(0x21)])
-            for pid in (1, 2)] + [[str(d) for d in tracker.diagnostics]]
+    return [pid_state(tracker, pid, range(0x21)) for pid in (1, 2)] + [
+        [str(d) for d in tracker.diagnostics]]
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.lists(OPS, min_size=10, max_size=80))
 def test_indexed_tracker_matches_list_scan(ops):
+    # After each operation only what it can change is compared: the tables
+    # of its pid, the shadows registered there and the new diagnostics, so
+    # a failure names the operation and shows only that pid's tables. The
+    # whole state is compared once, at the end.
     fast, slow = MemoryTracker(), ListMemoryTracker()
+    shadow_bases = {1: set(), 2: set()}
     for seq, op in enumerate(ops, start=1):
+        pid = op_pid(op)
+        if op[0] == "shadow":
+            shadow_bases[pid].add(op[2])
+        seen = len(slow.diagnostics)
         assert apply_op(fast, op, seq) == apply_op(slow, op, seq), op
-        assert table_state(fast) == table_state(slow), op
+        bases = sorted(shadow_bases[pid])
+        assert pid_state(fast, pid, bases) == pid_state(slow, pid, bases), op
+        assert [str(d) for d in fast.diagnostics[seen:]] == \
+            [str(d) for d in slow.diagnostics[seen:]], op
+    assert table_state(fast) == table_state(slow)
 
 
 @pytest.mark.parametrize("size", [0, -5])

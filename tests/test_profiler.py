@@ -10,7 +10,7 @@ from evprof.profiler import (
 )
 from evprof.trace import Value, vdur
 
-from helpers import BENIGN, PEB, PEB_BASE, T, header_bytes
+from helpers import BENIGN, PEB, PEB_BASE, T, build_samples, header_bytes
 
 
 def profile(t, config=None):
@@ -329,13 +329,10 @@ def test_report_json_round_trip():
 
 @functools.cache
 def suite_events(suite):
-    from evprof.generate import (
-        corpus60_specs, gen_corpus, roundtrip_specs, scenario_specs)
+    from evprof.generate import suite_specs
     from evprof.trace import parse_trace
-    specs = {"roundtrip": roundtrip_specs, "corpus60": corpus60_specs,
-             "scenarios": scenario_specs}[suite]()
-    samples, _ = gen_corpus(specs)
-    return [parse_trace(sample.text) for _, sample in sorted(samples.items())]
+    return [parse_trace(sample.text)
+            for sample in build_samples(suite_specs(suite)).values()]
 
 
 @pytest.mark.parametrize("exclude_fp_prone", [True, False])
@@ -510,9 +507,9 @@ def test_report_value_of_the_wrong_json_type_is_rejected(key):
 def test_profiling_leaves_the_parsed_events_unchanged(mitigate):
     # records are not frozen: nothing downstream of the parser may mutate
     # one, and a rerouted event is a copy
-    from evprof.generate import gen_corpus, scenario_specs
+    from evprof.generate import suite_specs
     from evprof.trace import parse_trace, serialize_trace
-    samples, _ = gen_corpus(scenario_specs())
+    samples = build_samples(suite_specs("scenarios"))
     rerouted = 0
     for sid, sample in sorted(samples.items()):
         events = parse_trace(sample.text)

@@ -15,9 +15,7 @@ from evprof.trace import (
     serialize_event, serialize_trace, tokenize, validate_trace,
 )
 from evprof.config import RunConfig
-from evprof.generate import (
-    GenSpec, TechniqueSpec, build_sample, corpus60_specs, gen_corpus,
-)
+from evprof.generate import GenSpec, TechniqueSpec, build_sample
 from evprof.profiler import run_sample
 
 from helpers import T
