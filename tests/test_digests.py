@@ -8,6 +8,8 @@ must match ``golden_digests.json``. Every suite runs under each of
 switches one mitigation off, forces a substituted value on another and
 turns a third on explicitly. The last two keep the unmitigated and the
 overridden detection paths under the same gate as the default one.
+The ``aggregate/*`` keys pin every table and stdout form of ``aggregate``
+over ``corpus60`` under each ``--group-by``.
 
 A refactor or optimization that keeps the outputs byte-identical passes
 unchanged; a change that alters reports on purpose regenerates the file
@@ -81,6 +83,32 @@ def catalog_digests(fmt, work):
             for name, text in (("stdout", out), ("stderr", err))}
 
 
+def aggregate_digests(group_by, work):
+    """``aggregate --labels --group-by GROUP_BY`` over a ``corpus60``
+    batch: every file ``--out`` writes for ``--format text`` and ``csv``,
+    and stdout for ``--format json`` and ``text``."""
+    traces = os.path.join(work, "traces")
+    reports = os.path.join(work, "reports")
+    tables = os.path.join(work, "tables")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--suite", "corpus60", "--out", traces]) == EXIT_OK
+        assert main(["batch", traces, "--out", reports,
+                     "--jobs", "1"]) == EXIT_OK
+    argv = ["aggregate", reports, "--group-by", group_by,
+            "--labels", os.path.join(traces, "labels.csv")]
+    for fmt in ("text", "csv"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv + ["--format", fmt, "--out", tables]) == EXIT_OK
+    digests = dir_digests(tables)
+    for fmt in ("json", "text"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv + ["--format", fmt]) == EXIT_OK
+        digests["stdout." + fmt] = hashlib.sha256(
+            out.getvalue().encode()).hexdigest()
+    return digests
+
+
 def parse_outcome_digests(work):
     """Per corpus60 trace, the sha256 of what ``parse_trace`` makes of its
     2000 seeded mutants: each mutant's serialized events or its TraceError
@@ -109,6 +137,8 @@ INPUTS = {
        for name in workloads.WRITERS},
     **{"catalog/" + fmt: functools.partial(catalog_digests, fmt)
        for fmt in ("text", "csv")},
+    **{"aggregate/" + group_by: functools.partial(aggregate_digests, group_by)
+       for group_by in ("dataset", "year", "family")},
     "parse/mutated-corpus60": parse_outcome_digests,
 }
 
