@@ -4,11 +4,14 @@ All percentages are computed over the number of started samples of the
 relevant group. Aggregation is a pure fold with an associative merge, so
 report sets can be combined in any order or in parallel: the fold state
 holds only counts (ints and ``Counter``s), each stored once, and two
-partial states merge by adding them. Everything else is derived at
-finalization. The mean, population standard deviation and maximum of the
-number of techniques come from a histogram of that number, the variance
-through the exact integer identity n*var = (n*sumsq - sum^2) / n, which
-makes results independent of merge order.
+partial states merge by adding them. Everything else is derived once, by
+``finalize``, into the summary document: the plain dict that
+``summary.json`` serializes and whose ``groups`` and ``packers`` sections
+the core and packer tables render. The mean, population standard
+deviation and maximum of the number of techniques come from a histogram
+of that number, the variance through the exact integer identity
+n*var = (n*sumsq - sum^2) / n, which makes results independent of merge
+order.
 
 The evasive footprint of a family is the intersection of the technique
 sets of its evasive samples: the techniques whose per-family count equals
@@ -163,12 +166,9 @@ class CorpusAccumulator:
         if report.child_process:
             group.child_process += 1
 
-        categories = set()
-        for technique in report.technique_set:
-            self.technique_samples[technique] += 1
-            categories.add(catalog.rule(technique).category)
-        for cat in categories:
-            group.category_samples[cat] += 1
+        categories = report.categories_in_order
+        self.technique_samples.update(report.technique_set)
+        group.category_samples.update(categories)
 
         packer = report.labels.get("packer", "")
         protector = report.labels.get("protector", "")
@@ -176,8 +176,7 @@ class CorpusAccumulator:
             group.packed += 1
             if report.evasive:
                 group.packed_evasive += 1
-            for cat in categories:
-                group.packed_categories[cat] += 1
+            group.packed_categories.update(categories)
         if protector:
             group.protected += 1
             if report.evasive:
@@ -185,9 +184,8 @@ class CorpusAccumulator:
 
         if report.evasive:
             self._add_timeline(report)
-            cats = report.categories_in_order
-            if len(cats) >= 2:
-                self.first_category_counts[cats[0]] += 1
+            if len(categories) >= 2:
+                self.first_category_counts[categories[0]] += 1
             family = report.labels.get("family", "")
             if family:
                 self.family_evasive[family] += 1
@@ -216,214 +214,157 @@ class CorpusAccumulator:
             if name != "group_by":
                 setattr(self, name, _merge(getattr(self, name), theirs))
 
-    def finalize(self) -> "CorpusAggregate":
-        return CorpusAggregate(self)
+    def finalize(self) -> dict:
+        """The summary document: the plain dict ``summary.json`` holds."""
+        ordered = [(key, self.groups[key]) for key in sorted(self.groups)]
+        started = sum(g.started for _, g in ordered)
+        footprints = _footprints(self.family_evasive, self.family_techniques)
+        return {
+            "group_by": self.group_by,
+            "groups": {key: _group_stats(g) for key, g in ordered},
+            # share of started samples, descending; ties break by id
+            "technique_ranking": [
+                {"technique": tech, "share_pct": _pct(n, started)}
+                for tech, n in sorted(self.technique_samples.items(),
+                                      key=lambda it: (-it[1], it[0]))],
+            "timeline": _timeline(self),
+            "order": _order(self.first_category_counts),
+            "footprints": footprints,
+            "footprint_summary": _footprint_summary(footprints),
+            "packers": {key: _packer_stats(g) for key, g in ordered},
+            "category_prevalence": {
+                key: {cat: _pct(g.category_samples[cat], g.started)
+                      for cat in catalog.CATEGORIES}
+                for key, g in ordered},
+            "diagnostics": [
+                f"group {key!r}: no started samples, percentages undefined"
+                for key, g in ordered if not g.started],
+        }
 
 
 # ---------------------------------------------------------------------------
-# finalized views
+# the summary document's sections
 
-@dataclass
-class GroupStats:
-    group: str
-    total: int
-    started: int
-    active_pct: float | None
-    evasive_pct: float | None
-    active_and_evasive_pct: float | None
-    avg_techniques: float | None
-    std_techniques: float | None
-    max_techniques: int | None
-    internet_pct: float | None
-    child_process_pct: float | None
+def _group_stats(g: _GroupCounters) -> dict:
+    avg, std, most = _moments(g.evasive_techniques)
+    return {
+        "total": g.total,
+        "started": g.started,
+        "active_pct": _pct(g.active, g.started),
+        "evasive_pct": _pct(sum(g.evasive_techniques.values()), g.started),
+        "active_and_evasive_pct": _pct(g.active_and_evasive, g.started),
+        "avg_techniques": avg,
+        "std_techniques": std,
+        "max_techniques": most,
+        "internet_pct": _pct(g.internet, g.started),
+        "child_process_pct": _pct(g.child_process, g.started),
+    }
 
 
-class CorpusAggregate:
-    def __init__(self, acc: CorpusAccumulator):
-        self._acc = acc
-        self.group_by = acc.group_by
-        self.diagnostics: list[str] = []
-        self.groups: dict[str, GroupStats] = {}
-        for key in sorted(acc.groups):
-            g = acc.groups[key]
-            if g.started == 0:
-                self.diagnostics.append(
-                    f"group {key!r}: no started samples, percentages undefined")
-            avg, std, most = _moments(g.evasive_techniques)
-            self.groups[key] = GroupStats(
-                group=key, total=g.total, started=g.started,
-                active_pct=_pct(g.active, g.started),
-                evasive_pct=_pct(sum(g.evasive_techniques.values()),
-                                 g.started),
-                active_and_evasive_pct=_pct(g.active_and_evasive, g.started),
-                avg_techniques=avg, std_techniques=std, max_techniques=most,
-                internet_pct=_pct(g.internet, g.started),
-                child_process_pct=_pct(g.child_process, g.started),
-            )
+def _packer_stats(g: _GroupCounters) -> dict:
+    avg, std, _ = _moments(g.protected_techniques)
+    return {
+        "started": g.started,
+        "packed_over_started_pct": _pct(g.packed, g.started),
+        "evasive_over_packed_pct": _pct(g.packed_evasive, g.packed),
+        "protected_over_started_pct": _pct(g.protected, g.started),
+        "evasive_over_protected_pct":
+            _pct(sum(g.protected_techniques.values()), g.protected),
+        "packed_category_prevalence_pct": {
+            cat: _pct(n, g.packed)
+            for cat, n in sorted(g.packed_categories.items())
+        },
+        "protected_avg_techniques": avg,
+        "protected_std_techniques": std,
+    }
 
-    # -- rankings ---------------------------------------------------------
 
-    def technique_ranking(self, top_n: int | None = None
-                          ) -> list[tuple[str, float]]:
-        """Techniques by share of started samples using them, descending;
-        ties break lexicographically by id."""
-        started = sum(g.started for g in self._acc.groups.values())
-        if not started:
-            return []
-        ranked = sorted(
-            ((tech, 100.0 * count / started)
-             for tech, count in self._acc.technique_samples.items()),
-            key=lambda item: (-item[1], item[0]))
-        return ranked[:top_n] if top_n else ranked
+def _timeline(acc: CorpusAccumulator) -> dict:
+    evasive_n = sum(acc.first_hist.values())
 
-    # -- timelines ----------------------------------------------------------
+    def hist(d):
+        return {str(k): d[k] for k in sorted(d)}
 
-    def timeline(self) -> dict:
-        acc = self._acc
-        evasive_n = sum(acc.first_hist.values())
+    def share(d, keep):
+        return _pct(sum(v for k, v in d.items() if keep(k)), evasive_n)
 
-        def hist(d):
-            return {str(k): d[k] for k in sorted(d)}
-
-        def share_le(d, bound):
-            return _pct(sum(v for k, v in d.items() if k <= bound), evasive_n)
-
-        def share_ge(d, bound):
-            return _pct(sum(v for k, v in d.items() if k >= bound), evasive_n)
-
-        slots = {}
-        for slot in TIMELINE_SLOTS:
-            counts = acc.slot_first_category[slot]
-            total = sum(counts.values())
-            top = sorted(counts.items(), key=lambda it: (-it[1], it[0]))[:3]
-            slots[slot] = {
-                "samples": total,
-                "top_categories": [
-                    {"category": cat, "share_pct": _pct(n, total)}
-                    for cat, n in top
-                ],
-            }
-        return {
-            "evasive_samples": evasive_n,
-            "first_hist": hist(acc.first_hist),
-            "last_hist": hist(acc.last_hist),
-            "diff_hist": hist(acc.diff_hist),
-            "first_in_0_10_pct": share_le(acc.first_hist, 10),
-            "last_in_0_10_pct": share_le(acc.last_hist, 10),
-            "last_in_90_100_pct": share_ge(acc.last_hist, 90),
-            "slots": slots,
-        }
-
-    # -- order of appearance ---------------------------------------------------
-
-    def order_stats(self) -> dict:
-        first = self._acc.first_category_counts
-        total = sum(first.values())
-        result = {
-            "multi_category_samples": total,
-            "first_category_shares": {},
-            "non_antidebug_first_shares": {},
-        }
-        if total == 0:
-            result["flag"] = "no multi-category samples"
-            return result
-        result["first_category_shares"] = {
-            cat: 100.0 * n / total for cat, n in sorted(first.items())
-        }
-        others = {cat: n for cat, n in sorted(first.items())
-                  if cat != catalog.CAT_ANTI_DEBUG}
-        others_total = sum(others.values())
-        if others_total:
-            result["non_antidebug_first_shares"] = {
-                cat: 100.0 * n / others_total for cat, n in others.items()
-            }
-        return result
-
-    # -- footprints ----------------------------------------------------------
-
-    def evasive_footprint(self) -> dict[str, dict]:
-        acc = self._acc
-        return {
-            family: {
-                "techniques": sorted(
-                    tech for tech, n in acc.family_techniques[family].items()
-                    if n == samples),
-                "evasive_samples": samples,
-            }
-            for family, samples in sorted(acc.family_evasive.items())
-        }
-
-    def footprint_summary(self) -> dict:
-        fps = self.evasive_footprint()
-        nonempty = sum(1 for fp in fps.values() if fp["techniques"])
-        return {
-            "families_with_evasive_sample": len(fps),
-            "families_with_nonempty_footprint": nonempty,
-            "nonempty_pct": _pct(nonempty, len(fps)),
-        }
-
-    # -- packers / protectors ----------------------------------------------
-
-    def packer_stats(self) -> dict[str, dict]:
-        out = {}
-        for key in sorted(self._acc.groups):
-            g = self._acc.groups[key]
-            avg, std, _ = _moments(g.protected_techniques)
-            out[key] = {
-                "started": g.started,
-                "packed_over_started_pct": _pct(g.packed, g.started),
-                "evasive_over_packed_pct": _pct(g.packed_evasive, g.packed),
-                "protected_over_started_pct": _pct(g.protected, g.started),
-                "evasive_over_protected_pct":
-                    _pct(sum(g.protected_techniques.values()), g.protected),
-                "packed_category_prevalence_pct": {
-                    cat: _pct(n, g.packed)
-                    for cat, n in sorted(g.packed_categories.items())
-                },
-                "protected_avg_techniques": avg,
-                "protected_std_techniques": std,
-            }
-        return out
-
-    # -- plot-ready series -----------------------------------------------------
-
-    def category_prevalence(self) -> dict[str, dict[str, float]]:
-        """Per group: share of started samples using each category."""
-        out = {}
-        for key in sorted(self._acc.groups):
-            g = self._acc.groups[key]
-            out[key] = {
-                cat: _pct(g.category_samples[cat], g.started)
-                for cat in catalog.CATEGORIES
-            }
-        return out
-
-    def summary_document(self) -> dict:
-        return {
-            "group_by": self.group_by,
-            "groups": {
-                key: {k: v for k, v in vars(s).items() if k != "group"}
-                for key, s in self.groups.items()
-            },
-            "technique_ranking": [
-                {"technique": t, "share_pct": share}
-                for t, share in self.technique_ranking()
+    slots = {}
+    for slot in TIMELINE_SLOTS:
+        counts = acc.slot_first_category[slot]
+        total = sum(counts.values())
+        top = sorted(counts.items(), key=lambda it: (-it[1], it[0]))[:3]
+        slots[slot] = {
+            "samples": total,
+            "top_categories": [
+                {"category": cat, "share_pct": _pct(n, total)}
+                for cat, n in top
             ],
-            "timeline": self.timeline(),
-            "order": self.order_stats(),
-            "footprints": self.evasive_footprint(),
-            "footprint_summary": self.footprint_summary(),
-            "packers": self.packer_stats(),
-            "category_prevalence": self.category_prevalence(),
-            "diagnostics": self.diagnostics,
         }
+    return {
+        "evasive_samples": evasive_n,
+        "first_hist": hist(acc.first_hist),
+        "last_hist": hist(acc.last_hist),
+        "diff_hist": hist(acc.diff_hist),
+        "first_in_0_10_pct": share(acc.first_hist, lambda k: k <= 10),
+        "last_in_0_10_pct": share(acc.last_hist, lambda k: k <= 10),
+        "last_in_90_100_pct": share(acc.last_hist, lambda k: k >= 90),
+        "slots": slots,
+    }
+
+
+def _order(first: Counter[str]) -> dict:
+    """Shares of the first category of multi-category samples, over all
+    of them and over those whose first category is not AntiDebug."""
+    total = sum(first.values())
+    result = {
+        "multi_category_samples": total,
+        "first_category_shares": {},
+        "non_antidebug_first_shares": {},
+    }
+    if total == 0:
+        result["flag"] = "no multi-category samples"
+        return result
+    result["first_category_shares"] = {
+        cat: 100.0 * n / total for cat, n in sorted(first.items())
+    }
+    others = {cat: n for cat, n in sorted(first.items())
+              if cat != catalog.CAT_ANTI_DEBUG}
+    others_total = sum(others.values())
+    if others_total:
+        result["non_antidebug_first_shares"] = {
+            cat: 100.0 * n / others_total for cat, n in others.items()
+        }
+    return result
+
+
+def _footprints(family_evasive: Counter[str],
+                family_techniques: dict[str, Counter[str]]) -> dict:
+    return {
+        family: {
+            "techniques": sorted(
+                tech for tech, n in family_techniques[family].items()
+                if n == samples),
+            "evasive_samples": samples,
+        }
+        for family, samples in sorted(family_evasive.items())
+    }
+
+
+def _footprint_summary(footprints: dict) -> dict:
+    nonempty = sum(1 for fp in footprints.values() if fp["techniques"])
+    return {
+        "families_with_evasive_sample": len(footprints),
+        "families_with_nonempty_footprint": nonempty,
+        "nonempty_pct": _pct(nonempty, len(footprints)),
+    }
 
 
 # ---------------------------------------------------------------------------
 # spec-level operations
 
 def aggregate_reports(reports: list[SampleReport],
-                      group_by: str = "dataset") -> CorpusAggregate:
+                      group_by: str = "dataset") -> dict:
+    """The summary document of a report list."""
     if not reports:
         raise AggregateError("no reports to aggregate")
     acc = CorpusAccumulator(group_by)
@@ -489,15 +430,13 @@ def _render_table(columns: dict[str, dict], rows, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_core_table(aggregate: CorpusAggregate, fmt: str = "text") -> str:
-    columns = {key: vars(stats) for key, stats in aggregate.groups.items()}
-    return _render_table(columns, CORE_ROWS, fmt)
+def render_core_table(summary: dict, fmt: str = "text") -> str:
+    return _render_table(summary["groups"], CORE_ROWS, fmt)
 
 
-def render_packer_table(aggregate: CorpusAggregate, fmt: str = "text") -> str:
-    return _render_table(aggregate.packer_stats(), PACKER_ROWS, fmt)
+def render_packer_table(summary: dict, fmt: str = "text") -> str:
+    return _render_table(summary["packers"], PACKER_ROWS, fmt)
 
 
-def render_summary_json(aggregate: CorpusAggregate) -> str:
-    return json.dumps(aggregate.summary_document(), indent=2,
-                      sort_keys=True) + "\n"
+def render_summary_json(summary: dict) -> str:
+    return json.dumps(summary, indent=2, sort_keys=True) + "\n"

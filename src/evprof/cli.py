@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 
 from . import catalog
@@ -26,16 +27,15 @@ class CliError(Exception):
 
 
 def _build_config(args) -> RunConfig:
-    cfg = load_config_file(args.config) if getattr(args, "config", None) \
-        else RunConfig()
-    if getattr(args, "no_mitigate", False):
+    cfg = load_config_file(args.config) if args.config else RunConfig()
+    if args.no_mitigate:
         cfg = replace(cfg, mitigate=False)
-    if getattr(args, "include_fp_prone", False):
+    if args.include_fp_prone:
         cfg = replace(cfg, exclude_fp_prone=False)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     overrides = dict(cfg.overrides)
-    for item in getattr(args, "override", None) or []:
+    for item in args.override or []:
         key, sep, value = item.partition("=")
         if not sep or not value:
             raise CliError(f"bad --override {item!r}, expected name=value",
@@ -197,17 +197,17 @@ def cmd_aggregate(args) -> int:
             print(f"warning: {misses} samples missing from the label file",
                   file=sys.stderr)
     try:
-        aggregate = agg.aggregate_reports(reports, args.group_by)
+        summary = agg.aggregate_reports(reports, args.group_by)
     except agg.AggregateError as exc:
         raise CliError(str(exc))
 
     outputs = {
-        "summary.json": agg.render_summary_json(aggregate),
+        "summary.json": agg.render_summary_json(summary),
     }
     table_fmt = "csv" if args.format == "csv" else "text"
     ext = "csv" if table_fmt == "csv" else "txt"
-    outputs[f"core.{ext}"] = agg.render_core_table(aggregate, table_fmt)
-    outputs[f"packers.{ext}"] = agg.render_packer_table(aggregate, table_fmt)
+    outputs[f"core.{ext}"] = agg.render_core_table(summary, table_fmt)
+    outputs[f"packers.{ext}"] = agg.render_packer_table(summary, table_fmt)
 
     if args.out:
         _make_out_dir(args.out)
@@ -226,7 +226,7 @@ def cmd_aggregate(args) -> int:
             sys.stdout.write(outputs[f"core.{ext}"])
             sys.stdout.write("\n")
             sys.stdout.write(outputs[f"packers.{ext}"])
-    for diag in aggregate.diagnostics:
+    for diag in summary["diagnostics"]:
         print(f"warning: {diag}", file=sys.stderr)
     return EXIT_OK
 
@@ -254,17 +254,18 @@ def cmd_gen(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    rows = [
-        (r.id, r.category, r.trigger_kind,
-         "yes" if r.mitigated else "no",
-         "yes" if r.fp_prone else "no", r.trigger_desc)
-        for r in catalog.catalog_listing()
-    ]
+    rows, categories, mitigated = [], Counter(), 0
+    for r in catalog.catalog_listing():
+        rows.append((r.id, r.category, r.trigger_kind,
+                     "yes" if r.mitigated else "no",
+                     "yes" if r.fp_prone else "no", r.trigger_desc))
+        categories[r.category] += 1
+        mitigated += r.mitigated
     header = ("technique", "category", "trigger", "mitigated", "fp_prone",
               "description")
     if args.format == "csv":
-        import csv as _csv
-        writer = _csv.writer(sys.stdout)
+        import csv
+        writer = csv.writer(sys.stdout)
         writer.writerow(header)
         writer.writerows(rows)
     else:
@@ -275,12 +276,8 @@ def cmd_catalog(args) -> int:
         for row in rows:
             print("  ".join(str(c).ljust(w) for c, w in zip(row, widths))
                   + "  " + row[5])
-    counts = {}
-    for r in catalog.catalog_listing():
-        counts[r.category] = counts.get(r.category, 0) + 1
-    mitigated = sum(1 for r in catalog.catalog_listing() if r.mitigated)
     print(f"\n{len(rows)} techniques; mitigated: {mitigated}; "
-          + "; ".join(f"{c}: {n}" for c, n in sorted(counts.items())),
+          + "; ".join(f"{c}: {n}" for c, n in sorted(categories.items())),
           file=sys.stderr)
     return EXIT_OK
 

@@ -93,11 +93,12 @@ class SampleReport:
         Raises ValueError on: a value whose JSON type does not match its
         field; a detection whose technique the catalog does not know, whose
         category is not that technique's, or whose normalized_pos is
-        outside [0, 100]; a technique_set other than the techniques of the
-        detections, sorted, with or without the FP-prone four; and any of
-        the fields ``derived_fields`` derives from the counted detections
-        other than it derives. So an evasive report must carry its
-        detections: a missing ``detections`` key decodes as none.
+        outside [0, 100] or below the previous detection's (the profiler
+        emits detections in event order); a technique_set other than the
+        techniques of the detections, sorted, with or without the FP-prone
+        four; and any of the fields ``derived_fields`` derives from the
+        counted detections other than it derives. So an evasive report must
+        carry its detections: a missing ``detections`` key decodes as none.
         """
         doc = json.loads(text)
         if not isinstance(doc, dict):
@@ -115,6 +116,7 @@ class SampleReport:
                     (value.values() if type(value) is dict else value)):
                 raise ValueError(f"{name} {value!r} does not match its type")
         detections = []
+        previous_pos = 0
         for d in kwargs.get("detections", ()):
             record = DetectionRecord(*[d[name] for name in _DETECTION_KEYS])
             # only the values the corpus fold reads: a report can hold
@@ -123,10 +125,13 @@ class SampleReport:
             if not (type(technique) is str
                     and technique in _CATEGORY
                     and record.category == _CATEGORY[technique]
-                    and type(pos) in (int, float) and 0 <= pos <= 100):
+                    and type(pos) in (int, float)
+                    and previous_pos <= pos <= 100):
                 raise ValueError(f"detection {d!r}: technique must be a "
                                  f"catalog id, category its category and "
-                                 f"normalized_pos a number in [0, 100]")
+                                 f"normalized_pos a number in [0, 100], "
+                                 f"not below the previous detection's")
+            previous_pos = pos
             detections.append(record)
         kwargs["detections"] = detections
         techniques = kwargs["technique_set"]

@@ -48,22 +48,22 @@ def test_avg_std_max_hand_oracle():
     ]
     for r in reports:
         r.labels["dataset"] = "d1"
-    stats = aggregate_reports(reports, "dataset").groups["d1"]
-    assert stats.started == 3
-    assert stats.avg_techniques == pytest.approx(2.0)
-    assert stats.std_techniques == pytest.approx(0.816496580927726)
-    assert stats.max_techniques == 3
-    assert stats.evasive_pct == pytest.approx(100.0)
+    stats = aggregate_reports(reports, "dataset")["groups"]["d1"]
+    assert stats["started"] == 3
+    assert stats["avg_techniques"] == pytest.approx(2.0)
+    assert stats["std_techniques"] == pytest.approx(0.816496580927726)
+    assert stats["max_techniques"] == 3
+    assert stats["evasive_pct"] == pytest.approx(100.0)
 
 
 def test_all_non_started_group_flagged_undefined():
     reports = [make_report("a", started=False, active=False),
                make_report("b", started=False, active=False)]
     agg = aggregate_reports(reports, "dataset")
-    stats = agg.groups["unlabeled"]
-    assert stats.started == 0
-    assert stats.active_pct is None
-    assert agg.diagnostics
+    stats = agg["groups"]["unlabeled"]
+    assert stats["started"] == 0
+    assert stats["active_pct"] is None
+    assert agg["diagnostics"]
 
 
 def test_percentages_over_started_only():
@@ -72,10 +72,10 @@ def test_percentages_over_started_only():
         make_report("b", techniques=["RDTSC"]),
         make_report("c"),
     ]
-    stats = aggregate_reports(reports, "dataset").groups["unlabeled"]
-    assert stats.total == 3
-    assert stats.started == 2
-    assert stats.evasive_pct == pytest.approx(50.0)
+    stats = aggregate_reports(reports, "dataset")["groups"]["unlabeled"]
+    assert stats["total"] == 3
+    assert stats["started"] == 2
+    assert stats["evasive_pct"] == pytest.approx(50.0)
 
 
 def test_empty_report_list_rejected():
@@ -92,8 +92,8 @@ def test_bad_group_by_rejected():
 
 def test_single_sample_single_technique_ranking():
     ranking = aggregate_reports([make_report("a", techniques=["RDTSC"])],
-                                "dataset").technique_ranking()
-    assert ranking == [("RDTSC", 100.0)]
+                                "dataset")["technique_ranking"]
+    assert ranking == [{"technique": "RDTSC", "share_pct": 100.0}]
 
 
 def test_ranking_tie_breaks_lexicographically():
@@ -103,16 +103,10 @@ def test_ranking_tie_breaks_lexicographically():
         make_report("c"),
         make_report("d", techniques=["RDTSC", "HeapFlags"]),
     ]
-    ranking = aggregate_reports(reports, "dataset").technique_ranking()
-    assert ranking[0] == ("HeapFlags", 50.0)
-    assert ranking[1:] == [("RDTSC", 25.0), ("idt_trick", 25.0)]
-
-
-def test_ranking_top_n_limits():
-    reports = [make_report("a", techniques=["RDTSC", "HeapFlags",
-                                            "idt_trick"])]
-    agg = aggregate_reports(reports, "dataset")
-    assert len(agg.technique_ranking(top_n=2)) == 2
+    ranking = aggregate_reports(reports, "dataset")["technique_ranking"]
+    assert ranking[0] == {"technique": "HeapFlags", "share_pct": 50.0}
+    assert ranking[1:] == [{"technique": "RDTSC", "share_pct": 25.0},
+                           {"technique": "idt_trick", "share_pct": 25.0}]
 
 
 # -- timeline -------------------------------------------------------------------
@@ -120,7 +114,7 @@ def test_ranking_top_n_limits():
 def test_first_last_diff_from_positions():
     reports = [make_report("a", techniques=["RDTSC", "HeapFlags"],
                            positions=[5, 50])]
-    t = aggregate_reports(reports, "dataset").timeline()
+    t = aggregate_reports(reports, "dataset")["timeline"]
     assert t["first_hist"] == {"5": 1}
     assert t["last_hist"] == {"50": 1}
     assert t["diff_hist"] == {"45": 1}
@@ -134,7 +128,7 @@ def test_first_share_counts_slot_boundary():
         make_report("c", techniques=["RDTSC"], positions=[95]),
         make_report("d", techniques=["RDTSC"], positions=[3]),
     ]
-    t = aggregate_reports(reports, "dataset").timeline()
+    t = aggregate_reports(reports, "dataset")["timeline"]
     assert t["first_in_0_10_pct"] == pytest.approx(50.0)
     assert t["last_in_90_100_pct"] == pytest.approx(25.0)
 
@@ -146,7 +140,7 @@ def test_slot_top_categories_hand_counted():
         make_report("c", techniques=["idt_trick"], positions=[8]),
         make_report("d", techniques=["RDTSC"], positions=[50]),
     ]
-    t = aggregate_reports(reports, "dataset").timeline()
+    t = aggregate_reports(reports, "dataset")["timeline"]
     slot = t["slots"]["[0-10]"]
     assert slot["samples"] == 3
     assert slot["top_categories"][0] == {
@@ -167,7 +161,7 @@ def test_order_stats_hand_oracle():
         reports.append(make_report(
             f"vm{i}", techniques=["idt_trick", "HeapFlags"],
             positions=[5, 40]))
-    stats = aggregate_reports(reports, "dataset").order_stats()
+    stats = aggregate_reports(reports, "dataset")["order"]
     assert stats["multi_category_samples"] == 10
     assert stats["first_category_shares"]["AntiDebug"] == pytest.approx(80.0)
     assert stats["first_category_shares"]["VMChecks"] == pytest.approx(20.0)
@@ -177,7 +171,7 @@ def test_order_stats_hand_oracle():
 def test_single_multi_category_sample():
     reports = [make_report("a", techniques=["RDTSC", "HeapFlags"],
                            positions=[5, 50])]
-    stats = aggregate_reports(reports, "dataset").order_stats()
+    stats = aggregate_reports(reports, "dataset")["order"]
     assert stats["first_category_shares"] == {"TimingAttacks": 100.0}
     assert stats["non_antidebug_first_shares"] == \
         {"TimingAttacks": 100.0}
@@ -185,7 +179,7 @@ def test_single_multi_category_sample():
 
 def test_no_multi_category_samples_flagged():
     stats = aggregate_reports([make_report("a", techniques=["RDTSC"])],
-                              "dataset").order_stats()
+                              "dataset")["order"]
     assert stats["multi_category_samples"] == 0
     assert "flag" in stats
 
@@ -199,7 +193,7 @@ def test_footprint_intersection():
         make_report("b", techniques=["IsDebuggerPresentAPI", "idt_trick"],
                     labels={"family": "fam"}),
     ]
-    fp = aggregate_reports(reports, "family").evasive_footprint()
+    fp = aggregate_reports(reports, "family")["footprints"]
     assert fp["fam"]["techniques"] == ["IsDebuggerPresentAPI"]
     assert fp["fam"]["evasive_samples"] == 2
 
@@ -210,8 +204,8 @@ def test_disjoint_sets_empty_footprint_family_still_counted():
         make_report("b", techniques=["idt_trick"], labels={"family": "fam"}),
     ]
     agg = aggregate_reports(reports, "family")
-    assert agg.evasive_footprint()["fam"]["techniques"] == []
-    summary = agg.footprint_summary()
+    assert agg["footprints"]["fam"]["techniques"] == []
+    summary = agg["footprint_summary"]
     assert summary["families_with_evasive_sample"] == 1
     assert summary["families_with_nonempty_footprint"] == 0
 
@@ -221,7 +215,7 @@ def test_family_without_evasive_samples_omitted():
         make_report("a", labels={"family": "quiet"}),
         make_report("b", techniques=["RDTSC"], labels={"family": "loud"}),
     ]
-    fp = aggregate_reports(reports, "family").evasive_footprint()
+    fp = aggregate_reports(reports, "family")["footprints"]
     assert "quiet" not in fp and "loud" in fp
 
 
@@ -233,11 +227,11 @@ def test_footprint_monotone_under_new_samples():
                     labels={"family": "fam"}),
     ]
     before = set(aggregate_reports(base, "family")
-                 .evasive_footprint()["fam"]["techniques"])
+                 ["footprints"]["fam"]["techniques"])
     extended = base + [make_report("c", techniques=["RDTSC"],
                                    labels={"family": "fam"})]
     after = set(aggregate_reports(extended, "family")
-                .evasive_footprint()["fam"]["techniques"])
+                ["footprints"]["fam"]["techniques"])
     assert after <= before
 
 
@@ -253,7 +247,7 @@ def test_packer_ratios_hand_oracle():
             f"s{i}", techniques=["ErasePEHeader"] if i == 0 else [],
             labels=labels))
     agg = aggregate_reports(reports, "dataset")
-    stats = agg.packer_stats()["d"]
+    stats = agg["packers"]["d"]
     assert stats["packed_over_started_pct"] == pytest.approx(20.0)
     assert stats["evasive_over_packed_pct"] == pytest.approx(50.0)
     assert stats["packed_category_prevalence_pct"]["AntiDump"] == \
@@ -262,7 +256,7 @@ def test_packer_ratios_hand_oracle():
 
 def test_unlabeled_samples_neither_packed_nor_protected():
     reports = [make_report("a", techniques=["RDTSC"])]
-    stats = aggregate_reports(reports, "dataset").packer_stats()["unlabeled"]
+    stats = aggregate_reports(reports, "dataset")["packers"]["unlabeled"]
     assert stats["packed_over_started_pct"] == 0.0
     assert stats["evasive_over_packed_pct"] is None
 
@@ -387,7 +381,7 @@ def test_merge_associativity(cuts, group_by, seed):
     reports = corpus_reports(seed)
     i, j = sorted(cuts)
     parts = (reports[:i], reports[i:j], reports[j:])
-    want = fold(reports, group_by).finalize().summary_document()
+    want = fold(reports, group_by).finalize()
 
     # each combination folds fresh accumulators: a merge may adopt the
     # other side's per-key state instead of copying it
@@ -398,7 +392,7 @@ def test_merge_associativity(cuts, group_by, seed):
                 merged(merged(part(0), part(1)), part(2)),
                 merged(part(0), merged(part(1), part(2))),
                 merged(CorpusAccumulator(group_by), fold(reports, group_by))):
-        assert acc.finalize().summary_document() == want
+        assert acc.finalize() == want
 
 
 def test_merge_rejects_different_grouping():
@@ -431,37 +425,38 @@ def over_corpora(test):
 def test_group_stats_match_brute_force(seed, size):
     reports = corpus_reports(seed, size)
     for group_by in ("dataset", "year", "family"):
-        mine = aggregate_reports(reports, group_by).groups
+        mine = aggregate_reports(reports, group_by)["groups"]
         theirs = oracles.oracle_group_stats(reports, group_by)
         assert set(mine) == set(theirs)
         for key, stats in mine.items():
             o = theirs[key]
-            assert stats.started == o["started"]
-            assert stats.total == o["total"]
+            assert stats["started"] == o["started"]
+            assert stats["total"] == o["total"]
             for attr in ("active_pct", "evasive_pct",
                          "active_and_evasive_pct", "avg_techniques",
                          "std_techniques", "internet_pct",
                          "child_process_pct"):
-                got = getattr(stats, attr)
+                got = stats[attr]
                 want = o[attr]
                 if want is None:
                     assert got is None
                 else:
                     assert got == pytest.approx(want, abs=1e-9)
-            assert stats.max_techniques == o["max_techniques"]
+            assert stats["max_techniques"] == o["max_techniques"]
 
 
 @over_corpora
 def test_ranking_matches_brute_force(seed, size):
     reports = corpus_reports(seed, size)
-    assert aggregate_reports(reports, "dataset").technique_ranking() == \
-        oracles.oracle_ranking(reports)
+    assert aggregate_reports(reports, "dataset")["technique_ranking"] == [
+        {"technique": tech, "share_pct": share}
+        for tech, share in oracles.oracle_ranking(reports)]
 
 
 @over_corpora
 def test_timeline_matches_brute_force(seed, size):
     reports = corpus_reports(seed, size)
-    mine = aggregate_reports(reports, "dataset").timeline()
+    mine = aggregate_reports(reports, "dataset")["timeline"]
     theirs = oracles.oracle_timeline(reports)
     assert mine["evasive_samples"] == theirs["evasive_samples"]
     for hist in ("first_hist", "last_hist", "diff_hist"):
@@ -480,7 +475,7 @@ def test_timeline_matches_brute_force(seed, size):
 @over_corpora
 def test_order_matches_brute_force(seed, size):
     reports = corpus_reports(seed, size)
-    mine = aggregate_reports(reports, "dataset").order_stats()
+    mine = aggregate_reports(reports, "dataset")["order"]
     theirs = oracles.oracle_order(reports)
     assert mine["multi_category_samples"] == theirs["multi_category_samples"]
     assert_float_eq(mine["first_category_shares"],
@@ -492,14 +487,14 @@ def test_order_matches_brute_force(seed, size):
 @over_corpora
 def test_footprints_match_brute_force(seed, size):
     reports = corpus_reports(seed, size)
-    assert aggregate_reports(reports, "family").evasive_footprint() == \
+    assert aggregate_reports(reports, "family")["footprints"] == \
         oracles.oracle_footprints(reports)
 
 
 @over_corpora
 def test_packer_stats_match_brute_force(seed, size):
     reports = corpus_reports(seed, size)
-    mine = aggregate_reports(reports, "dataset").packer_stats()
+    mine = aggregate_reports(reports, "dataset")["packers"]
     theirs = oracles.oracle_packer_stats(reports, "dataset")
     assert set(mine) == set(theirs)
     for key in mine:

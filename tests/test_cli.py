@@ -9,7 +9,8 @@ import pytest
 
 from evprof import cli
 from evprof.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from evprof.generate import roundtrip_specs, suite_specs, write_corpus
+from evprof.generate import (GenSpec, TechniqueSpec, roundtrip_specs,
+                             suite_specs, write_corpus)
 from evprof.profiler import SampleReport
 
 from helpers import behavior_diff
@@ -219,10 +220,12 @@ def test_console_entry_point_runs():
 
 
 def test_start_up_imports_neither_the_pool_nor_hashlib():
-    # each costs milliseconds of every start; only a --jobs pool and the
-    # mouse-movement mitigation need them. -S keeps site hooks out.
+    # each costs milliseconds of every start; only a --jobs pool, the
+    # mouse-movement mitigation, the csv forms and the aggregate and gen
+    # commands need them. -S keeps site hooks out.
     code = ("import sys, evprof.cli; print(sorted("
-            "{'concurrent.futures', 'hashlib'} & set(sys.modules)))")
+            "{'concurrent.futures', 'hashlib', 'csv', 'evprof.aggregate', "
+            "'evprof.generate'} & set(sys.modules)))")
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
@@ -575,6 +578,33 @@ def test_aggregate_report_with_bad_content_is_a_data_error(
         del target[key]
     else:
         target[key] = value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["aggregate", str(reports)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{path}: bad report: " in err
+    assert "internal error" not in err
+
+
+def test_aggregate_report_with_detections_out_of_order_is_a_data_error(
+        tmp_path, capsys):
+    # the profiler emits detections in event order; reversed, with the
+    # positions and categories that agree with the reversed list, the
+    # timeline would bin a negative first-to-last distance
+    traces, reports = tmp_path / "traces", tmp_path / "reports"
+    write_corpus([GenSpec("two", (TechniqueSpec("IsDebuggerPresentAPI", 10),
+                                  TechniqueSpec("RDTSC", 50)))], traces)
+    assert main(["batch", str(traces), "--out", str(reports)]) == EXIT_OK
+    path = reports / "two.report.json"
+    doc = json.loads(path.read_text())
+    doc["detections"].reverse()
+    counted = [d for d in doc["detections"]
+               if d["technique"] in doc["technique_set"]]
+    doc["first_pos"] = counted[0]["normalized_pos"]
+    doc["last_pos"] = counted[-1]["normalized_pos"]
+    doc["categories_in_order"] = list(dict.fromkeys(
+        d["category"] for d in counted))
+    assert doc["first_pos"] > doc["last_pos"]
     path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["aggregate", str(reports)]) == EXIT_DATA
