@@ -16,7 +16,7 @@ from .catalog import (
     match_event,
 )
 from .clock import VirtualClock
-from .config import ClockConfig, RunConfig
+from .config import RunConfig
 from .injection import InjectionRouter
 from .memory import MemoryRegion, MemoryTracker, WatchPoint
 from .profiler import SampleProfiler, SampleReport, run_sample, timeline_slot

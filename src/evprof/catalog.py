@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .clock import STALL_APIS, VirtualClock
-from .config import RunConfig
+from .config import HONEYPOT_PID, RunConfig
 from .trace import Diagnostic, TraceEvent
 
 CAT_ANTI_DEBUG = "AntiDebug"
@@ -491,7 +491,7 @@ MITIGATIONS: dict[str, Callable] = {
     "NumberOfProcessors": lambda e, c, cfg: str(PROCESSOR_COUNT_SUBSTITUTE),
     "time_stalling": lambda e, c, cfg: "wait_ms=0",
     "RDTSC": _mit_rdtsc,
-    "Shellcode_injected": lambda e, c, cfg: f"target_pid={cfg.honeypot_pid}",
+    "Shellcode_injected": lambda e, c, cfg: f"target_pid={HONEYPOT_PID}",
     "Check_EIP": lambda e, c, cfg: "eip=0x%x" % e.payload.address,
 }
 
@@ -582,8 +582,7 @@ def match_event(event: TraceEvent, tracker, clock: VirtualClock,
                     event.seq, "rdtsc",
                     f"raw {raw} returned {result.returned}",
                     result.returned))
-                if (result.sandwich
-                        or not config.clock.rdtsc_requires_sandwich):
+                if result.sandwich:
                     hits.append(_BY_ID["RDTSC"])
 
     elif kind == "mem_read":

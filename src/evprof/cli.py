@@ -233,18 +233,20 @@ def cmd_aggregate(args) -> int:
 
 def cmd_gen(args) -> int:
     from . import generate
-    if args.spec:
+    if bool(args.spec) == bool(args.suite):
+        raise CliError("gen takes one of --spec FILE and --suite NAME",
+                       EXIT_USAGE)
+    if args.suite:
+        specs = generate.suite_specs(args.suite, args.seed)
+    else:
         try:
             with open(args.spec, "r", encoding="utf-8") as fh:
-                specs = generate.parse_genspec_file(fh.read())
+                specs = generate.shift_seeds(
+                    generate.parse_genspec_file(fh.read()), args.seed)
         except OSError as exc:
             raise CliError(f"{args.spec}: {exc}")
         except generate.GenError as exc:
             raise CliError(str(exc))
-    elif args.suite:
-        specs = generate.suite_specs(args.suite, seed=args.seed or 0)
-    else:
-        raise CliError("gen needs --spec FILE or --suite NAME", EXIT_USAGE)
     try:
         manifest = generate.write_corpus(specs, args.out)
     except generate.GenError as exc:
@@ -292,11 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON config file (flags win)")
-        p.add_argument("--mitigate", dest="no_mitigate",
-                       action="store_false", default=False,
-                       help="apply mitigations (default)")
-        p.add_argument("--no-mitigate", dest="no_mitigate",
-                       action="store_true",
+        p.add_argument("--no-mitigate", action="store_true",
                        help="record detections without mitigating")
         p.add_argument("--include-fp-prone", action="store_true",
                        help="count the four FP-prone techniques as evasive")

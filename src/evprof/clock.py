@@ -5,20 +5,27 @@ accumulates in a per-sample offset, zero at analysis start. Every later
 time query gets the offset added in that API's unit, so the program cannot
 tell the wait was skipped.
 
-A pair of rdtsc reads within ``sandwich_window`` instructions on the same
+A pair of rdtsc reads within ``SANDWICH_WINDOW`` instructions on the same
 thread is treated as a runtime measurement. The second read is replaced by
 r1 + floor(p * delta), with p alternating 0.5 and 0.05 per thread, which
 shrinks measured elapsed time by a factor of ten every other pair. A fixed
 substitute value would not survive loop-based ratio checks; the
 alternation makes the expected bare-metal ratio show up at least once.
+
+The parameters are fixed: ``TICKS_PER_MS``, ``STALL_THRESHOLD_MS``,
+``INFINITE_WAIT_CAP_MS`` and ``SANDWICH_WINDOW``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import ClockConfig
 from .trace import Diagnostic
+
+TICKS_PER_MS = 2_600_000        # time-stamp counter ticks per millisecond
+STALL_THRESHOLD_MS = 30_000     # waits at or above this are stalling
+INFINITE_WAIT_CAP_MS = 600_000  # what an infinite wait counts as
+SANDWICH_WINDOW = 50            # max instruction gap between paired rdtsc
 
 STALL_APIS = frozenset({
     "NtDelayExecution", "WaitForSingleObject", "SetWaitableTimer",
@@ -70,15 +77,14 @@ class RdtscResult:
 class VirtualClock:
     """Per-sample time state; mutate in event order only."""
 
-    def __init__(self, config: ClockConfig | None = None):
-        self.config = config or ClockConfig()
+    def __init__(self):
         self.offset_ms = 0
         self._sandwiches: dict[tuple[int, int], SandwichState] = {}
         self.diagnostics: list[Diagnostic] = []
 
     @property
     def offset_ticks(self) -> int:
-        return self.offset_ms * self.config.tick_rate
+        return self.offset_ms * TICKS_PER_MS
 
     def on_stall_api(self, requested_ms: int,
                      rewrite: bool = True) -> StallResult:
@@ -88,10 +94,10 @@ class VirtualClock:
         classified: the argument and the offset stay as they are.
         """
         if requested_ms >= INFINITE_WAIT:
-            effective = self.config.infinite_wait_cap_ms
+            effective = INFINITE_WAIT_CAP_MS
         else:
             effective = requested_ms
-        stalling = effective >= self.config.stall_threshold_ms
+        stalling = effective >= STALL_THRESHOLD_MS
         if not rewrite:
             return StallResult(requested_ms, 0, stalling)
         self.offset_ms += effective
@@ -124,7 +130,7 @@ class VirtualClock:
         candidate = raw_tsc + self.offset_ticks
         in_window = (
             state.last_insn_index is not None
-            and insn_index - state.last_insn_index <= self.config.sandwich_window
+            and insn_index - state.last_insn_index <= SANDWICH_WINDOW
         )
         if in_window and adjust:
             delta = candidate - state.last_returned

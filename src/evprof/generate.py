@@ -116,10 +116,8 @@ class GenSpec:
             raise ValueError(f"unknown scenario {self.scenario!r}")
 
 
-# what build_sample appends after the scheduled body: the last three add
-# nothing and only name the kind of sample
-SCENARIO_NAMES = (None, "locky", "injection", "pe_same_value",
-                  "divergent_mitigated", "divergent_bare", "themida")
+# what build_sample appends after the scheduled body
+SCENARIO_NAMES = (None, "locky", "injection", "pe_same_value")
 
 
 @dataclass
@@ -495,7 +493,7 @@ def build_injection_scenario(b: TraceBuilder) -> None:
 # ---------------------------------------------------------------------------
 # suites
 
-def roundtrip_specs(seed: int = 0) -> list[GenSpec]:
+def roundtrip_specs() -> list[GenSpec]:
     """53 red-origin positives plus 53 benign-origin negative twins."""
     specs = []
     for technique in sorted(catalog.KNOWN_TECHNIQUES):
@@ -504,19 +502,25 @@ def roundtrip_specs(seed: int = 0) -> list[GenSpec]:
             specs.append(GenSpec(
                 sample_id=f"{prefix}_{technique}",
                 techniques=(TechniqueSpec(technique, pos=60.0, origin=origin),),
-                filler=60, seed=seed))
+                filler=60))
     return specs
 
 
 def suite_specs(name: str, seed: int = 0) -> list[GenSpec]:
     """The specs of the built-in suite ``name``: ``roundtrip``, or the
-    genspec text of ``corpus60`` or ``scenarios`` with ``seed`` added to
-    each line's seed."""
+    genspec text of ``corpus60`` or ``scenarios``; shifted by ``seed``."""
     if name == "roundtrip":
-        return roundtrip_specs(seed)
-    text = {"corpus60": suites.CORPUS60, "scenarios": suites.SCENARIOS}[name]
-    return [replace(spec, seed=spec.seed + seed)
-            for spec in parse_genspec_file(text)]
+        specs = roundtrip_specs()
+    else:
+        specs = parse_genspec_file(
+            {"corpus60": suites.CORPUS60, "scenarios": suites.SCENARIOS}[name])
+    return shift_seeds(specs, seed)
+
+
+def shift_seeds(specs: list[GenSpec], seed: int) -> list[GenSpec]:
+    """``specs`` with ``seed`` added to each one's seed: what ``gen --seed``
+    does to a built-in suite and to a ``--spec`` file alike."""
+    return [replace(spec, seed=spec.seed + seed) for spec in specs]
 
 
 def write_corpus(specs: list[GenSpec], out_dir) -> dict:

@@ -36,15 +36,13 @@ class InjectionRouter:
     the red area.
     """
 
-    def __init__(self, tracker: MemoryTracker,
-                 honeypot_pid: int = HONEYPOT_PID, active: bool = True):
+    def __init__(self, tracker: MemoryTracker, active: bool = True):
         self.tracker = tracker
-        self.honeypot_pid = honeypot_pid
         self.active = active
         self.diagnostics: list[Diagnostic] = []
         if active:
             tracker.register_region(MemoryRegion(
-                pid=honeypot_pid, base=HONEYPOT_IMAGE_BASE,
+                pid=HONEYPOT_PID, base=HONEYPOT_IMAGE_BASE,
                 size=HONEYPOT_IMAGE_SIZE, kind="honeypot_image",
                 name="honeypot"))
 
@@ -56,13 +54,13 @@ class InjectionRouter:
             return RouteResult(event, rerouted=False)
 
         routed = dc_replace(event, payload=dc_replace(
-            p, target_pid=self.honeypot_pid))
+            p, target_pid=HONEYPOT_PID))
         if p.name == "NtWriteVirtualMemory":
             self._register_injection(event)
         elif p.name == "NtCreateThreadEx":
             start = next((a.v for a in p.args if a.t == "a"), None)
             if start is not None and self.tracker.region_at(
-                    self.honeypot_pid, start) is None:
+                    HONEYPOT_PID, start) is None:
                 self.diagnostics.append(Diagnostic(
                     event.seq,
                     f"thread start 0x{start:x} targets memory never "
@@ -84,7 +82,7 @@ class InjectionRouter:
         # same target memory must not trip the region overlap invariant.
         # Other honeypot regions (its image) stay as they are, and only the
         # part of the range they do not cover joins the red area.
-        pid = self.honeypot_pid
+        pid = HONEYPOT_PID
         lo, hi = base, base + size
         blocked = []
         for region in self.tracker.regions_overlapping(pid, base, size):

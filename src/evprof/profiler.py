@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 from . import catalog
 from .catalog import DetectionRecord, Effect
 from .clock import VirtualClock
-from .config import RunConfig
+from .config import HONEYPOT_PID, RunConfig
 from .injection import InjectionRouter
 from .memory import MemoryRegion, MemoryTracker
 from .trace import Diagnostic, TraceEvent
@@ -192,9 +192,9 @@ class SampleProfiler:
         self.config = config or RunConfig()
         self.config.validate_overrides(catalog.KNOWN_TECHNIQUES)
         self.tracker = MemoryTracker(catalog.WATCH_FIELD_TECHNIQUES)
-        self.clock = VirtualClock(self.config.clock)
+        self.clock = VirtualClock()
         self.router = InjectionRouter(
-            self.tracker, honeypot_pid=self.config.honeypot_pid,
+            self.tracker,
             active=self.config.mitigation_enabled("Shellcode_injected"))
         self.effects: list[Effect] = []
         self.routed_events: list[TraceEvent] = []
@@ -284,8 +284,8 @@ class SampleProfiler:
             self.routed_events.append(route.event)
             self.effects.append(Effect(
                 event.seq, "reroute",
-                f"{p.name} target rerouted to honeypot pid "
-                f"{self.router.honeypot_pid}", self.router.honeypot_pid))
+                f"{p.name} target rerouted to honeypot pid {HONEYPOT_PID}",
+                HONEYPOT_PID))
         self._match(event)
 
     def _match(self, event: TraceEvent) -> None:

@@ -84,7 +84,7 @@ sample_id=s50 visible=NtWriteFile@70;RegSetValueEx@80 dataset=goodware family=fa
 # across many categories
 sample_id=s51 visible=connect@95 dataset=malware family=fam_inject year=2020 scenario=injection seed=50
 sample_id=s52 dataset=malware family=fam_locky year=2016 scenario=locky seed=51
-sample_id=s53 techniques=IsDebuggerPresentAPI@5;IsDebuggerPresentPEB@12;NtGlobalFlag@19;CheckRemoteDebuggerPresentAPI@26;cpuid_hypervisor_vendor@33;idt_trick@40;str_trick@47;memory_space@54;disk_size_getdiskfreespace@61;RDTSC@68;ErasePEHeader@75;Check_EIP@82 filler=80 dataset=malware family=fam_prot year=2020 protector=themida scenario=themida seed=53
+sample_id=s53 techniques=IsDebuggerPresentAPI@5;IsDebuggerPresentPEB@12;NtGlobalFlag@19;CheckRemoteDebuggerPresentAPI@26;cpuid_hypervisor_vendor@33;idt_trick@40;str_trick@47;memory_space@54;disk_size_getdiskfreespace@61;RDTSC@68;ErasePEHeader@75;Check_EIP@82 filler=80 dataset=malware family=fam_prot year=2020 protector=themida seed=53
 
 # mixed evasive samples with visible-call splits
 sample_id=s54 techniques=NQIP_ProcessDebugPort@30 visible=NtWriteFile@5;NtWriteFile@60;connect@85 dataset=malware family=fam_misc year=2019 seed=53
@@ -100,5 +100,5 @@ SCENARIOS = """\
 sample_id=locky_loop family=locky year=2016 scenario=locky
 sample_id=injector family=injector year=2018 scenario=injection
 # a protector-style bundle: many techniques across many categories
-sample_id=themida_bundle techniques=IsDebuggerPresentAPI@5;IsDebuggerPresentPEB@12;NtGlobalFlag@19;CheckRemoteDebuggerPresentAPI@26;cpuid_hypervisor_vendor@33;idt_trick@40;str_trick@47;memory_space@54;disk_size_getdiskfreespace@61;RDTSC@68;ErasePEHeader@75;Check_EIP@82 filler=80 family=protected year=2020 protector=themida scenario=themida
+sample_id=themida_bundle techniques=IsDebuggerPresentAPI@5;IsDebuggerPresentPEB@12;NtGlobalFlag@19;CheckRemoteDebuggerPresentAPI@26;cpuid_hypervisor_vendor@33;idt_trick@40;str_trick@47;memory_space@54;disk_size_getdiskfreespace@61;RDTSC@68;ErasePEHeader@75;Check_EIP@82 filler=80 family=protected year=2020 protector=themida
 """

@@ -139,10 +139,10 @@ def divergent_pair(sample_id="divergent", seed=11):
         sample_id=sample_id, techniques=check, filler=60,
         visible=(("NtWriteFile", 70.0), ("NtWriteFile", 80.0),
                  ("RegSetValueEx", 85.0), ("connect", 90.0)),
-        scenario="divergent_mitigated", seed=seed)
+        seed=seed)
     bare = GenSpec(
         sample_id=sample_id, techniques=check, filler=60,
-        visible=(), scenario="divergent_bare", seed=seed)
+        visible=(), seed=seed)
     return mitigated, bare
 
 

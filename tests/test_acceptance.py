@@ -17,7 +17,7 @@ from evprof import catalog
 from evprof.aggregate import aggregate_reports, apply_labels, load_labels
 from evprof.cli import main as cli_main
 from evprof.clock import VirtualClock
-from evprof.config import RunConfig
+from evprof.config import HONEYPOT_PID, RunConfig
 from evprof.generate import (
     GenSpec, build_sample, roundtrip_specs, suite_specs, write_corpus,
 )
@@ -190,7 +190,7 @@ def test_criterion_6_injection_end_to_end():
     for ev in parse_trace(sample.text):
         prof.process(ev)
     report = prof.finish()
-    hp = prof.router.honeypot_pid
+    hp = HONEYPOT_PID
     assert prof.routed_events, "cross-process calls must be rerouted"
     assert all(ev.payload.target_pid == hp for ev in prof.routed_events)
     injected = [r for r in prof.tracker.regions(hp) if r.kind == "injected"]

@@ -348,8 +348,6 @@ def test_cross_process_injection_is_a_table_rule():
     assert record.technique == "Shellcode_injected"
     assert record.mitigated
     assert record.substituted_value == "target_pid=99999"
-    assert match_records(ev, RunConfig(honeypot_pid=4242))[0] \
-        .substituted_value == "target_pid=4242"
 
 
 def test_injection_needs_a_foreign_target_and_red_origin():

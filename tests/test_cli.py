@@ -147,6 +147,32 @@ def test_gen_without_inputs_usage_error(tmp_path):
     assert main(["gen", "--out", str(tmp_path / "x")]) == EXIT_USAGE
 
 
+def test_gen_refuses_a_spec_file_together_with_a_suite(tmp_path):
+    spec = tmp_path / "samples.gspec"
+    spec.write_text("sample_id=g1 filler=5\n")
+    out = tmp_path / "gen"
+    assert main(["gen", "--spec", str(spec), "--suite", "scenarios",
+                 "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_gen_seed_shifts_a_spec_file_as_it_shifts_a_suite(tmp_path):
+    from evprof import suites
+    spec = tmp_path / "scenarios.gspec"
+    spec.write_text(suites.SCENARIOS)
+    runs = {}
+    for name, source, seed in (("spec0", ["--spec", str(spec)], "0"),
+                               ("spec7", ["--spec", str(spec)], "7"),
+                               ("suite7", ["--suite", "scenarios"], "7")):
+        out = tmp_path / name
+        assert main(["gen", *source, "--seed", seed,
+                     "--out", str(out)]) == EXIT_OK
+        runs[name] = {p: (out / p).read_bytes() for p in os.listdir(out)}
+    assert runs["spec7"] == runs["suite7"]
+    assert runs["spec7"]["locky_loop.trace"] != \
+        runs["spec0"]["locky_loop.trace"]
+
+
 def test_aggregate_pipeline(tmp_path):
     corpus = tmp_path / "c60"
     write_corpus(suite_specs("corpus60"), corpus)
@@ -237,7 +263,6 @@ def test_config_file_and_flag_precedence(corpus_dir, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "mitigate": True,
-        "stall_threshold_ms": 10,
         "overrides": {"RDTSC": "off"},
     }))
     trace = corpus_dir / "pos_RDTSC.trace"
@@ -264,11 +289,11 @@ def test_bad_config_file_usage_error(corpus_dir, tmp_path):
 
 @pytest.mark.parametrize("content", [
     {"overrides": []},
-    {"sandwich_window": "50"},
+    {"exclude_fp_prone": 1},
     None,  # no file
     {"mitigate": "no"},
     {"seed": "x"},
-    {"honeypot_pid": None},
+    {"seed": True},
     {"overrides": {"RDTSC": 5}},
     "{",
 ])
@@ -286,15 +311,45 @@ def test_config_file_with_a_bad_value_is_a_usage_error(
 
 def test_config_file_keys_are_the_config_fields(tmp_path):
     from dataclasses import asdict
-    from evprof.config import ClockConfig, RunConfig, load_config_file
-    cfg = RunConfig(mitigate=False, overrides=(("RDTSC", "off"),), seed=3,
-                    honeypot_pid=7, clock=ClockConfig(
-                        tick_rate=5, rdtsc_requires_sandwich=False))
-    doc = asdict(cfg)
-    doc.update(doc.pop("clock"), overrides=dict(cfg.overrides))
+    from evprof.config import RunConfig, load_config_file
+    cfg = RunConfig(mitigate=False, exclude_fp_prone=False,
+                    overrides=(("RDTSC", "off"),), seed=3)
+    doc = dict(asdict(cfg), overrides=dict(cfg.overrides))
     path = tmp_path / "run.json"
     path.write_text(json.dumps(doc))
     assert load_config_file(path) == cfg
+
+
+def test_readme_config_table_lists_the_config_file_keys():
+    from evprof.config import _KEYS
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Config file\n")[1].split("\n## ")[0]
+    keys = [line.split("`")[1] for line in section.splitlines()
+            if line.startswith("| `")]
+    assert keys == list(_KEYS)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("honeypot_pid", 99999), ("tick_rate", 2600000),
+    ("stall_threshold_ms", 30000), ("infinite_wait_cap_ms", 600000),
+    ("sandwich_window", 50), ("rdtsc_requires_sandwich", True),
+])
+def test_fixed_clock_and_honeypot_values_are_not_config_keys(
+        corpus_dir, tmp_path, capsys, key, value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    trace = corpus_dir / "pos_RDTSC.trace"
+    assert main(["analyze", "--config", str(cfg), str(trace)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
+
+
+def test_there_is_no_mitigate_flag(corpus_dir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--mitigate", str(corpus_dir / "pos_RDTSC.trace")])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --mitigate" in capsys.readouterr().err
 
 
 def test_divergence_study_via_override(corpus_dir, tmp_path):

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evprof.clock import (
-    INFINITE_WAIT, ClockUnitError, VirtualClock,
+    INFINITE_WAIT, TICKS_PER_MS, ClockUnitError, VirtualClock,
 )
-from evprof.config import ClockConfig
 
 
 def oracle_rdtsc(sequence, window=50, offset_ticks=0):
@@ -42,8 +41,8 @@ def oracle_rdtsc(sequence, window=50, offset_ticks=0):
     return out
 
 
-def run_clock(sequence, **cfg):
-    clock = VirtualClock(ClockConfig(**cfg)) if cfg else VirtualClock()
+def run_clock(sequence):
+    clock = VirtualClock()
     return clock, [clock.on_rdtsc(1, 1, idx, raw).returned
                    for idx, raw in sequence]
 
@@ -141,10 +140,11 @@ def test_time_query_after_sleep():
 
 
 def test_time_query_units():
-    clock = VirtualClock(ClockConfig(tick_rate=1_000))
+    clock = VirtualClock()
     clock.on_stall_api(2)
     assert clock.on_time_query("GetTickCount64", 5) == 7
-    assert clock.on_time_query("QueryPerformanceCounter", 100) == 2_100
+    assert clock.on_time_query("QueryPerformanceCounter", 100) == \
+        100 + 2 * TICKS_PER_MS
     assert clock.on_time_query("GetSystemTimeAsFileTime", 0) == 20_000
 
 
@@ -189,10 +189,10 @@ def test_window_boundary_inclusive():
 
 
 def test_offset_added_to_rdtsc():
-    clock = VirtualClock(ClockConfig(tick_rate=1_000))
-    clock.on_stall_api(1)  # 1000 ticks
+    clock = VirtualClock()
+    clock.on_stall_api(1)
     result = clock.on_rdtsc(1, 1, 10, 500)
-    assert result.returned == 1_500
+    assert result.returned == 500 + TICKS_PER_MS
 
 
 def test_regressed_raw_tsc_returns_plus_one_with_diagnostic():

@@ -41,8 +41,9 @@ def test_different_seed_changes_filler():
 def test_unknown_technique_and_scenario_rejected():
     with pytest.raises(ValueError, match="unknown technique 'Nope'"):
         TechniqueSpec("Nope")
-    with pytest.raises(ValueError, match="unknown scenario 'nope'"):
-        GenSpec(sample_id="x", scenario="nope")
+    for name in ("nope", "themida", "divergent_mitigated", "divergent_bare"):
+        with pytest.raises(ValueError, match=f"unknown scenario '{name}'"):
+            GenSpec(sample_id="x", scenario=name)
 
 
 def test_duplicate_sample_ids_rejected_before_any_file(tmp_path):

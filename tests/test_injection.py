@@ -1,6 +1,6 @@
 """Honeypot rerouting and injection attribution."""
 
-from evprof.config import RunConfig
+from evprof.config import HONEYPOT_PID, RunConfig
 from evprof.injection import HONEYPOT_IMAGE_BASE
 from evprof.profiler import SampleProfiler
 from evprof.trace import Value, vaddr, vlen
@@ -26,7 +26,7 @@ def test_write_rerouted_and_range_red():
     t = T().images()
     injection_write(t)
     prof, report = profile(t)
-    hp = prof.router.honeypot_pid
+    hp = HONEYPOT_PID
     assert prof.tracker.is_red(hp, 0x9010)
     assert [d.technique for d in report.detections] == ["Shellcode_injected"]
     assert report.detections[0].mitigated
@@ -36,7 +36,7 @@ def test_write_rerouted_and_range_red():
 def test_honeypot_exists_from_start():
     t = T().images()
     prof, _ = profile(t)
-    assert prof.tracker.is_red(prof.router.honeypot_pid,
+    assert prof.tracker.is_red(HONEYPOT_PID,
                                HONEYPOT_IMAGE_BASE + 4)
 
 
@@ -45,7 +45,7 @@ def test_self_write_not_injection():
     injection_write(t, target=MAIN_PID)
     prof, report = profile(t)
     assert report.detections == []
-    assert prof.tracker.regions(prof.router.honeypot_pid)[0].kind == \
+    assert prof.tracker.regions(HONEYPOT_PID)[0].kind == \
         "honeypot_image"
 
 
@@ -55,7 +55,7 @@ def test_benign_caller_rerouted_but_not_recorded():
     injection_write(t, origin=BENIGN)
     prof, report = profile(t)
     # the write still lands in the honeypot, but no detection is attributed
-    assert prof.tracker.is_red(prof.router.honeypot_pid, 0x9010)
+    assert prof.tracker.is_red(HONEYPOT_PID, 0x9010)
     assert report.detections == []
 
 
@@ -74,7 +74,7 @@ def test_post_injection_detection_attributed_to_sample():
     t.api("NtCreateThreadEx", args=(vaddr(0x9000),), ret=Value("i", 0),
           target_pid=VICTIM)
     prof, _ = profile(t)
-    hp = prof.router.honeypot_pid
+    hp = HONEYPOT_PID
     t.thread_start(hp, 1)
     t.api("IsDebuggerPresent", ret=Value("i", 0), origin=0x9010,
           native=False, pid=hp, tid=1)
@@ -93,7 +93,7 @@ def test_overlapping_injections_coalesce():
     injection_write(t, addr=0x9000, length=0x200)
     injection_write(t, addr=0x9100, length=0x300)
     prof, report = profile(t)
-    hp = prof.router.honeypot_pid
+    hp = HONEYPOT_PID
     injected = [r for r in prof.tracker.regions(hp) if r.kind == "injected"]
     assert len(injected) == 1
     assert injected[0].base == 0x9000
@@ -108,7 +108,7 @@ def test_all_cross_process_targets_become_honeypot():
           target_pid=777)
     t.api("NtResumeThread", args=(), ret=Value("i", 0), target_pid=888)
     prof, _ = profile(t)
-    hp = prof.router.honeypot_pid
+    hp = HONEYPOT_PID
     routed = [e for e in prof.routed_events]
     assert len(routed) == 3
     assert all(e.payload.target_pid == hp for e in routed)
@@ -122,7 +122,7 @@ def test_router_inactive_when_injection_mitigation_disabled():
     # detection still recorded, but unmitigated and nothing rerouted
     assert [d.technique for d in report.detections] == ["Shellcode_injected"]
     assert not report.detections[0].mitigated
-    assert prof.tracker.regions(prof.router.honeypot_pid) == []
+    assert prof.tracker.regions(HONEYPOT_PID) == []
     assert prof.routed_events == []
 
 
@@ -132,7 +132,7 @@ def test_write_into_honeypot_image_registers_only_the_uncovered_part():
     injection_write(t, addr=image_end - 0x100, length=0x200)
     injection_write(t, addr=image_end + 0x80, length=0x100)
     prof, report = profile(t)
-    hp = prof.router.honeypot_pid
+    hp = HONEYPOT_PID
     injected = [r for r in prof.tracker.regions(hp) if r.kind == "injected"]
     assert [(r.base, r.size) for r in injected] == [(image_end, 0x180)]
     assert prof.tracker.region_at(hp, image_end - 0x80).kind == \
@@ -147,7 +147,7 @@ def test_write_spanning_the_honeypot_image_registers_both_sides():
     t = T().images()
     injection_write(t, addr=HONEYPOT_IMAGE_BASE - 0x100, length=0x10200)
     prof, report = profile(t)
-    hp = prof.router.honeypot_pid
+    hp = HONEYPOT_PID
     image_end = HONEYPOT_IMAGE_BASE + 0x10000
     assert [(r.kind, r.base, r.size) for r in prof.tracker.regions(hp)] == [
         ("injected", HONEYPOT_IMAGE_BASE - 0x100, 0x100),

@@ -4,7 +4,7 @@ import functools
 
 import pytest
 
-from evprof.config import ClockConfig, RunConfig
+from evprof.config import RunConfig
 from evprof.profiler import (
     SampleProfiler, SampleReport, run_sample, timeline_slot,
 )
@@ -228,15 +228,12 @@ def test_no_mitigate_keeps_detection_without_rewrite():
     assert query.value == 1_000
 
 
-def test_lone_rdtsc_counts_only_without_sandwich_requirement():
+def test_lone_rdtsc_is_not_a_detection():
     t = T().images()
     t.native_filler(50)
     t.insn("rdtsc", out_regs=(("tsc", 1000),))
-    default = profile(t)
-    assert all(d.technique != "RDTSC" for d in default.detections)
-    cfg = RunConfig(clock=ClockConfig(rdtsc_requires_sandwich=False))
-    relaxed = profile(t, cfg)
-    assert [d.technique for d in relaxed.detections] == ["RDTSC"]
+    report = profile(t)
+    assert all(d.technique != "RDTSC" for d in report.detections)
 
 
 def test_unknown_override_rejected():
