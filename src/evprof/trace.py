@@ -59,6 +59,7 @@ _SAFE_CHARS = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
     "._-:/\\@#+*[]{}<>!?~^$&'\"|"
 )
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 class TraceError(Exception):
@@ -100,10 +101,10 @@ def decode_text(text: str) -> str:
     while i < len(text):
         ch = text[i]
         if ch == "%":
-            try:
-                raw.append(int(text[i + 1:i + 3], 16))
-            except ValueError:
+            pair = text[i + 1:i + 3]
+            if len(pair) != 2 or not _HEX_DIGITS.issuperset(pair):
                 raise TraceError(f"bad percent escape in {text!r}")
+            raw.append(int(pair, 16))
             i += 3
         else:
             raw.extend(ch.encode("utf-8"))

@@ -79,9 +79,11 @@ def test_blank_lines_are_skipped_and_still_counted():
 
 
 def test_bad_percent_escape_is_an_error_with_its_line():
-    with pytest.raises(TraceError) as exc:
-        parse_trace(MINIMAL.replace("name=NtClose", "name=Nt%G1"))
-    assert str(exc.value).startswith("line 2: bad percent escape")
+    # each % needs exactly two hex digits after it
+    for name in ("Nt%G1", "ab%1", "a%+f", "a%-0", "a%"):
+        with pytest.raises(TraceError) as exc:
+            parse_trace(MINIMAL.replace("name=NtClose", "name=" + name))
+        assert str(exc.value).startswith("line 2: bad percent escape")
 
 
 def test_empty_input_rejected():
