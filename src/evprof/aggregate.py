@@ -1,17 +1,15 @@
 """Corpus-level statistics over per-sample reports.
 
 All percentages are computed over the number of started samples of the
-relevant group. Aggregation is a pure fold with an associative merge, so
-report sets can be combined in any order or in parallel: the fold state
-holds only counts (ints and ``Counter``s), each stored once, and two
-partial states merge by adding them. Everything else is derived once, by
-``finalize``, into the summary document: the plain dict that
-``summary.json`` serializes and whose ``groups`` and ``packers`` sections
-the core and packer tables render. The mean, population standard
-deviation and maximum of the number of techniques come from a histogram
-of that number, the variance through the exact integer identity
-n*var = (n*sumsq - sum^2) / n, which makes results independent of merge
-order.
+relevant group. Aggregation is a fold, one report at a time, whose state
+holds only counts (ints and ``Counter``s), each stored once. Everything
+else is derived once, by ``finalize``, into the summary document: the
+plain dict that ``summary.json`` serializes and whose ``groups`` and
+``packers`` sections the core and packer tables render. The mean,
+population standard deviation and maximum of the number of techniques
+come from a histogram of that number, the variance through the exact
+integer identity n*var = (n*sumsq - sum^2) / n, so the only rounding is
+in the final square root and division.
 
 The evasive footprint of a family is the intersection of the technique
 sets of its evasive samples: the techniques whose per-family count equals
@@ -97,21 +95,6 @@ class _GroupCounters:
     protected_techniques: Counter[int] = field(default_factory=Counter)
 
 
-def _merge(mine, theirs):
-    """Fold two partial values of one fold-state field: ints add, dicts
-    merge per key (a key only in ``theirs`` is taken as it is), and an
-    object merges field by field."""
-    if isinstance(mine, int):
-        return mine + theirs
-    if isinstance(mine, dict):
-        for key, value in theirs.items():
-            mine[key] = _merge(mine[key], value) if key in mine else value
-        return mine
-    for name, value in vars(theirs).items():
-        setattr(mine, name, _merge(getattr(mine, name), value))
-    return mine
-
-
 def _moments(hist: Counter[int]):
     """(mean, population std, max) of the values a histogram counts."""
     n = sum(hist.values())
@@ -128,7 +111,7 @@ def _pct(count: int, denom: int) -> float | None:
 
 
 class CorpusAccumulator:
-    """Mergeable fold state over sample reports."""
+    """Fold state over sample reports."""
 
     def __init__(self, group_by: str = "dataset"):
         if group_by not in ("dataset", "year", "family"):
@@ -206,13 +189,6 @@ class CorpusAccumulator:
                 continue
             seen_slots.add(slot)
             self.slot_first_category[slot][d.category] += 1
-
-    def merge(self, other: "CorpusAccumulator") -> None:
-        if other.group_by != self.group_by:
-            raise AggregateError("cannot merge accumulators with different grouping")
-        for name, theirs in vars(other).items():
-            if name != "group_by":
-                setattr(self, name, _merge(getattr(self, name), theirs))
 
     def finalize(self) -> dict:
         """The summary document: the plain dict ``summary.json`` holds."""

@@ -111,6 +111,8 @@ def _batch_worker(item):
 
 
 def cmd_batch(args) -> int:
+    if args.jobs < 1:
+        raise CliError(f"--jobs {args.jobs} is below 1", EXIT_USAGE)
     cfg = _build_config(args)
     try:
         entries = sorted(os.listdir(args.dir))
@@ -236,13 +238,15 @@ def cmd_gen(args) -> int:
     if bool(args.spec) == bool(args.suite):
         raise CliError("gen takes one of --spec FILE and --suite NAME",
                        EXIT_USAGE)
+    if args.seed < 0:
+        # random.Random seeds by absolute value: -7 would repeat 7
+        raise CliError(f"--seed {args.seed} is negative", EXIT_USAGE)
     if args.suite:
         specs = generate.suite_specs(args.suite, args.seed)
     else:
         try:
             with open(args.spec, "r", encoding="utf-8") as fh:
-                specs = generate.shift_seeds(
-                    generate.parse_genspec_file(fh.read()), args.seed)
+                specs = generate.parse_genspec_file(fh.read(), args.seed)
         except OSError as exc:
             raise CliError(f"{args.spec}: {exc}")
         except generate.GenError as exc:

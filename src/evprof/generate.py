@@ -510,17 +510,11 @@ def suite_specs(name: str, seed: int = 0) -> list[GenSpec]:
     """The specs of the built-in suite ``name``: ``roundtrip``, or the
     genspec text of ``corpus60`` or ``scenarios``; shifted by ``seed``."""
     if name == "roundtrip":
-        specs = roundtrip_specs()
-    else:
-        specs = parse_genspec_file(
-            {"corpus60": suites.CORPUS60, "scenarios": suites.SCENARIOS}[name])
-    return shift_seeds(specs, seed)
-
-
-def shift_seeds(specs: list[GenSpec], seed: int) -> list[GenSpec]:
-    """``specs`` with ``seed`` added to each one's seed: what ``gen --seed``
-    does to a built-in suite and to a ``--spec`` file alike."""
-    return [replace(spec, seed=spec.seed + seed) for spec in specs]
+        return [replace(spec, seed=spec.seed + seed)
+                for spec in roundtrip_specs()]
+    return parse_genspec_file(
+        {"corpus60": suites.CORPUS60, "scenarios": suites.SCENARIOS}[name],
+        seed)
 
 
 def write_corpus(specs: list[GenSpec], out_dir) -> dict:
@@ -574,22 +568,25 @@ def _write_sample(spec: GenSpec, out_dir) -> dict:
 # ---------------------------------------------------------------------------
 # genspec files (same key=value token dialect as traces)
 
-def parse_genspec_file(text: str) -> list[GenSpec]:
+def parse_genspec_file(text: str, seed: int = 0) -> list[GenSpec]:
     """One spec per line; lines end where a trace record ends, at LF, CR LF
-    or CR."""
+    or CR. ``seed`` is added to each line's seed: what ``gen --seed`` does
+    to a built-in suite and to a ``--spec`` file alike. A seed below 0
+    after that shift is an error: ``random.Random`` seeds by absolute
+    value, so -7 would build what 7 builds."""
     specs = []
     for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            specs.append(_parse_genspec(tokenize(line)))
+            specs.append(_parse_genspec(tokenize(line), seed))
         except (TraceError, ValueError) as exc:
             raise GenError(f"line {lineno}: {exc}") from None
     return specs
 
 
-def _parse_genspec(fields: dict[str, str]) -> GenSpec:
+def _parse_genspec(fields: dict[str, str], shift: int) -> GenSpec:
     if "sample_id" not in fields:
         raise ValueError("missing sample_id")
     techniques = []
@@ -613,8 +610,10 @@ def _parse_genspec(fields: dict[str, str]) -> GenSpec:
         labels=tuple((key, decode_text(fields.pop(key)))
                      for key in META_LABEL_KEYS if key in fields),
         scenario=fields.pop("scenario", None),
-        seed=int(fields.pop("seed", 0)),
+        seed=int(fields.pop("seed", 0)) + shift,
     )
+    if spec.seed < 0:
+        raise ValueError(f"seed {spec.seed} is negative")
     if fields:
         raise ValueError(f"unexpected fields {sorted(fields)}")
     return spec

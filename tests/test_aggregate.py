@@ -327,7 +327,7 @@ def test_generated_label_file_reads_back_every_label(tmp_path):
                "protector": ""}}
 
 
-# -- merge associativity ------------------------------------------------------
+# -- brute force equivalence on the synthetic corpus ---------------------------
 
 def corpus_reports(seed=7, size=40):
     import random
@@ -355,52 +355,9 @@ def corpus_reports(seed=7, size=40):
     return reports
 
 
-def fold(reports, group_by):
-    acc = CorpusAccumulator(group_by)
-    for r in reports:
-        acc.add(r)
-    return acc
-
-
-def merged(left, right):
-    left.merge(right)
-    return left
-
-
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 SIZES = st.integers(min_value=1, max_value=40)
 
-
-@settings(max_examples=25, deadline=None)
-@given(cuts=st.lists(st.integers(min_value=0, max_value=40),
-                     min_size=2, max_size=2),
-       group_by=st.sampled_from(["dataset", "year", "family"]),
-       seed=SEEDS)
-@example(cuts=[10, 30], group_by="family", seed=7)
-def test_merge_associativity(cuts, group_by, seed):
-    reports = corpus_reports(seed)
-    i, j = sorted(cuts)
-    parts = (reports[:i], reports[i:j], reports[j:])
-    want = fold(reports, group_by).finalize()
-
-    # each combination folds fresh accumulators: a merge may adopt the
-    # other side's per-key state instead of copying it
-    def part(k):
-        return fold(parts[k], group_by)
-
-    for acc in (merged(part(0), fold(reports[i:], group_by)),
-                merged(merged(part(0), part(1)), part(2)),
-                merged(part(0), merged(part(1), part(2))),
-                merged(CorpusAccumulator(group_by), fold(reports, group_by))):
-        assert acc.finalize() == want
-
-
-def test_merge_rejects_different_grouping():
-    with pytest.raises(AggregateError):
-        CorpusAccumulator("dataset").merge(CorpusAccumulator("family"))
-
-
-# -- brute force equivalence on the synthetic corpus ---------------------------
 
 def assert_float_eq(a, b, path=""):
     if isinstance(a, dict) and isinstance(b, dict):

@@ -126,6 +126,16 @@ def test_batch_parallel_output_identical(corpus_dir, tmp_path):
     assert read_reports(out1) == read_reports(out8)
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_batch_jobs_below_one_is_a_usage_error(corpus_dir, tmp_path, capsys,
+                                              jobs):
+    out = tmp_path / "reports"
+    assert main(["batch", str(corpus_dir), "--out", str(out),
+                 "--jobs", jobs]) == EXIT_USAGE
+    assert f"error: --jobs {jobs} is below 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_deterministic_across_runs(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -171,6 +181,31 @@ def test_gen_seed_shifts_a_spec_file_as_it_shifts_a_suite(tmp_path):
     assert runs["spec7"] == runs["suite7"]
     assert runs["spec7"]["locky_loop.trace"] != \
         runs["spec0"]["locky_loop.trace"]
+
+
+@pytest.mark.parametrize("source", ["--suite", "--spec"])
+def test_gen_negative_seed_is_a_usage_error(tmp_path, capsys, source):
+    # random.Random seeds by absolute value, so -7 would write what 7 writes
+    spec = tmp_path / "samples.gspec"
+    spec.write_text("sample_id=g1 filler=5\n")
+    out = tmp_path / "gen"
+    value = "scenarios" if source == "--suite" else str(spec)
+    assert main(["gen", source, value, "--seed=-7",
+                 "--out", str(out)]) == EXIT_USAGE
+    assert "error: --seed -7 is negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_spec_line_seed_negative_after_the_shift_is_a_data_error(
+        tmp_path, capsys):
+    spec = tmp_path / "samples.gspec"
+    spec.write_text("sample_id=a filler=5 seed=-2\n"
+                    "sample_id=b filler=5 seed=-9\n")
+    out = tmp_path / "gen"
+    assert main(["gen", "--spec", str(spec), "--seed", "5",
+                 "--out", str(out)]) == EXIT_DATA
+    assert "error: line 2: seed -4 is negative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_aggregate_pipeline(tmp_path):

@@ -227,6 +227,7 @@ def test_genspec_missing_sample_id_rejected():
     ("scenario=nope", "unknown scenario 'nope'"),
     ("filler=1 filler=2", "duplicate field 'filler'"),
     ("seed=0x", "invalid literal for int()"),
+    ("seed=-1", "seed -1 is negative"),
 ])
 def test_genspec_bad_value_is_a_gen_error_with_line(fields, message):
     text = f"sample_id=a\nsample_id=b {fields}\n"

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from evprof.trace import (
-    INSN_MNEMONICS, MAX_FIELD_WIDTH, META_LABEL_KEYS, REGION_KINDS,
-    REQUIRED, SCHEMA, ApiPayload, FieldRef, ImageLoadPayload, InsnPayload,
-    MemPayload, MetaPayload, ProcessStartPayload, RegionAllocPayload,
-    RegionFreePayload, StructLayout, ThreadStartPayload, TraceError,
-    TraceEvent, Value, decode_text, encode_text, parse_trace,
+    INSN_MNEMONICS, MAX_FIELD_WIDTH, MEMO_ENTRIES, META_LABEL_KEYS,
+    REGION_KINDS, REQUIRED, SCHEMA, ApiPayload, FieldRef, ImageLoadPayload,
+    InsnPayload, MemPayload, MetaPayload, ProcessStartPayload,
+    RegionAllocPayload, RegionFreePayload, StructLayout, ThreadStartPayload,
+    TraceError, TraceEvent, Value, decode_text, encode_text, parse_trace,
     serialize_event, serialize_trace, tokenize, validate_trace,
 )
 from evprof.config import RunConfig
@@ -312,6 +312,47 @@ def long_record(last):
 def test_parse_time_is_linear_in_lines_and_tokens(trace, n):
     # linear is 4; the tokenizer's error path rescans the line once
     assert best_parse_time(trace(4 * n)) / best_parse_time(trace(n)) < 8
+
+
+def test_repeated_raw_values_decode_once_and_are_shared():
+    events = parse_trace(api_lines(2))
+    assert [e.payload for e in events[1:]] == [
+        ApiPayload(name="NtClose", args=(Value("i", i), Value("s", "x")),
+                   ret=Value("i", 0), return_address=0x401000, native=True)
+        for i in (1, 2)]
+    first, second = (e.payload for e in events[1:])
+    assert second.ret is first.ret
+    assert second.name is first.name
+    assert second.return_address is first.return_address
+    assert second.args is not first.args
+
+
+def distinct_addresses(n, repeats=1):
+    """A trace whose api lines carry ``n`` distinct return addresses,
+    ``repeats`` times over."""
+    meta = "seq=0 pid=1 tid=1 insn_index=0 kind=meta sample_id=m\n"
+    return meta + "".join(
+        f"seq={i} pid=1 tid=1 insn_index={i} kind=api name=A "
+        f"return_address={hex(0x401000 + i % n)} native=0\n"
+        for i in range(1, n * repeats + 1))
+
+
+def test_more_distinct_values_than_the_memo_holds_round_trip():
+    text = distinct_addresses(MEMO_ENTRIES + 100, repeats=2)
+    # compared by line, so a failure names the first line that differs
+    assert serialize_trace(parse_trace(text)).splitlines() == \
+        text.splitlines()
+
+
+def test_a_bad_value_after_the_memo_filled_fails_on_its_line():
+    text = distinct_addresses(MEMO_ENTRIES + 100)
+    n = text.count("\n")
+    text += (f"seq={n} pid=1 tid=1 insn_index={n} kind=api name=A "
+             f"return_address=0xZZ native=0\n")
+    with pytest.raises(TraceError) as exc:
+        parse_trace(text)
+    assert str(exc.value) == (f"line {n + 1}: field 'return_address': "
+                              f"bad integer '0xZZ'")
 
 
 def test_string_arg_with_separators_survives():
