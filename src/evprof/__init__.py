@@ -9,14 +9,12 @@ from .catalog import (
     DetectionRecord,
     FP_PRONE_TECHNIQUES,
     RULES,
+    RunConfig,
     TechniqueRule,
     apply_mitigation,
-    catalog_listing,
-    is_fp_prone,
     match_event,
 )
 from .clock import VirtualClock
-from .config import RunConfig
 from .injection import InjectionRouter
 from .memory import MemoryRegion, MemoryTracker, WatchPoint
 from .profiler import SampleProfiler, SampleReport, run_sample, timeline_slot

@@ -12,7 +12,8 @@ only ever fires if the triggering code address (API return address,
 instruction address, or memory accessor address) lies in the red area;
 matches from standard-library code are discarded as legitimate use. Each
 surviving match is then mitigated by its rule's transform, when the run
-config enables it.
+settings enable it. ``RunConfig`` holds the four settings a run may vary,
+and refuses an override of a technique that has no transform.
 
 A rule narrows its api or insn trigger with data, which ``_narrowed``
 reads: an exact string argument (``token``), case-insensitive substrings
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .clock import STALL_APIS, VirtualClock
-from .config import HONEYPOT_PID, RunConfig
 from .trace import Diagnostic, TraceEvent
 
 CAT_ANTI_DEBUG = "AntiDebug"
@@ -65,6 +65,7 @@ VM_ARTIFACTS = (
 RAM_SUBSTITUTE_BYTES = 8 * 1024 ** 3          # report 8 GB of RAM
 DISK_SUBSTITUTE_BYTES = 800 * 1024 ** 3       # report 800 GB of disk
 PROCESSOR_COUNT_SUBSTITUTE = 4
+HONEYPOT_PID = 99999  # the decoy process injection is rerouted to
 
 
 class UnknownTechniqueError(KeyError):
@@ -392,14 +393,6 @@ def rule(technique: str) -> TechniqueRule:
         raise UnknownTechniqueError(technique)
 
 
-def catalog_listing() -> tuple[TechniqueRule, ...]:
-    return RULES
-
-
-def is_fp_prone(technique: str) -> bool:
-    return rule(technique).fp_prone
-
-
 # ---------------------------------------------------------------------------
 # behavior API traits (sandbox-style behavior metadata, separate from rules)
 
@@ -496,6 +489,48 @@ MITIGATIONS: dict[str, Callable] = {
 }
 
 assert set(MITIGATIONS) == {r.id for r in RULES if r.mitigated}
+
+
+# ---------------------------------------------------------------------------
+# run settings
+
+class ConfigError(Exception):
+    pass
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The four settings a study varies: which mitigations run, whether
+    the FP-prone four count, and the seed of the mouse substitute."""
+
+    mitigate: bool = True
+    exclude_fp_prone: bool = True
+    # technique id -> "on" | "off" | forced substituted value
+    overrides: tuple[tuple[str, str], ...] = ()
+    seed: int = 0
+
+    def __post_init__(self):
+        for key, _ in self.overrides:
+            if key not in _BY_ID:
+                raise ConfigError(
+                    f"override references unknown technique {key!r}")
+            if key not in MITIGATIONS:
+                raise ConfigError(f"override references technique {key!r}, "
+                                  f"which has no mitigation")
+
+    def override_for(self, technique: str) -> str | None:
+        for key, value in self.overrides:
+            if key == technique:
+                return value
+        return None
+
+    def mitigation_enabled(self, technique: str) -> bool:
+        ov = self.override_for(technique)
+        if ov == "off":
+            return False
+        if ov is not None:
+            return True
+        return self.mitigate
 
 
 def apply_mitigation(record: DetectionRecord, event: TraceEvent,

@@ -7,10 +7,9 @@ import contextlib
 import os
 import sys
 from collections import Counter
-from dataclasses import replace
 
 from . import catalog
-from .config import ConfigError, RunConfig, load_config_file
+from .catalog import ConfigError, RunConfig
 from .profiler import SampleReport, run_sample
 from .trace import TraceError, parse_trace, validate_trace
 
@@ -27,23 +26,17 @@ class CliError(Exception):
 
 
 def _build_config(args) -> RunConfig:
-    cfg = load_config_file(args.config) if args.config else RunConfig()
-    if args.no_mitigate:
-        cfg = replace(cfg, mitigate=False)
-    if args.include_fp_prone:
-        cfg = replace(cfg, exclude_fp_prone=False)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    overrides = dict(cfg.overrides)
+    overrides = {}
     for item in args.override or []:
         key, sep, value = item.partition("=")
         if not sep or not value:
             raise CliError(f"bad --override {item!r}, expected name=value",
                            EXIT_USAGE)
         overrides[key] = value
-    cfg = replace(cfg, overrides=tuple(sorted(overrides.items())))
-    cfg.validate_overrides(catalog.KNOWN_TECHNIQUES)
-    return cfg
+    return RunConfig(mitigate=not args.no_mitigate,
+                     exclude_fp_prone=not args.include_fp_prone,
+                     overrides=tuple(sorted(overrides.items())),
+                     seed=args.seed)
 
 
 def _profile_file(path: str, cfg: RunConfig) -> tuple[str, str, list[str]]:
@@ -261,7 +254,7 @@ def cmd_gen(args) -> int:
 
 def cmd_catalog(args) -> int:
     rows, categories, mitigated = [], Counter(), 0
-    for r in catalog.catalog_listing():
+    for r in catalog.RULES:
         rows.append((r.id, r.category, r.trigger_kind,
                      "yes" if r.mitigated else "no",
                      "yes" if r.fp_prone else "no", r.trigger_desc))
@@ -297,15 +290,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="JSON config file (flags win)")
         p.add_argument("--no-mitigate", action="store_true",
                        help="record detections without mitigating")
         p.add_argument("--include-fp-prone", action="store_true",
                        help="count the four FP-prone techniques as evasive")
         p.add_argument("--override", action="append", metavar="TECH=VALUE",
-                       help="per-technique mitigation override: on, off, "
+                       help="override of a mitigated technique: on, off, "
                             "or a forced substituted value")
-        p.add_argument("--seed", type=int, help="deterministic seed")
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed of the mouse_movement substitute "
+                            "coordinates")
 
     p = sub.add_parser("analyze", help="profile one trace")
     common(p)

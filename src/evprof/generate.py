@@ -24,7 +24,6 @@ import random
 from dataclasses import dataclass, replace
 
 from . import catalog, suites
-from .config import HONEYPOT_PID
 from .trace import (
     LABEL_COLUMNS, META_LABEL_KEYS, ApiPayload, FieldRef, ImageLoadPayload,
     InsnPayload, MemPayload, MetaPayload, StructLayout, ThreadStartPayload,
@@ -484,9 +483,9 @@ def build_injection_scenario(b: TraceBuilder) -> None:
     b.api("NtCreateThreadEx", args=(vaddr(INJECT_ADDR),), ret=vint(0),
           target_pid=VICTIM_PID, trigger="Shellcode_injected")
     b.emit("thread_start", ThreadStartPayload(parent_tid=MAIN_TID),
-           pid=HONEYPOT_PID, tid=1)
+           pid=catalog.HONEYPOT_PID, tid=1)
     b.api("IsDebuggerPresent", ret=vint(0), origin=INJECT_ADDR + 0x10,
-          native=False, pid=HONEYPOT_PID, tid=1,
+          native=False, pid=catalog.HONEYPOT_PID, tid=1,
           trigger="IsDebuggerPresentAPI")
 
 

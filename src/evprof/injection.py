@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
 
-from .catalog import INJECTION_APIS
-from .config import HONEYPOT_PID
+from .catalog import HONEYPOT_PID, INJECTION_APIS
 from .memory import MemoryRegion, MemoryTracker
 from .trace import ApiPayload, Diagnostic, TraceEvent
 

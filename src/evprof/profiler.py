@@ -14,9 +14,8 @@ import json
 from dataclasses import dataclass, field, fields
 
 from . import catalog
-from .catalog import DetectionRecord, Effect
+from .catalog import HONEYPOT_PID, DetectionRecord, Effect, RunConfig
 from .clock import VirtualClock
-from .config import HONEYPOT_PID, RunConfig
 from .injection import InjectionRouter
 from .memory import MemoryRegion, MemoryTracker
 from .trace import Diagnostic, TraceEvent
@@ -190,7 +189,6 @@ class SampleProfiler:
 
     def __init__(self, config: RunConfig | None = None):
         self.config = config or RunConfig()
-        self.config.validate_overrides(catalog.KNOWN_TECHNIQUES)
         self.tracker = MemoryTracker(catalog.WATCH_FIELD_TECHNIQUES)
         self.clock = VirtualClock()
         self.router = InjectionRouter(

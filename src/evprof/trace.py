@@ -37,7 +37,6 @@ consumer needs flows through the layout declarations.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import Iterable, Union
@@ -571,6 +570,19 @@ _DECODING = {kind: (cls, _decoding(cls, rows))
              for kind, (cls, rows) in SCHEMA.items()}
 
 
+def _text_lines(text: str):
+    """The lines of ``text`` as a text-mode file reads them: LF, CR LF and
+    CR end a line, and each line keeps its LF. Yields one slice at a time,
+    so no second copy of the whole text is built unless it holds a CR."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def parse_trace(source) -> list[TraceEvent]:
     """Parse a trace into its ordered event list.
 
@@ -583,7 +595,7 @@ def parse_trace(source) -> list[TraceEvent]:
     API names are accepted as-is.
     """
     if isinstance(source, str):
-        source = io.StringIO(source, newline=None)
+        source = _text_lines(source)
 
     # the memos live for this call only
     head_rows = _memoized(_HEAD)

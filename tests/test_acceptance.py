@@ -16,8 +16,8 @@ import time
 from evprof import catalog
 from evprof.aggregate import aggregate_reports, apply_labels, load_labels
 from evprof.cli import main as cli_main
+from evprof.catalog import HONEYPOT_PID, RunConfig
 from evprof.clock import VirtualClock
-from evprof.config import HONEYPOT_PID, RunConfig
 from evprof.generate import (
     GenSpec, build_sample, roundtrip_specs, suite_specs, write_corpus,
 )
@@ -51,7 +51,7 @@ def profile_text(text, config=None):
 
 @criterion(1, "catalog integrity")
 def test_criterion_1_catalog_integrity():
-    rules = catalog.catalog_listing()
+    rules = catalog.RULES
     assert len(rules) == 53
     assert len({r.id for r in rules}) == 53
     counts = collections.Counter(r.category for r in rules)

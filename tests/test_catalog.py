@@ -5,11 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from evprof import catalog
 from evprof.catalog import (
-    DetectionRecord, MitigationError, UnknownTechniqueError, apply_mitigation,
-    catalog_listing, is_fp_prone, match_event, rule,
+    FP_PRONE_TECHNIQUES, RULES, ConfigError, DetectionRecord, MitigationError,
+    RunConfig, UnknownTechniqueError, apply_mitigation, match_event, rule,
 )
 from evprof.clock import VirtualClock
-from evprof.config import RunConfig
 from evprof.memory import MemoryRegion, MemoryTracker
 from evprof.trace import Value
 
@@ -58,52 +57,52 @@ def api_event(name, args=(), ret=None, origin=RED, **kw):
 # -- integrity ---------------------------------------------------------------
 
 def test_exactly_53_techniques():
-    assert len(catalog_listing()) == 53
+    assert len(RULES) == 53
 
 
 def test_ids_unique():
-    ids = [r.id for r in catalog_listing()]
+    ids = [r.id for r in RULES]
     assert len(ids) == len(set(ids))
 
 
 def test_category_counts():
     counts = {}
-    for r in catalog_listing():
+    for r in RULES:
         counts[r.category] = counts.get(r.category, 0) + 1
     assert counts == EXPECTED_CATEGORY_COUNTS
 
 
 def test_exactly_17_mitigations():
-    assert sum(1 for r in catalog_listing() if r.mitigated) == 17
+    assert sum(1 for r in RULES if r.mitigated) == 17
 
 
 def test_mitigations_per_category():
     counts = dict.fromkeys(EXPECTED_CATEGORY_COUNTS, 0)
-    for r in catalog_listing():
+    for r in RULES:
         if r.mitigated:
             counts[r.category] += 1
     assert counts == EXPECTED_MITIGATED_BY_CATEGORY
 
 
 def test_fp_prone_set_is_exactly_four():
-    fp = {r.id for r in catalog_listing() if r.fp_prone}
+    fp = {r.id for r in RULES if r.fp_prone}
     assert fp == {"GetTickCount", "cpuid_is_hypervisor", "mouse_movement",
                   "NumberOfProcessors"}
 
 
 def test_is_fp_prone_examples():
-    assert is_fp_prone("GetTickCount")
-    assert not is_fp_prone("RDTSC")
-    assert not is_fp_prone("ErasePEHeader")
+    assert "GetTickCount" in FP_PRONE_TECHNIQUES
+    assert "RDTSC" not in FP_PRONE_TECHNIQUES
+    assert "ErasePEHeader" not in FP_PRONE_TECHNIQUES
 
 
 def test_is_fp_prone_unknown_id_errors():
     with pytest.raises(UnknownTechniqueError):
-        is_fp_prone("NotATechnique")
+        rule("NotATechnique").fp_prone
 
 
 def test_every_mitigated_rule_has_a_transform():
-    for r in catalog_listing():
+    for r in RULES:
         assert (r.id in catalog.MITIGATIONS) == r.mitigated
 
 
@@ -201,7 +200,7 @@ def test_interrupts_red_gated():
 
 # -- gating soundness property ------------------------------------------------
 
-rule_names = sorted({n for r in catalog_listing() for n in r.api_names})
+rule_names = sorted({n for r in RULES for n in r.api_names})
 
 
 @settings(max_examples=80, deadline=None)
@@ -307,6 +306,15 @@ def test_override_forces_substituted_value():
     assert apply_mitigation(rec, ev, VirtualClock(), cfg) == str(5 * 1024 ** 3)
 
 
+@pytest.mark.parametrize("value", ["on", "off", "forced"])
+def test_override_of_a_technique_without_mitigation_is_rejected(value):
+    with pytest.raises(ConfigError, match="'IsDebuggerPresentAPI', which "
+                                          "has no mitigation"):
+        RunConfig(overrides=(("IsDebuggerPresentAPI", value),))
+    with pytest.raises(ConfigError, match="unknown technique 'NoSuch'"):
+        RunConfig(overrides=(("NoSuch", value),))
+
+
 def test_check_eip_returns_expected_instruction_pointer():
     ev = insn_event("fpu_eip_leak", out_regs=(("eip", 0x7A001234),))
     rec = record_for(ev, "Check_EIP")
@@ -315,8 +323,7 @@ def test_check_eip_returns_expected_instruction_pointer():
 
 
 def test_catalog_listing_is_immutable_tuple():
-    listing = catalog_listing()
-    assert isinstance(listing, tuple)
+    assert isinstance(RULES, tuple)
 
 
 # -- one pathway: every rule matched, gated and mitigated in match_event ------
@@ -329,9 +336,9 @@ def match_records(event, config=None, clock=None):
 
 def test_trigger_table_holds_every_api_and_insn_rule_once_per_name():
     expected = sorted(
-        [("api", n, r.id) for r in catalog_listing()
+        [("api", n, r.id) for r in RULES
          if r.trigger_kind == "api" for n in r.api_names]
-        + [("insn", r.mnemonic, r.id) for r in catalog_listing()
+        + [("insn", r.mnemonic, r.id) for r in RULES
            if r.trigger_kind == "insn"])
     actual = sorted((kind, name, r.id)
                     for (kind, name), rules in catalog.TRIGGERS.items()

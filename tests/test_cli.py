@@ -85,6 +85,17 @@ def test_unknown_override_technique_rejected(corpus_dir):
                  str(trace)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("value", ["on", "off", "forced"])
+def test_override_of_a_technique_without_mitigation_rejected(
+        corpus_dir, capsys, value):
+    trace = corpus_dir / "pos_Check_EIP.trace"
+    assert main(["analyze", "--override", f"IsDebuggerPresentAPI={value}",
+                 str(trace)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: override references technique 'IsDebuggerPresentAPI', "
+        "which has no mitigation\n")
+
+
 def test_batch_profiles_directory(corpus_dir, tmp_path, capsys):
     out = tmp_path / "reports"
     assert main(["batch", str(corpus_dir), "--out", str(out)]) == EXIT_OK
@@ -294,90 +305,31 @@ def test_start_up_imports_neither_the_pool_nor_hashlib():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
-def test_config_file_and_flag_precedence(corpus_dir, tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({
-        "mitigate": True,
-        "overrides": {"RDTSC": "off"},
-    }))
-    trace = corpus_dir / "pos_RDTSC.trace"
-    out = tmp_path / "r.json"
-    assert main(["analyze", "--config", str(cfg), str(trace),
-                 "--out", str(out)]) == EXIT_OK
-    report = SampleReport.from_json(out.read_text())
-    rec = next(d for d in report.detections if d.technique == "RDTSC")
-    assert not rec.mitigated  # config override applies
-    # a flag wins over the file
-    assert main(["analyze", "--config", str(cfg), "--override", "RDTSC=on",
-                 str(trace), "--out", str(out)]) == EXIT_OK
-    report = SampleReport.from_json(out.read_text())
-    rec = next(d for d in report.detections if d.technique == "RDTSC")
-    assert rec.mitigated
-
-
-def test_bad_config_file_usage_error(corpus_dir, tmp_path):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text("{\"mystery_knob\": 1}")
-    trace = corpus_dir / "pos_RDTSC.trace"
-    assert main(["analyze", "--config", str(cfg), str(trace)]) == EXIT_USAGE
-
-
-@pytest.mark.parametrize("content", [
-    {"overrides": []},
-    {"exclude_fp_prone": 1},
-    None,  # no file
-    {"mitigate": "no"},
-    {"seed": "x"},
-    {"seed": True},
-    {"overrides": {"RDTSC": 5}},
-    "{",
-])
-def test_config_file_with_a_bad_value_is_a_usage_error(
-        corpus_dir, tmp_path, capsys, content):
-    cfg = tmp_path / "run.json"
-    if content is not None:
-        cfg.write_text(content if isinstance(content, str)
-                       else json.dumps(content))
-    trace = corpus_dir / "pos_RDTSC.trace"
-    assert main(["analyze", "--config", str(cfg), str(trace)]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith(("error: config key ", "error: bad config file "))
-
-
-def test_config_file_keys_are_the_config_fields(tmp_path):
-    from dataclasses import asdict
-    from evprof.config import RunConfig, load_config_file
-    cfg = RunConfig(mitigate=False, exclude_fp_prone=False,
-                    overrides=(("RDTSC", "off"),), seed=3)
-    doc = dict(asdict(cfg), overrides=dict(cfg.overrides))
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps(doc))
-    assert load_config_file(path) == cfg
-
-
-def test_readme_config_table_lists_the_config_file_keys():
-    from evprof.config import _KEYS
+def test_readme_settings_table_lists_the_run_config_fields():
+    from dataclasses import fields
+    from evprof.catalog import RunConfig
     readme = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "README.md")
     with open(readme, encoding="utf-8") as fh:
-        section = fh.read().split("## Config file\n")[1].split("\n## ")[0]
-    keys = [line.split("`")[1] for line in section.splitlines()
+        section = fh.read().split("## Run settings\n")[1].split("\n## ")[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines()
             if line.startswith("| `")]
-    assert keys == list(_KEYS)
+    assert [field.strip(" `") for field, _ in rows] == \
+        [f.name for f in fields(RunConfig)]
+    [commands] = [a.choices for a in cli.build_parser()._actions
+                  if a.dest == "command"]
+    for command in ("analyze", "batch"):
+        options = commands[command]._option_string_actions
+        for _, flag in rows:
+            assert flag.strip(" `").split()[0] in options, (command, flag)
 
 
-@pytest.mark.parametrize("key, value", [
-    ("honeypot_pid", 99999), ("tick_rate", 2600000),
-    ("stall_threshold_ms", 30000), ("infinite_wait_cap_ms", 600000),
-    ("sandwich_window", 50), ("rdtsc_requires_sandwich", True),
-])
-def test_fixed_clock_and_honeypot_values_are_not_config_keys(
-        corpus_dir, tmp_path, capsys, key, value):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({key: value}))
-    trace = corpus_dir / "pos_RDTSC.trace"
-    assert main(["analyze", "--config", str(cfg), str(trace)]) == EXIT_USAGE
-    assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
+def test_there_is_no_config_flag(corpus_dir, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--config", str(tmp_path / "run.json"),
+              str(corpus_dir / "pos_RDTSC.trace")])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_there_is_no_mitigate_flag(corpus_dir, capsys):

@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from evprof import catalog, generate
-from evprof.config import RunConfig
+from evprof.catalog import RunConfig
 from evprof.generate import (
     GenError, GenSpec, TechniqueSpec, build_sample, parse_genspec_file,
     roundtrip_specs, suite_specs, write_corpus,

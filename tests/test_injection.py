@@ -1,6 +1,6 @@
 """Honeypot rerouting and injection attribution."""
 
-from evprof.config import HONEYPOT_PID, RunConfig
+from evprof.catalog import HONEYPOT_PID, RunConfig
 from evprof.injection import HONEYPOT_IMAGE_BASE
 from evprof.profiler import SampleProfiler
 from evprof.trace import Value, vaddr, vlen

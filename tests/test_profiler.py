@@ -4,7 +4,7 @@ import functools
 
 import pytest
 
-from evprof.config import RunConfig
+from evprof.catalog import RunConfig
 from evprof.profiler import (
     SampleProfiler, SampleReport, run_sample, timeline_slot,
 )
@@ -237,7 +237,7 @@ def test_lone_rdtsc_is_not_a_detection():
 
 
 def test_unknown_override_rejected():
-    from evprof.config import ConfigError
+    from evprof.catalog import ConfigError
     with pytest.raises(ConfigError):
         SampleProfiler(RunConfig(overrides=(("NoSuchTechnique", "off"),)))
 

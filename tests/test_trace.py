@@ -6,6 +6,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from evprof.catalog import RunConfig
 from evprof.trace import (
     INSN_MNEMONICS, MAX_FIELD_WIDTH, MEMO_ENTRIES, META_LABEL_KEYS,
     REGION_KINDS, REQUIRED, SCHEMA, ApiPayload, FieldRef, ImageLoadPayload,
@@ -14,7 +15,6 @@ from evprof.trace import (
     TraceError, TraceEvent, Value, decode_text, encode_text, parse_trace,
     serialize_event, serialize_trace, tokenize, validate_trace,
 )
-from evprof.config import RunConfig
 from evprof.generate import GenSpec, TechniqueSpec, build_sample
 from evprof.profiler import run_sample
 
@@ -651,8 +651,22 @@ def parse_outcome(source):
         return str(exc)
 
 
+def line_ends_trace(end, last=""):
+    """MINIMAL with ``end`` after each line, blank lines, and VT, FF and
+    U+2028 between tokens, which end no record; ``last`` is a sixth line."""
+    first, second = MINIMAL.splitlines()
+    return end.join([first.replace(" ", "\x0b", 1), "", " \x0c ",
+                     second.replace(" ", "\u2028", 1), "", last])
+
+
 @settings(max_examples=300, deadline=None)
 @given(text=mutated_traces(MUTANT_CHARS + LINE_BREAKS))
+@example(text=line_ends_trace("\n"))
+@example(text=line_ends_trace("\r\n"))
+@example(text=line_ends_trace("\r"))
+@example(text=line_ends_trace("\n", "seq=9"))
+@example(text=line_ends_trace("\r\n", "seq=9"))
+@example(text=line_ends_trace("\r", "seq=9"))
 def test_text_and_text_mode_file_parse_alike(text):
     fh = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
     assert parse_outcome(text) == parse_outcome(fh)
