@@ -1,5 +1,6 @@
 """Command-line workflows: analyze, batch, aggregate, gen, catalog."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 from evprof import cli
+from evprof.catalog import RunConfig
 from evprof.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from evprof.generate import (GenSpec, TechniqueSpec, roundtrip_specs,
                              suite_specs, write_corpus)
@@ -330,6 +332,26 @@ def test_there_is_no_config_flag(corpus_dir, tmp_path, capsys):
               str(corpus_dir / "pos_RDTSC.trace")])
     assert exc.value.code == EXIT_USAGE
     assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("honeypot_pid", 99999), ("tick_rate", 2600000),
+    ("stall_threshold_ms", 30000), ("infinite_wait_cap_ms", 600000),
+    ("sandwich_window", 50), ("rdtsc_requires_sandwich", True),
+])
+def test_fixed_clock_and_honeypot_values_are_not_config_keys(
+        corpus_dir, capsys, key, value):
+    assert key not in {f.name for f in dataclasses.fields(RunConfig)}
+    trace = corpus_dir / "pos_RDTSC.trace"
+    assert main(["analyze", "--override", f"{key}={value}",
+                 str(trace)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: override references unknown technique {key!r}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", f"--{key.replace('_', '-')}", str(value),
+              str(trace)])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_there_is_no_mitigate_flag(corpus_dir, capsys):
