@@ -394,48 +394,29 @@ def rule(technique: str) -> TechniqueRule:
 
 
 # ---------------------------------------------------------------------------
-# behavior API traits (sandbox-style behavior metadata, separate from rules)
+# behavior API names (sandbox-style behavior metadata, separate from rules)
 
-@dataclass(frozen=True)
-class ApiTraits:
-    externally_visible: bool = False
-    internet: bool = False
-    child_process: bool = False
+INTERNET_APIS = frozenset({
+    "connect", "WSAConnect", "InternetConnect", "InternetConnectA",
+    "InternetConnectW", "InternetOpenUrl", "InternetOpenUrlA",
+    "InternetOpenUrlW", "HttpSendRequest", "HttpSendRequestA",
+    "HttpSendRequestW", "send", "WSASend", "URLDownloadToFile",
+    "URLDownloadToFileW",
+})
 
+# externally visible: filesystem writes, registry updates and network use
+VISIBLE_APIS = frozenset({
+    "NtWriteFile", "WriteFile", "WriteFileEx", "DeleteFile", "DeleteFileW",
+    "NtDeleteFile", "MoveFileEx", "CopyFile", "CopyFileW",
+    "RegSetValueEx", "RegSetValueExA", "RegSetValueExW", "NtSetValueKey",
+    "RegCreateKeyEx", "RegDeleteKey", "NtDeleteKey",
+}) | INTERNET_APIS
 
-_PLAIN = ApiTraits()
-_VISIBLE = ApiTraits(externally_visible=True)
-_NET = ApiTraits(externally_visible=True, internet=True)
-_CHILD = ApiTraits(child_process=True)
-
-API_TRAITS: dict[str, ApiTraits] = {
-    # filesystem writes
-    "NtWriteFile": _VISIBLE, "WriteFile": _VISIBLE, "WriteFileEx": _VISIBLE,
-    "DeleteFile": _VISIBLE, "DeleteFileW": _VISIBLE, "NtDeleteFile": _VISIBLE,
-    "MoveFileEx": _VISIBLE, "CopyFile": _VISIBLE, "CopyFileW": _VISIBLE,
-    # registry updates
-    "RegSetValueEx": _VISIBLE, "RegSetValueExA": _VISIBLE,
-    "RegSetValueExW": _VISIBLE, "NtSetValueKey": _VISIBLE,
-    "RegCreateKeyEx": _VISIBLE, "RegDeleteKey": _VISIBLE,
-    "NtDeleteKey": _VISIBLE,
-    # network connections
-    "connect": _NET, "WSAConnect": _NET, "InternetConnect": _NET,
-    "InternetConnectA": _NET, "InternetConnectW": _NET,
-    "InternetOpenUrl": _NET, "InternetOpenUrlA": _NET,
-    "InternetOpenUrlW": _NET, "HttpSendRequest": _NET,
-    "HttpSendRequestA": _NET, "HttpSendRequestW": _NET,
-    "send": _NET, "WSASend": _NET, "URLDownloadToFile": _NET,
-    "URLDownloadToFileW": _NET,
-    # child processes
-    "CreateProcess": _CHILD, "CreateProcessA": _CHILD,
-    "CreateProcessW": _CHILD, "CreateProcessInternalW": _CHILD,
-    "NtCreateUserProcess": _CHILD, "ShellExecuteEx": _CHILD,
-    "ShellExecuteExW": _CHILD,
-}
-
-
-def api_traits(name: str) -> ApiTraits:
-    return API_TRAITS.get(name, _PLAIN)
+CHILD_PROCESS_APIS = frozenset({
+    "CreateProcess", "CreateProcessA", "CreateProcessW",
+    "CreateProcessInternalW", "NtCreateUserProcess", "ShellExecuteEx",
+    "ShellExecuteExW",
+})
 
 
 # ---------------------------------------------------------------------------

@@ -40,16 +40,15 @@ def _build_config(args) -> RunConfig:
 
 
 def _profile_file(path: str, cfg: RunConfig) -> tuple[str, str, list[str]]:
-    """Worker: returns (sample_id, report json, warnings). A read or parse
-    error is a CliError whose message leaves out ``path``."""
+    """Worker: returns (sample_id, report json, the report's warnings). A
+    read or parse error is a CliError whose message leaves out ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             events = parse_trace(fh)
     except (OSError, UnicodeDecodeError, TraceError) as exc:
         raise CliError(str(exc))
-    diagnostics = validate_trace(events)
-    report = run_sample(events, cfg, diagnostics)
-    return report.sample_id, report.to_json(), [str(d) for d in diagnostics]
+    report = run_sample(events, cfg, validate_trace(events))
+    return report.sample_id, report.to_json(), report.warnings
 
 
 def _report_path(out_dir: str, sample_id: str) -> str:

@@ -17,7 +17,6 @@ verdicts for oracle comparison.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import random
@@ -27,8 +26,8 @@ from . import catalog, suites
 from .trace import (
     LABEL_COLUMNS, META_LABEL_KEYS, ApiPayload, FieldRef, ImageLoadPayload,
     InsnPayload, MemPayload, MetaPayload, StructLayout, ThreadStartPayload,
-    TraceError, TraceEvent, decode_text, serialize_trace, tokenize, vaddr,
-    vdur, vint, vlen, vstr,
+    TraceError, TraceEvent, decode_text, serialize_trace, text_lines,
+    tokenize, vaddr, vdur, vint, vlen, vstr,
 )
 
 MAIN_PID = 1000
@@ -574,7 +573,7 @@ def parse_genspec_file(text: str, seed: int = 0) -> list[GenSpec]:
     after that shift is an error: ``random.Random`` seeds by absolute
     value, so -7 would build what 7 builds."""
     specs = []
-    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+    for lineno, line in enumerate(text_lines(text), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -34,9 +34,9 @@ delete:
   only live addresses in [a - widest + 1, a + size). A write drops the
   watchpoints it kills from the index. Hits are returned in install
   order.
-* PE shadows stay a per-pid list in registration order, scanned on each
-  write: a pid holds one or two of them, and the oldest one holding an
-  address wins.
+* A PE shadow is keyed by its region, ``(pid, base)``: a write finds it
+  through ``region_at`` and one dict lookup, its extent is the region's,
+  and freeing the region drops it.
 """
 
 from __future__ import annotations
@@ -109,8 +109,6 @@ class PeWriteResult:
 
 @dataclass
 class _PeShadow:
-    base: int
-    size: int
     data: dict[int, int]       # offset -> byte, non-zero bytes only
     size_of_image_addr: int | None = None
 
@@ -158,7 +156,7 @@ class MemoryTracker:
     def __init__(self, watch_techniques: dict[str, str] | None = None):
         self._regions: dict[int, _RegionTable] = {}
         self._watchpoints: dict[int, _WatchTable] = {}
-        self._pe_shadows: dict[int, list[_PeShadow]] = {}
+        self._pe_shadows: dict[tuple[int, int], _PeShadow] = {}  # (pid, base)
         self._watch_techniques = dict(watch_techniques or {})
         self.diagnostics: list[Diagnostic] = []
 
@@ -185,10 +183,8 @@ class MemoryTracker:
                 seq, f"region_free of unknown base 0x{base:x} pid {pid}"))
             return
         del table.bases[i]
-        region = table.regions.pop(i)
-        if region.kind == "pe_header":
-            self._pe_shadows[pid] = [
-                s for s in self._pe_shadows.get(pid, []) if s.base != base]
+        del table.regions[i]
+        self._pe_shadows.pop((pid, base), None)
 
     def region_at(self, pid: int, address: int) -> MemoryRegion | None:
         table = self._regions.get(pid)
@@ -217,27 +213,22 @@ class MemoryTracker:
     # -- PE header shadow ---------------------------------------------------
 
     def register_pe_header(self, pid: int, base: int, data: bytes,
-                           size_of_image_addr: int | None = None,
-                           size: int | None = None) -> None:
-        """Track a pe_header region's bytes; region must be registered too.
-
-        ``size`` is the header's extent, ``len(data)`` by default; bytes
-        past ``data`` start as zero.
-        """
-        self._pe_shadows.setdefault(pid, []).append(_PeShadow(
-            base, len(data) if size is None else size,
-            {off: b for off, b in enumerate(data) if b}, size_of_image_addr))
-
-    def _shadow_for(self, pid: int, address: int) -> _PeShadow | None:
-        for shadow in self._pe_shadows.get(pid, ()):
-            if shadow.base <= address < shadow.base + shadow.size:
-                return shadow
-        return None
+                           size_of_image_addr: int | None = None) -> None:
+        """Track the bytes of the pe_header region that starts at ``base``;
+        that region must be registered first. Bytes past ``data`` start as
+        zero."""
+        region = self.region_at(pid, base)
+        if (region is None or region.base != base
+                or region.kind != "pe_header"):
+            raise ValueError(
+                f"no pe_header region starts at 0x{base:x} pid {pid}")
+        self._pe_shadows[pid, base] = _PeShadow(
+            {off: b for off, b in enumerate(data) if b}, size_of_image_addr)
 
     def pe_header_write(self, event: TraceEvent) -> PeWriteResult | None:
         """Record a write into a tracked PE header.
 
-        Returns None when the write does not touch any tracked header, and
+        Returns None when the write does not start in a tracked header, and
         for an access size outside {1,2,4,8}, which ``validate_trace``
         diagnoses. ``changed`` is true only if at least one stored byte
         actually differs from what the write deposits; stored bytes are
@@ -246,7 +237,10 @@ class MemoryTracker:
         p: MemPayload = event.payload
         if p.size not in MEM_ACCESS_SIZES:
             return None
-        shadow = self._shadow_for(event.pid, p.address)
+        region = self.region_at(event.pid, p.address)
+        if region is None or region.kind != "pe_header":
+            return None
+        shadow = self._pe_shadows.get((event.pid, region.base))
         if shadow is None:
             return None
         # stores truncate to their access width
@@ -254,9 +248,9 @@ class MemoryTracker:
         new_bytes = masked.to_bytes(p.size, "little", signed=False)
         changed = False
         data = shadow.data
-        for i, b in enumerate(new_bytes):
-            off = p.address + i - shadow.base
-            if 0 <= off < shadow.size and data.get(off, 0) != b:
+        start = p.address - region.base
+        for off, b in enumerate(new_bytes[:region.size - start], start):
+            if data.get(off, 0) != b:
                 changed = True
                 if b:
                     data[off] = b
@@ -270,13 +264,13 @@ class MemoryTracker:
         return PeWriteResult(changed, fld)
 
     def pe_shadow_bytes(self, pid: int, base: int) -> bytes | None:
-        for shadow in self._pe_shadows.get(pid, ()):
-            if shadow.base == base:
-                out = bytearray(shadow.size)
-                for off, b in shadow.data.items():
-                    out[off] = b
-                return bytes(out)
-        return None
+        shadow = self._pe_shadows.get((pid, base))
+        if shadow is None:
+            return None
+        out = bytearray(self.region_at(pid, base).size)
+        for off, b in shadow.data.items():
+            out[off] = b
+        return bytes(out)
 
     # -- watchpoints ----------------------------------------------------------
 

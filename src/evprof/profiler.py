@@ -251,8 +251,7 @@ class SampleProfiler:
                 event.pid, p.base, p.size, p.region_kind, name=p.name)) \
                 and p.region_kind == "pe_header":
             # a fresh allocation holds zeros
-            self.tracker.register_pe_header(event.pid, p.base, b"",
-                                            size=p.size)
+            self.tracker.register_pe_header(event.pid, p.base, b"")
 
     def _on_region_free(self, event: TraceEvent) -> None:
         self.tracker.free_region(event.pid, event.payload.base, event.seq)
@@ -265,12 +264,11 @@ class SampleProfiler:
         report = self.report
         if p.native:
             report.native_api_count += 1
-        traits = catalog.api_traits(p.name)
-        if traits.internet:
+        if p.name in catalog.INTERNET_APIS:
             report.internet = True
-        if traits.child_process:
+        if p.name in catalog.CHILD_PROCESS_APIS:
             report.child_process = True
-        if traits.externally_visible:
+        if p.name in catalog.VISIBLE_APIS:
             counts = report.visible_api_counts
             counts[p.name] = counts.get(p.name, 0) + 1
             self._visible_seqs.append(event.seq)

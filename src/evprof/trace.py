@@ -570,7 +570,7 @@ _DECODING = {kind: (cls, _decoding(cls, rows))
              for kind, (cls, rows) in SCHEMA.items()}
 
 
-def _text_lines(text: str):
+def text_lines(text: str):
     """The lines of ``text`` as a text-mode file reads them: LF, CR LF and
     CR end a line, and each line keeps its LF. Yields one slice at a time,
     so no second copy of the whole text is built unless it holds a CR."""
@@ -595,7 +595,7 @@ def parse_trace(source) -> list[TraceEvent]:
     API names are accepted as-is.
     """
     if isinstance(source, str):
-        source = _text_lines(source)
+        source = text_lines(source)
 
     # the memos live for this call only
     head_rows = _memoized(_HEAD)

@@ -199,7 +199,7 @@ def oracle_visible_split(events, report):
     """Recount the split from raw trace events plus the report's detections."""
     visible = [ev.seq for ev in events
                if ev.kind == "api"
-               and catalog.api_traits(ev.payload.name).externally_visible]
+               and ev.payload.name in catalog.VISIBLE_APIS]
     counted = [d for d in report.detections if d.technique in
                set(report.technique_set)]
     if not counted or not visible:
@@ -220,8 +220,8 @@ class ListMemoryTracker:
     """evprof.memory.MemoryTracker's tables as plain lists scanned per call.
 
     Regions stay sorted by base (a re-sort after each insert), watchpoints
-    and PE shadows stay in install order, and a PE shadow holds every byte
-    of its header.
+    stay in install order, and a PE shadow, keyed by its region's pid and
+    base, holds every byte of its header.
     """
 
     def __init__(self, watch_techniques=None):
@@ -246,10 +246,7 @@ class ListMemoryTracker:
         for i, region in enumerate(table):
             if region.base == base:
                 del table[i]
-                if region.kind == "pe_header":
-                    self._pe_shadows[pid] = [
-                        s for s in self._pe_shadows.get(pid, [])
-                        if s[0] != base]
+                self._pe_shadows.pop((pid, base), None)
                 return
         self.diagnostics.append(
             Diagnostic(seq, f"region_free of unknown base 0x{base:x} pid {pid}"))
@@ -271,28 +268,25 @@ class ListMemoryTracker:
         region = self.region_at(pid, address)
         return region is not None and region.kind in RED_REGION_KINDS
 
-    def register_pe_header(self, pid, base, data, size_of_image_addr=None,
-                           size=None):
-        data = bytearray(data)
-        if size is not None:
-            data += bytes(size - len(data))
-        self._pe_shadows.setdefault(pid, []).append(
-            (base, data, size_of_image_addr))
-
-    def _shadow_for(self, pid, address):
-        for shadow in self._pe_shadows.get(pid, []):
-            if shadow[0] <= address < shadow[0] + len(shadow[1]):
-                return shadow
-        return None
+    def register_pe_header(self, pid, base, data, size_of_image_addr=None):
+        region = self.region_at(pid, base)
+        if (region is None or region.base != base
+                or region.kind != "pe_header"):
+            raise ValueError(
+                f"no pe_header region starts at 0x{base:x} pid {pid}")
+        self._pe_shadows[pid, base] = (
+            bytearray(data) + bytes(region.size - len(data)),
+            size_of_image_addr)
 
     def pe_header_write(self, event):
         p = event.payload
         if p.size not in MEM_ACCESS_SIZES:
             return None
-        shadow = self._shadow_for(event.pid, p.address)
-        if shadow is None:
+        region = self.region_at(event.pid, p.address)
+        if region is None or (event.pid, region.base) not in self._pe_shadows:
             return None
-        base, data, soi = shadow
+        base = region.base
+        data, soi = self._pe_shadows[event.pid, base]
         changed = False
         for i in range(p.size):
             off = p.address + i - base
@@ -306,10 +300,8 @@ class ListMemoryTracker:
                              SIZE_OF_IMAGE_FIELD if touches_soi else None)
 
     def pe_shadow_bytes(self, pid, base):
-        for shadow in self._pe_shadows.get(pid, []):
-            if shadow[0] == base:
-                return bytes(shadow[1])
-        return None
+        shadow = self._pe_shadows.get((pid, base))
+        return None if shadow is None else bytes(shadow[0])
 
     def install_field_watchpoints(self, pid, refs, seq=0):
         table = self._watchpoints.setdefault(pid, [])

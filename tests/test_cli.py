@@ -411,6 +411,25 @@ def test_header_write_with_bad_size_is_a_warning(tmp_path, size):
                for w in report.warnings)
 
 
+def test_analyze_prints_every_warning_of_the_report(tmp_path, capsys):
+    # one warning from validation, one from profiling
+    trace = tmp_path / "w.trace"
+    trace.write_text(
+        "seq=0 pid=1000 tid=1100 insn_index=3 kind=meta sample_id=w\n"
+        "seq=1 pid=1000 tid=1100 insn_index=1 kind=image_load "
+        "name=main.exe base=0x400000 size=0x10000 region_kind=main_image\n"
+        "seq=2 pid=1000 tid=1100 insn_index=4 kind=region_free "
+        "base=0x9999000\n")
+    out = tmp_path / "r.json"
+    assert main(["analyze", str(trace), "--out", str(out)]) == EXIT_OK
+    warnings = SampleReport.from_json(out.read_text()).warnings
+    assert warnings == [
+        "seq 1: insn_index decreasing on pid 1000 tid 1100",
+        "seq 2: region_free of unknown base 0x9999000 pid 1000"]
+    assert capsys.readouterr().err.splitlines() == \
+        [f"warning: {w}" for w in warnings]
+
+
 def pe_header_alloc_trace(tmp_path, size, write_at):
     trace = tmp_path / "alloc.trace"
     trace.write_text(

@@ -1,6 +1,9 @@
 """Generator determinism, coverage, and scenario fixtures."""
 
 import json
+import os
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -272,3 +275,15 @@ def test_write_corpus_outputs(tmp_path):
     assert "manifest.json" in files
     assert sum(1 for f in files if f.endswith(".trace")) == 4
     assert len(manifest["samples"]) == 4
+
+
+def test_import_loads_neither_the_profiler_nor_the_memory_tables():
+    # gen builds traces and never profiles one; -S keeps site hooks out
+    code = ("import sys, evprof.generate; print(sorted("
+            "{'evprof.profiler', 'evprof.memory', 'evprof.injection'} "
+            "& set(sys.modules)))")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(generate.__file__)))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -41,8 +41,7 @@ def test_no_unused_imports(path):
 # -- every top-level function and class is referenced by the program --------
 
 ROOT = Path(__file__).resolve().parent.parent
-INIT = Path(evprof.__file__)
-PROGRAM = [*MODULES, INIT, *sorted((ROOT / "perfbench").glob("*.py"))]
+PROGRAM = [*MODULES, *sorted((ROOT / "perfbench").glob("*.py"))]
 
 
 def name_uses(tree) -> Counter:
@@ -62,15 +61,10 @@ def unreferenced_definitions(module, uses: Counter) -> list[str]:
 
 @functools.cache
 def program_uses() -> Counter:
-    """Name uses in src/evprof and perfbench/, plus one for each name the
-    package's ``__init__`` re-exports. Uses in tests/ do not count: code
-    only tests call belongs in tests/."""
-    init = ast.parse(INIT.read_text(encoding="utf-8"))
-    exported = Counter(alias.name for node in init.body
-                       if isinstance(node, ast.ImportFrom)
-                       for alias in node.names)
+    """Name uses in src/evprof and perfbench/. Uses in tests/ do not count:
+    code only tests call belongs in tests/."""
     return sum((name_uses(ast.parse(p.read_text(encoding="utf-8")))
-                for p in PROGRAM), exported)
+                for p in PROGRAM), Counter())
 
 
 def test_scan_flags_a_definition_used_only_by_itself():

@@ -252,6 +252,20 @@ def test_shadow_equals_brute_force_byte_map(writes):
     assert tr.pe_shadow_bytes(1, 0x400000) == bytes(expected)
 
 
+@pytest.mark.parametrize("base,kind", [
+    (0x500000, "pe_header"),     # no region there
+    (0x400000, "exec_alloc"),    # a region of another kind
+    (0x400010, "pe_header"),     # inside a header, not at its base
+])
+def test_shadow_without_its_header_region_is_refused(base, kind):
+    tr = MemoryTracker()
+    tr.register_region(MemoryRegion(1, 0x400000, 0x200, kind))
+    with pytest.raises(ValueError, match="no pe_header region starts at"):
+        tr.register_pe_header(1, base, b"MZ")
+    assert tr.pe_shadow_bytes(1, base) is None
+    assert tr.pe_header_write(write_event(1, base, size=2, value=1)) is None
+
+
 def test_bad_size_header_writes_touch_nothing():
     tr = make_pe_tracker()
     for size in (-5, 0, 3, 16):
@@ -288,7 +302,7 @@ OPS = st.one_of(
               PIDS, ADDRS, st.sampled_from([1, 2, 4, 8])),
     st.tuples(st.just("shadow"), PIDS, ADDRS,
               st.integers(min_value=0, max_value=0x10),
-              st.one_of(st.none(), st.integers(min_value=0, max_value=8))),
+              st.integers(min_value=0, max_value=8)),
     st.tuples(st.just("header_write"), PIDS, ADDRS,
               st.sampled_from([1, 2, 4, 8]),
               st.integers(min_value=0, max_value=2 ** 64 - 1)),
@@ -325,11 +339,12 @@ def apply_op(tracker, op, seq):
             return [(wp.address, wp.width, wp.field)
                     for wp in tracker.resolve_access(ev)]
         if kind == "shadow":
+            # the header region first, as the profiler maps it
             _, _, base, length, zeros = op
+            tracker.register_region(MemoryRegion(
+                pid, base, length + zeros, "pe_header", name=f"h{seq}"))
             data = bytes((base + i) & 0xFF for i in range(length))
-            size = None if zeros is None else length + zeros
-            return tracker.register_pe_header(pid, base, data, base + 2,
-                                              size=size)
+            return tracker.register_pe_header(pid, base, data, base + 2)
         _, _, addr, size, value = op
         return tracker.pe_header_write(write_event(pid, addr, size, value,
                                                    seq=seq))
@@ -390,7 +405,8 @@ def test_huge_header_shadow_allocates_only_written_bytes():
     # a 1 TiB header: only the bytes given or written are stored
     tr = MemoryTracker()
     base, size = 0x900000, 2 ** 40
-    tr.register_pe_header(1, base, b"MZ", size=size)
+    tr.register_region(MemoryRegion(1, base, size, "pe_header"))
+    tr.register_pe_header(1, base, b"MZ")
     far = base + size - 8
     assert tr.pe_header_write(write_event(1, far, size=8, value=7)).changed
     assert not tr.pe_header_write(write_event(1, far, size=8, value=7)).changed
