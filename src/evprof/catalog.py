@@ -3,17 +3,19 @@
 Categories and per-category rule counts are fixed invariants of the
 catalog (VMChecks 20, AntiDebug 21, ResourceProfiling 6, TimingAttacks 2,
 AntiDump 2, CodeInjection 1, AntiInstrumentation 1); exactly 17 rules
-carry a mitigation transform.
+carry their mitigation, a ``substitute``: the fixed value the mitigated
+call or read returns, or a transform that computes it.
 
 Detection has one pathway, ``match_event``. Rules triggered by an API
-name or an instruction mnemonic sit in one table built with the catalog;
-clock, watchpoint and PE-header hits join the same list of matches. A match
-only ever fires if the triggering code address (API return address,
-instruction address, or memory accessor address) lies in the red area;
-matches from standard-library code are discarded as legitimate use. Each
-surviving match is then mitigated by its rule's transform, when the run
-settings enable it. ``RunConfig`` holds the four settings a run may vary,
-and refuses an override of a technique that has no transform.
+name, an instruction mnemonic or a watched field sit in one table built
+with the catalog, ``TRIGGERS``; clock and PE-header hits join the same list
+of matches. A match only ever fires if the triggering code address (API
+return address, instruction address, or memory accessor address) lies in
+the red area; matches from standard-library code are discarded as
+legitimate use. Each surviving match is then mitigated by its rule's
+substitute, when the run settings enable it. ``RunConfig`` holds the four
+settings a run may vary, and refuses an override of a technique that has
+no mitigation.
 
 A rule narrows its api or insn trigger with data, which ``_narrowed``
 reads: an exact string argument (``token``), case-insensitive substrings
@@ -92,8 +94,14 @@ class TechniqueRule:
     eax: int | None = None                 # cpuid leaf
     cross_process: bool = False            # target_pid names another process
     watch_fields: tuple[str, ...] = ()
-    mitigated: bool = False
+    # the value a mitigation substitutes, or its (event, clock, config)
+    # transform; None when the technique is only detected
+    substitute: str | Callable | None = None
     fp_prone: bool = False
+
+    @property
+    def mitigated(self) -> bool:
+        return self.substitute is not None
 
 
 @dataclass
@@ -155,6 +163,35 @@ def _narrowed(r: TechniqueRule, event: TraceEvent) -> bool:
     return True
 
 
+# ---------------------------------------------------------------------------
+# mitigation transforms
+
+def _mouse_coordinates(seed: int, seq: int) -> tuple[int, int]:
+    import hashlib  # here, not at start-up: few samples move the mouse
+    digest = hashlib.blake2b(f"{seed}:{seq}".encode(), digest_size=8).digest()
+    x = int.from_bytes(digest[:4], "little") % 1920
+    y = int.from_bytes(digest[4:], "little") % 1080
+    return x, y
+
+
+def _mit_cpuid_is_hypervisor(event, clock, config):
+    ecx = event.payload.reg_out("ecx") or 0
+    return "ecx=0x%x" % (ecx & ~(1 << 31))
+
+
+def _mit_mouse(event, clock, config):
+    x, y = _mouse_coordinates(config.seed, event.seq)
+    return "x=%d,y=%d" % (x, y)
+
+
+def _mit_rdtsc(event, clock, config):
+    # the clock has already answered this read
+    returned = clock.last_rdtsc(event.pid, event.tid) if clock else None
+    if returned is None:
+        raise MitigationError("RDTSC substitution needs the clock's reading")
+    return "tsc=%d" % returned
+
+
 RULES: tuple[TechniqueRule, ...] = (
     # -- Anti Debug (21) ----------------------------------------------------
     TechniqueRule("IsDebuggerPresentAPI", CAT_ANTI_DEBUG, "api",
@@ -191,7 +228,8 @@ RULES: tuple[TechniqueRule, ...] = (
                   needles=("csrss",)),
     TechniqueRule("MemoryBreakpoints_PageGuard", CAT_ANTI_DEBUG, "api",
                   "guard-page access expecting STATUS_GUARD_PAGE_VIOLATION",
-                  api_names=("page_guard_access",), mitigated=True),
+                  api_names=("page_guard_access",),
+                  substitute="exception=STATUS_GUARD_PAGE_VIOLATION"),
     TechniqueRule("Interrupt_0x2d", CAT_ANTI_DEBUG, "insn",
                   "int 2d execution", mnemonic="int2d"),
     TechniqueRule("Interrupt_3", CAT_ANTI_DEBUG, "insn",
@@ -256,11 +294,11 @@ RULES: tuple[TechniqueRule, ...] = (
     TechniqueRule("Firmware_RSMB", CAT_VM_CHECKS, "api",
                   "raw SMBIOS firmware table read",
                   api_names=("GetSystemFirmwareTable",),
-                  token="RSMB", mitigated=True),
+                  token="RSMB", substitute="buffer=scrubbed"),
     TechniqueRule("Firmware_ACPI", CAT_VM_CHECKS, "api",
                   "ACPI firmware table read",
                   api_names=("GetSystemFirmwareTable",),
-                  token="ACPI", mitigated=True),
+                  token="ACPI", substitute="buffer=scrubbed"),
     TechniqueRule("Device_Artifacts", CAT_VM_CHECKS, "api",
                   "hypervisor device object open",
                   api_names=("CreateFile", "CreateFileA", "CreateFileW",
@@ -269,14 +307,15 @@ RULES: tuple[TechniqueRule, ...] = (
     TechniqueRule("cpuid_hypervisor_vendor", CAT_VM_CHECKS, "insn",
                   "cpuid leaf 0x40000000 vendor read",
                   mnemonic="cpuid", eax=0x40000000,
-                  mitigated=True),
+                  substitute="ebx=0x0,ecx=0x0,edx=0x0"),
     TechniqueRule("cpuid_is_hypervisor", CAT_VM_CHECKS, "insn",
                   "cpuid leaf 1 hypervisor bit",
                   mnemonic="cpuid", eax=1,
-                  mitigated=True, fp_prone=True),
+                  substitute=_mit_cpuid_is_hypervisor, fp_prone=True),
     TechniqueRule("mouse_movement", CAT_VM_CHECKS, "api",
                   "cursor position sampling",
-                  api_names=("GetCursorPos",), mitigated=True, fp_prone=True),
+                  api_names=("GetCursorPos",), substitute=_mit_mouse,
+                  fp_prone=True),
     TechniqueRule("filesystem_artifacts", CAT_VM_CHECKS, "api",
                   "hypervisor artifact path on the filesystem",
                   api_names=("FindFirstFile", "FindFirstFileA",
@@ -290,7 +329,7 @@ RULES: tuple[TechniqueRule, ...] = (
                   api_names=("SetupDiGetDeviceRegistryPropertyW",
                              "SetupDiGetDeviceRegistryProperty",
                              "SetupDiGetDeviceRegistryPropertyA"),
-                  mitigated=True),
+                  substitute="buffer=zeroed"),
     TechniqueRule("manufacturer_computer_system_wmi", CAT_VM_CHECKS, "api",
                   "WMI Win32_ComputerSystem.Manufacturer",
                   api_names=("wmi_query",),
@@ -317,37 +356,39 @@ RULES: tuple[TechniqueRule, ...] = (
                   "running process enumeration",
                   api_names=("Process32Next", "Process32First",
                              "Process32FirstW", "Process32NextW"),
-                  mitigated=True),
+                  substitute="parent=cmd.exe"),
     TechniqueRule("memory_space", CAT_RESOURCE_PROFILING, "api",
                   "installed RAM probe",
                   api_names=("GlobalMemoryStatusEx", "GlobalMemoryStatus"),
-                  mitigated=True),
+                  substitute=str(RAM_SUBSTITUTE_BYTES)),
     TechniqueRule("disk_size_getdiskfreespace", CAT_RESOURCE_PROFILING, "api",
                   "disk size via GetDiskFreeSpaceEx",
                   api_names=("GetDiskFreeSpaceExW", "GetDiskFreeSpaceEx",
                              "GetDiskFreeSpaceExA"),
-                  mitigated=True),
+                  substitute=str(DISK_SUBSTITUTE_BYTES)),
     TechniqueRule("dizk_size_deviceiocontrol", CAT_RESOURCE_PROFILING, "api",
                   "disk size via DeviceIoControl",
                   api_names=("DeviceIoControl",),
-                  needles=("ioctl_disk_get",), mitigated=True),
+                  needles=("ioctl_disk_get",),
+                  substitute=str(DISK_SUBSTITUTE_BYTES)),
     TechniqueRule("disk_size_wmi", CAT_RESOURCE_PROFILING, "api",
                   "WMI disk size",
                   api_names=("wmi_query",),
-                  wmi=("Win32_DiskDrive", ("Size",)), mitigated=True),
+                  wmi=("Win32_DiskDrive", ("Size",)),
+                  substitute="result=empty"),
     TechniqueRule("NumberOfProcessors", CAT_RESOURCE_PROFILING, "watch",
                   "processor count field read",
                   watch_fields=("PEB.NumberOfProcessors",
                                 "SYSTEM_INFO.dwNumberOfProcessors"),
-                  mitigated=True, fp_prone=True),
+                  substitute=str(PROCESSOR_COUNT_SUBSTITUTE), fp_prone=True),
 
     # -- Timing Attacks (2) ---------------------------------------------------
     TechniqueRule("time_stalling", CAT_TIMING_ATTACKS, "clock",
                   "above-threshold wait request",
-                  api_names=tuple(sorted(STALL_APIS)), mitigated=True),
+                  api_names=tuple(sorted(STALL_APIS)), substitute="wait_ms=0"),
     TechniqueRule("RDTSC", CAT_TIMING_ATTACKS, "clock",
                   "rdtsc pair within the sandwich window",
-                  mnemonic="rdtsc", mitigated=True),
+                  mnemonic="rdtsc", substitute=_mit_rdtsc),
 
     # -- Anti Dump (2) --------------------------------------------------------
     TechniqueRule("ErasePEHeader", CAT_ANTI_DUMP, "mem_write",
@@ -359,31 +400,28 @@ RULES: tuple[TechniqueRule, ...] = (
     TechniqueRule("Shellcode_injected", CAT_CODE_INJECTION, "api",
                   "cross-process write / thread / APC injection",
                   api_names=tuple(sorted(INJECTION_APIS)),
-                  cross_process=True, mitigated=True),
+                  cross_process=True, substitute=f"target_pid={HONEYPOT_PID}"),
 
     # -- Anti Instrumentation (1) -------------------------------------------
     TechniqueRule("Check_EIP", CAT_ANTI_INSTRUMENTATION, "insn",
                   "instruction-pointer leak via FPU state",
-                  mnemonic="fpu_eip_leak", mitigated=True),
+                  mnemonic="fpu_eip_leak",
+                  substitute=lambda e, c, cfg: "eip=0x%x" % e.payload.address),
 )
 
 _BY_ID: dict[str, TechniqueRule] = {r.id: r for r in RULES}
 KNOWN_TECHNIQUES = frozenset(_BY_ID)
 FP_PRONE_TECHNIQUES = frozenset(r.id for r in RULES if r.fp_prone)
 
-# (event kind, api name | mnemonic) -> rules it triggers, in catalog order.
-# Clock rules name their APIs and mnemonic too, but the clock decides when
-# they fire, so only api and insn rules are looked up by name.
+# ("api", name) | ("insn", mnemonic) | ("watch", qualified field) -> rules
+# it triggers, in catalog order. Clock rules name their APIs and mnemonic
+# too, but the clock decides when they fire, so they are not looked up.
 TRIGGERS: dict[tuple[str, str], list[TechniqueRule]] = {}
-WATCH_FIELD_TECHNIQUES: dict[str, str] = {}
 for _r in RULES:
-    if _r.trigger_kind == "api":
-        for _name in _r.api_names:
-            TRIGGERS.setdefault(("api", _name), []).append(_r)
-    elif _r.trigger_kind == "insn":
-        TRIGGERS.setdefault(("insn", _r.mnemonic), []).append(_r)
-    for _f in _r.watch_fields:
-        WATCH_FIELD_TECHNIQUES[_f] = _r.id
+    _names = {"api": _r.api_names, "insn": (_r.mnemonic,),
+              "watch": _r.watch_fields}.get(_r.trigger_kind, ())
+    for _name in _names:
+        TRIGGERS.setdefault((_r.trigger_kind, _name), []).append(_r)
 
 
 def rule(technique: str) -> TechniqueRule:
@@ -420,59 +458,6 @@ CHILD_PROCESS_APIS = frozenset({
 
 
 # ---------------------------------------------------------------------------
-# mitigation transforms
-
-def _mouse_coordinates(seed: int, seq: int) -> tuple[int, int]:
-    import hashlib  # here, not at start-up: few samples move the mouse
-    digest = hashlib.blake2b(f"{seed}:{seq}".encode(), digest_size=8).digest()
-    x = int.from_bytes(digest[:4], "little") % 1920
-    y = int.from_bytes(digest[4:], "little") % 1080
-    return x, y
-
-
-def _mit_cpuid_is_hypervisor(event, clock, config):
-    ecx = event.payload.reg_out("ecx") or 0
-    return "ecx=0x%x" % (ecx & ~(1 << 31))
-
-
-def _mit_mouse(event, clock, config):
-    x, y = _mouse_coordinates(config.seed, event.seq)
-    return "x=%d,y=%d" % (x, y)
-
-
-def _mit_rdtsc(event, clock, config):
-    # the clock has already answered this read
-    returned = clock.last_rdtsc(event.pid, event.tid) if clock else None
-    if returned is None:
-        raise MitigationError("RDTSC substitution needs the clock's reading")
-    return "tsc=%d" % returned
-
-
-MITIGATIONS: dict[str, Callable] = {
-    "MemoryBreakpoints_PageGuard":
-        lambda e, c, cfg: "exception=STATUS_GUARD_PAGE_VIOLATION",
-    "Firmware_RSMB": lambda e, c, cfg: "buffer=scrubbed",
-    "Firmware_ACPI": lambda e, c, cfg: "buffer=scrubbed",
-    "cpuid_hypervisor_vendor": lambda e, c, cfg: "ebx=0x0,ecx=0x0,edx=0x0",
-    "cpuid_is_hypervisor": _mit_cpuid_is_hypervisor,
-    "mouse_movement": _mit_mouse,
-    "setupdi_diskdrive": lambda e, c, cfg: "buffer=zeroed",
-    "process_enum": lambda e, c, cfg: "parent=cmd.exe",
-    "memory_space": lambda e, c, cfg: str(RAM_SUBSTITUTE_BYTES),
-    "disk_size_getdiskfreespace": lambda e, c, cfg: str(DISK_SUBSTITUTE_BYTES),
-    "dizk_size_deviceiocontrol": lambda e, c, cfg: str(DISK_SUBSTITUTE_BYTES),
-    "disk_size_wmi": lambda e, c, cfg: "result=empty",
-    "NumberOfProcessors": lambda e, c, cfg: str(PROCESSOR_COUNT_SUBSTITUTE),
-    "time_stalling": lambda e, c, cfg: "wait_ms=0",
-    "RDTSC": _mit_rdtsc,
-    "Shellcode_injected": lambda e, c, cfg: f"target_pid={HONEYPOT_PID}",
-    "Check_EIP": lambda e, c, cfg: "eip=0x%x" % e.payload.address,
-}
-
-assert set(MITIGATIONS) == {r.id for r in RULES if r.mitigated}
-
-
-# ---------------------------------------------------------------------------
 # run settings
 
 class ConfigError(Exception):
@@ -495,7 +480,7 @@ class RunConfig:
             if key not in _BY_ID:
                 raise ConfigError(
                     f"override references unknown technique {key!r}")
-            if key not in MITIGATIONS:
+            if not _BY_ID[key].mitigated:
                 raise ConfigError(f"override references technique {key!r}, "
                                   f"which has no mitigation")
 
@@ -519,9 +504,9 @@ def apply_mitigation(record: DetectionRecord, event: TraceEvent,
                      config: RunConfig | None = None) -> str:
     """Fill the record's substituted value and mark it mitigated.
 
-    The transform is a pure function of (event, seed, clock state); a
-    forced value in the run config's overrides wins over the built-in
-    transform.
+    The rule's substitute is a fixed value or a pure function of (event,
+    seed, clock state); a forced value in the run config's overrides wins
+    over it.
     """
     r = rule(record.technique)
     if not r.mitigated:
@@ -530,8 +515,10 @@ def apply_mitigation(record: DetectionRecord, event: TraceEvent,
     forced = config.override_for(record.technique)
     if forced is not None and forced not in ("on", "off"):
         value = forced
+    elif isinstance(r.substitute, str):
+        value = r.substitute
     else:
-        value = MITIGATIONS[record.technique](event, clock, config)
+        value = r.substitute(event, clock, config)
     record.substituted_value = value
     record.mitigated = True
     return value
@@ -603,10 +590,8 @@ def match_event(event: TraceEvent, tracker, clock: VirtualClock,
 
     elif kind == "mem_read":
         origin, name = p.accessor_address, None
-        # the tracker tags each watchpoint with WATCH_FIELD_TECHNIQUES
         for wp in tracker.resolve_access(event):
-            if wp.technique is not None:
-                hits.append(_BY_ID[wp.technique])
+            hits += TRIGGERS.get(("watch", wp.field), ())
 
     elif kind == "mem_write":
         origin, name = p.accessor_address, None

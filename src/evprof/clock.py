@@ -35,19 +35,16 @@ STALL_APIS = frozenset({
 # spelled-out Windows INFINITE (DWORD -1)
 INFINITE_WAIT = 0xFFFFFFFF
 
-MS_UNIT = "ms"
-TICKS_UNIT = "ticks"
-FILETIME_UNIT = "filetime"  # 100ns intervals
+FILETIME_PER_MS = 10_000       # 100 ns intervals per millisecond
 
+# each time-query API's reading, in units per millisecond
 TIME_QUERY_UNITS = {
-    "GetTickCount": MS_UNIT,
-    "GetTickCount64": MS_UNIT,
-    "timeGetTime": MS_UNIT,
-    "QueryPerformanceCounter": TICKS_UNIT,
-    "GetSystemTimeAsFileTime": FILETIME_UNIT,
+    "GetTickCount": 1,
+    "GetTickCount64": 1,
+    "timeGetTime": 1,
+    "QueryPerformanceCounter": TICKS_PER_MS,
+    "GetSystemTimeAsFileTime": FILETIME_PER_MS,
 }
-
-FILETIME_PER_MS = 10_000
 
 
 class ClockUnitError(Exception):
@@ -82,10 +79,6 @@ class VirtualClock:
         self._sandwiches: dict[tuple[int, int], SandwichState] = {}
         self.diagnostics: list[Diagnostic] = []
 
-    @property
-    def offset_ticks(self) -> int:
-        return self.offset_ms * TICKS_PER_MS
-
     def on_stall_api(self, requested_ms: int,
                      rewrite: bool = True) -> StallResult:
         """Shorten a wait: argument becomes 0, offset absorbs the wait.
@@ -106,14 +99,10 @@ class VirtualClock:
     def on_time_query(self, api_name: str, raw: int) -> int:
         """Return raw reading plus the accumulated offset in the API's unit."""
         try:
-            unit = TIME_QUERY_UNITS[api_name]
+            per_ms = TIME_QUERY_UNITS[api_name]
         except KeyError:
             raise ClockUnitError(f"no time unit configured for {api_name!r}")
-        if unit == MS_UNIT:
-            return raw + self.offset_ms
-        if unit == TICKS_UNIT:
-            return raw + self.offset_ticks
-        return raw + self.offset_ms * FILETIME_PER_MS
+        return raw + self.offset_ms * per_ms
 
     def is_time_query(self, api_name: str) -> bool:
         return api_name in TIME_QUERY_UNITS
@@ -127,7 +116,7 @@ class VirtualClock:
         raw reading plus the offset.
         """
         state = self._sandwiches.setdefault((pid, tid), SandwichState())
-        candidate = raw_tsc + self.offset_ticks
+        candidate = raw_tsc + self.offset_ms * TICKS_PER_MS
         in_window = (
             state.last_insn_index is not None
             and insn_index - state.last_insn_index <= SANDWICH_WINDOW

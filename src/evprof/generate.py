@@ -20,9 +20,10 @@ import csv
 import json
 import os
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import catalog, suites
+from .clock import SANDWICH_WINDOW, STALL_THRESHOLD_MS
 from .trace import (
     LABEL_COLUMNS, META_LABEL_KEYS, ApiPayload, FieldRef, ImageLoadPayload,
     InsnPayload, MemPayload, MetaPayload, StructLayout, ThreadStartPayload,
@@ -37,7 +38,8 @@ VICTIM_PID = 555
 MAIN_BASE = 0x400000
 MAIN_SIZE = 0x10000
 HEADER_SIZE = 0x200
-SIZE_OF_IMAGE_ADDR = MAIN_BASE + 0x50
+SIZE_OF_IMAGE_OFFSET = 0x50
+SIZE_OF_IMAGE_ADDR = MAIN_BASE + SIZE_OF_IMAGE_OFFSET
 SIZE_OF_IMAGE_INITIAL = 0x00010000
 
 STDLIB_BASE = 0x7FF00000
@@ -76,7 +78,8 @@ def _pe_header() -> bytes:
     header[0:2] = b"MZ"
     header[0x3C] = 0x80
     header[0x80:0x84] = b"PE\x00\x00"
-    header[0x50:0x54] = SIZE_OF_IMAGE_INITIAL.to_bytes(4, "little")
+    header[SIZE_OF_IMAGE_OFFSET:SIZE_OF_IMAGE_OFFSET + 4] = \
+        SIZE_OF_IMAGE_INITIAL.to_bytes(4, "little")
     return bytes(header)
 
 
@@ -321,17 +324,23 @@ def _recipe_size_of_image(b: TraceBuilder, origin: int, technique: str):
                 origin=origin, trigger=technique)
 
 
+# instruction gaps before an rdtsc read: paired <= SANDWICH_WINDOW < fresh
+FRESH_GAP = SANDWICH_WINDOW * 6 // 5
+PAIRED_GAP = SANDWICH_WINDOW * 3 // 5
+SHORT_PAIRED_GAP = SANDWICH_WINDOW // 5
+
+
 def _recipe_rdtsc(b: TraceBuilder, origin: int, technique: str):
     base = 1_000_000 + b.rng.randrange(1 << 20)
     b.insn("rdtsc", origin=origin, out_regs=(("tsc", base),))
-    b.advance_insn(27)
+    b.advance_insn(PAIRED_GAP)
     b.insn("rdtsc", origin=origin, out_regs=(("tsc", base + 2_000),),
-           trigger=technique)
+           trigger=technique, stride=0)
 
 
 def _recipe_time_stalling(b: TraceBuilder, origin: int, technique: str):
-    b.api("NtDelayExecution", args=(vdur(300_000),), ret=vint(0),
-          origin=origin, trigger=technique)
+    b.api("NtDelayExecution", args=(vdur(10 * STALL_THRESHOLD_MS),),
+          ret=vint(0), origin=origin, trigger=technique)
 
 
 def _recipe_injection(b: TraceBuilder, origin: int, technique: str):
@@ -448,7 +457,7 @@ LOCKY_FAST_RAW = 1_000     # raw ticks the instrumented fast call takes
 LOCKY_SLOW_RAW = 3_000     # raw ticks the instrumented slow call takes
 
 
-def build_locky_loop(b: TraceBuilder, iterations: int = LOCKY_ITERATIONS) -> None:
+def build_locky_loop(b: TraceBuilder) -> None:
     """Ratio-check loop: two API timings measured per iteration.
 
     Gaps are arranged so each iteration adjusts exactly three reads: both
@@ -458,20 +467,20 @@ def build_locky_loop(b: TraceBuilder, iterations: int = LOCKY_ITERATIONS) -> Non
     even though the raw (instrumented) timings fail it every time.
     """
     raw = 5_000_000 + b.rng.randrange(1 << 20)
-    for _ in range(iterations):
-        b.advance_insn(60)                      # fresh: outside the window
+    for _ in range(LOCKY_ITERATIONS):
+        b.advance_insn(FRESH_GAP)
         b.insn("rdtsc", out_regs=(("tsc", raw),), stride=0)
         raw += LOCKY_FAST_RAW                    # fast op under timing
-        b.advance_insn(30)
+        b.advance_insn(PAIRED_GAP)
         b.insn("rdtsc", out_regs=(("tsc", raw),), trigger="RDTSC", stride=0)
         raw += 400
-        b.advance_insn(60)                      # fresh again
+        b.advance_insn(FRESH_GAP)
         b.insn("rdtsc", out_regs=(("tsc", raw),), stride=0)
         raw += LOCKY_SLOW_RAW                    # slow op under timing
-        b.advance_insn(30)
+        b.advance_insn(PAIRED_GAP)
         b.insn("rdtsc", out_regs=(("tsc", raw),), trigger="RDTSC", stride=0)
         raw += 150
-        b.advance_insn(10)                      # parity burner, still paired
+        b.advance_insn(SHORT_PAIRED_GAP)        # parity burner
         b.insn("rdtsc", out_regs=(("tsc", raw),), trigger="RDTSC", stride=0)
         raw += 900
 
@@ -491,28 +500,12 @@ def build_injection_scenario(b: TraceBuilder) -> None:
 # ---------------------------------------------------------------------------
 # suites
 
-def roundtrip_specs() -> list[GenSpec]:
-    """53 red-origin positives plus 53 benign-origin negative twins."""
-    specs = []
-    for technique in sorted(catalog.KNOWN_TECHNIQUES):
-        for origin in ("red", "benign"):
-            prefix = "pos" if origin == "red" else "neg"
-            specs.append(GenSpec(
-                sample_id=f"{prefix}_{technique}",
-                techniques=(TechniqueSpec(technique, pos=60.0, origin=origin),),
-                filler=60))
-    return specs
-
-
 def suite_specs(name: str, seed: int = 0) -> list[GenSpec]:
-    """The specs of the built-in suite ``name``: ``roundtrip``, or the
-    genspec text of ``corpus60`` or ``scenarios``; shifted by ``seed``."""
-    if name == "roundtrip":
-        return [replace(spec, seed=spec.seed + seed)
-                for spec in roundtrip_specs()]
-    return parse_genspec_file(
-        {"corpus60": suites.CORPUS60, "scenarios": suites.SCENARIOS}[name],
-        seed)
+    """The specs of the built-in suite ``name`` (``roundtrip``,
+    ``corpus60`` or ``scenarios``), shifted by ``seed``."""
+    return parse_genspec_file({"roundtrip": suites.ROUNDTRIP,
+                               "corpus60": suites.CORPUS60,
+                               "scenarios": suites.SCENARIOS}[name], seed)
 
 
 def write_corpus(specs: list[GenSpec], out_dir) -> dict:
@@ -535,15 +528,15 @@ def write_corpus(specs: list[GenSpec], out_dir) -> dict:
               encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    labeled = [dict(spec.labels, sample_id=spec.sample_id)
-               for spec in sorted(specs, key=lambda s: s.sample_id)
-               if spec.labels]
-    if labeled:
+    if any(entry["labels"] for entry in manifest["samples"].values()):
         with open(os.path.join(out_dir, "labels.csv"), "w",
                   encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(
-                [LABEL_COLUMNS] + [[row.get(k, "") for k in LABEL_COLUMNS]
-                                   for row in labeled])
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(LABEL_COLUMNS)
+            for sample_id, entry in manifest["samples"].items():
+                if entry["labels"]:
+                    row = dict(entry["labels"], sample_id=sample_id)
+                    out.writerow([row.get(k, "") for k in LABEL_COLUMNS])
     return manifest
 
 

@@ -34,9 +34,10 @@ delete:
   only live addresses in [a - widest + 1, a + size). A write drops the
   watchpoints it kills from the index. Hits are returned in install
   order.
-* A PE shadow is keyed by its region, ``(pid, base)``: a write finds it
-  through ``region_at`` and one dict lookup, its extent is the region's,
-  and freeing the region drops it.
+* A PE shadow is keyed by its region, ``(pid, base)``: a write finds the
+  shadow of every header it overlaps through ``regions_overlapping`` and
+  one dict lookup each, a shadow's extent is its region's, and freeing the
+  region drops it.
 """
 
 from __future__ import annotations
@@ -94,7 +95,6 @@ class WatchPoint:
     address: int
     width: int
     field: str                 # qualified name, e.g. "PEB.BeingDebugged"
-    technique: str | None      # owning technique id, if any
     live: bool = True
 
     def overlaps(self, address: int, size: int) -> bool:
@@ -104,7 +104,7 @@ class WatchPoint:
 @dataclass
 class PeWriteResult:
     changed: bool
-    field: str | None  # SIZE_OF_IMAGE when the write touches that field
+    field: str | None  # SIZE_OF_IMAGE when the write touches such a field
 
 
 @dataclass
@@ -153,11 +153,10 @@ class MemoryTracker:
     order. Diagnostics accumulate in ``self.diagnostics``.
     """
 
-    def __init__(self, watch_techniques: dict[str, str] | None = None):
+    def __init__(self):
         self._regions: dict[int, _RegionTable] = {}
         self._watchpoints: dict[int, _WatchTable] = {}
         self._pe_shadows: dict[tuple[int, int], _PeShadow] = {}  # (pid, base)
-        self._watch_techniques = dict(watch_techniques or {})
         self.diagnostics: list[Diagnostic] = []
 
     # -- regions ------------------------------------------------------------
@@ -226,42 +225,44 @@ class MemoryTracker:
             {off: b for off, b in enumerate(data) if b}, size_of_image_addr)
 
     def pe_header_write(self, event: TraceEvent) -> PeWriteResult | None:
-        """Record a write into a tracked PE header.
+        """Record a write into every tracked PE header it overlaps.
 
-        Returns None when the write does not start in a tracked header, and
-        for an access size outside {1,2,4,8}, which ``validate_trace``
-        diagnoses. ``changed`` is true only if at least one stored byte
-        actually differs from what the write deposits; stored bytes are
-        updated in either case.
+        Returns None when the write touches no tracked header, and for an
+        access size outside {1,2,4,8}, which ``validate_trace`` diagnoses.
+        ``changed`` is true only if at least one stored byte of those
+        headers actually differs from what the write deposits; stored bytes
+        are updated in either case. ``field`` is set when the write touches
+        a header's SizeOfImage field.
         """
         p: MemPayload = event.payload
         if p.size not in MEM_ACCESS_SIZES:
             return None
-        region = self.region_at(event.pid, p.address)
-        if region is None or region.kind != "pe_header":
-            return None
-        shadow = self._pe_shadows.get((event.pid, region.base))
-        if shadow is None:
+        pid, address, size = event.pid, p.address, p.size
+        shadows = [(region, self._pe_shadows[pid, region.base])
+                   for region in self.regions_overlapping(pid, address, size)
+                   if (pid, region.base) in self._pe_shadows]
+        if not shadows:
             return None
         # stores truncate to their access width
-        masked = p.value & ((1 << (8 * p.size)) - 1)
-        new_bytes = masked.to_bytes(p.size, "little", signed=False)
-        changed = False
-        data = shadow.data
-        start = p.address - region.base
-        for off, b in enumerate(new_bytes[:region.size - start], start):
-            if data.get(off, 0) != b:
-                changed = True
-                if b:
-                    data[off] = b
-                else:
-                    del data[off]
-        fld = None
-        if shadow.size_of_image_addr is not None:
+        masked = p.value & ((1 << (8 * size)) - 1)
+        new_bytes = masked.to_bytes(size, "little", signed=False)
+        result = PeWriteResult(False, None)
+        for region, shadow in shadows:
+            data = shadow.data
+            start = address - region.base
+            for off in range(max(start, 0), min(start + size, region.size)):
+                b = new_bytes[off - start]
+                if data.get(off, 0) != b:
+                    result.changed = True
+                    if b:
+                        data[off] = b
+                    else:
+                        del data[off]
             soi = shadow.size_of_image_addr
-            if p.address < soi + SIZE_OF_IMAGE_WIDTH and soi < p.address + p.size:
-                fld = SIZE_OF_IMAGE_FIELD
-        return PeWriteResult(changed, fld)
+            if (soi is not None and address < soi + SIZE_OF_IMAGE_WIDTH
+                    and soi < address + size):
+                result.field = SIZE_OF_IMAGE_FIELD
+        return result
 
     def pe_shadow_bytes(self, pid: int, base: int) -> bytes | None:
         shadow = self._pe_shadows.get((pid, base))
@@ -306,8 +307,7 @@ class MemoryTracker:
                 self.diagnostics.append(Diagnostic(
                     seq, f"watchpoint at 0x{addr:x} ({old.field}) replaced "
                          f"by new declaration of {name}"))
-            wp = WatchPoint(pid, addr, width, name,
-                            self._watch_techniques.get(name))
+            wp = WatchPoint(pid, addr, width, name)
             table.live[addr] = (len(table.installed), wp)
             table.installed.append(wp)
             table.widest = max(table.widest, width)

@@ -189,7 +189,7 @@ class SampleProfiler:
 
     def __init__(self, config: RunConfig | None = None):
         self.config = config or RunConfig()
-        self.tracker = MemoryTracker(catalog.WATCH_FIELD_TECHNIQUES)
+        self.tracker = MemoryTracker()
         self.clock = VirtualClock()
         self.router = InjectionRouter(
             self.tracker,

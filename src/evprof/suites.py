@@ -1,9 +1,12 @@
-"""The built-in fixture suites ``corpus60`` and ``scenarios`` as genspec
-text: one sample per line, in the dialect ``gen --spec`` reads.
+"""The built-in fixture suites as genspec text: one sample per line, in
+the dialect ``gen --spec`` reads. ``roundtrip`` is derived from the
+catalog; ``corpus60`` and ``scenarios`` are written out.
 
 ``generate.suite_specs`` parses them and adds the suite seed to each
 line's ``seed``.
 """
+
+from .catalog import KNOWN_TECHNIQUES
 
 CORPUS60 = """\
 # A 60-sample labeled fixture corpus exercising every aggregate.
@@ -102,3 +105,8 @@ sample_id=injector family=injector year=2018 scenario=injection
 # a protector-style bundle: many techniques across many categories
 sample_id=themida_bundle techniques=IsDebuggerPresentAPI@5;IsDebuggerPresentPEB@12;NtGlobalFlag@19;CheckRemoteDebuggerPresentAPI@26;cpuid_hypervisor_vendor@33;idt_trick@40;str_trick@47;memory_space@54;disk_size_getdiskfreespace@61;RDTSC@68;ErasePEHeader@75;Check_EIP@82 filler=80 family=protected year=2020 protector=themida
 """
+
+# one red-origin positive and one benign-origin negative twin per technique
+ROUNDTRIP = "".join(f"sample_id=pos_{t} techniques={t}@60:red\n"
+                    f"sample_id=neg_{t} techniques={t}@60:benign\n"
+                    for t in sorted(KNOWN_TECHNIQUES))

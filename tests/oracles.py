@@ -224,11 +224,10 @@ class ListMemoryTracker:
     base, holds every byte of its header.
     """
 
-    def __init__(self, watch_techniques=None):
+    def __init__(self):
         self._regions = {}
         self._watchpoints = {}
         self._pe_shadows = {}
-        self._watch_techniques = dict(watch_techniques or {})
         self.diagnostics = []
 
     def register_region(self, region):
@@ -282,20 +281,23 @@ class ListMemoryTracker:
         p = event.payload
         if p.size not in MEM_ACCESS_SIZES:
             return None
-        region = self.region_at(event.pid, p.address)
-        if region is None or (event.pid, region.base) not in self._pe_shadows:
+        headers = [r for r in self.regions_overlapping(event.pid, p.address,
+                                                       p.size)
+                   if (event.pid, r.base) in self._pe_shadows]
+        if not headers:
             return None
-        base = region.base
-        data, soi = self._pe_shadows[event.pid, base]
-        changed = False
-        for i in range(p.size):
-            off = p.address + i - base
-            b = (p.value >> (8 * i)) & 0xFF
-            if 0 <= off < len(data) and data[off] != b:
-                changed = True
-                data[off] = b
-        touches_soi = (soi is not None and p.address < soi + SIZE_OF_IMAGE_WIDTH
-                       and soi < p.address + p.size)
+        changed = touches_soi = False
+        for region in headers:
+            data, soi = self._pe_shadows[event.pid, region.base]
+            for i in range(p.size):
+                off = p.address + i - region.base
+                b = (p.value >> (8 * i)) & 0xFF
+                if 0 <= off < len(data) and data[off] != b:
+                    changed = True
+                    data[off] = b
+            touches_soi |= (soi is not None
+                            and p.address < soi + SIZE_OF_IMAGE_WIDTH
+                            and soi < p.address + p.size)
         return PeWriteResult(changed,
                              SIZE_OF_IMAGE_FIELD if touches_soi else None)
 
@@ -314,8 +316,7 @@ class ListMemoryTracker:
                     self.diagnostics.append(Diagnostic(
                         seq, f"watchpoint at 0x{addr:x} ({wp.field}) replaced "
                              f"by new declaration of {name}"))
-            wp = WatchPoint(pid, addr, width, name,
-                            self._watch_techniques.get(name))
+            wp = WatchPoint(pid, addr, width, name)
             table.append(wp)
             installed.append(wp)
         return installed

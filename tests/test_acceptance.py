@@ -18,9 +18,7 @@ from evprof.aggregate import aggregate_reports, apply_labels, load_labels
 from evprof.cli import main as cli_main
 from evprof.catalog import HONEYPOT_PID, RunConfig
 from evprof.clock import VirtualClock
-from evprof.generate import (
-    GenSpec, build_sample, roundtrip_specs, suite_specs, write_corpus,
-)
+from evprof.generate import GenSpec, build_sample, suite_specs, write_corpus
 from evprof.profiler import SampleProfiler, SampleReport, run_sample
 from evprof.trace import Value, parse_trace, vdur
 
@@ -69,7 +67,7 @@ def test_criterion_1_catalog_integrity():
 @criterion(2, "round-trip soundness, 106 traces")
 def test_criterion_2_roundtrip_soundness():
     start = time.monotonic()
-    samples = build_samples(roundtrip_specs())
+    samples = build_samples(suite_specs("roundtrip"))
     assert len(samples) == 106
     for sid, sample in samples.items():
         report = profile_text(sample.text)
@@ -316,7 +314,7 @@ def test_criterion_7_aggregator_oracle_equivalence(tmp_path):
 @criterion(8, "determinism across parallelism and seeds")
 def test_criterion_8_determinism(tmp_path):
     corpus = tmp_path / "corpus"
-    write_corpus(roundtrip_specs(), corpus)
+    write_corpus(suite_specs("roundtrip"), corpus)
     out1 = tmp_path / "jobs1"
     out8 = tmp_path / "jobs8"
     assert cli_main(["batch", str(corpus), "--out", str(out1),

@@ -37,7 +37,7 @@ EXPECTED_MITIGATED_BY_CATEGORY = {
 
 
 def tracker_with_images():
-    tr = MemoryTracker(catalog.WATCH_FIELD_TECHNIQUES)
+    tr = MemoryTracker()
     tr.register_region(MemoryRegion(MAIN_PID, 0x400000, 0x10000, "main_image"))
     tr.register_region(MemoryRegion(MAIN_PID, 0x7FF00000, 0x20000,
                                     "standard_library"))
@@ -99,11 +99,6 @@ def test_is_fp_prone_examples():
 def test_is_fp_prone_unknown_id_errors():
     with pytest.raises(UnknownTechniqueError):
         rule("NotATechnique").fp_prone
-
-
-def test_every_mitigated_rule_has_a_transform():
-    for r in RULES:
-        assert (r.id in catalog.MITIGATIONS) == r.mitigated
 
 
 # -- api trigger matching ------------------------------------------------------
@@ -339,7 +334,9 @@ def test_trigger_table_holds_every_api_and_insn_rule_once_per_name():
         [("api", n, r.id) for r in RULES
          if r.trigger_kind == "api" for n in r.api_names]
         + [("insn", r.mnemonic, r.id) for r in RULES
-           if r.trigger_kind == "insn"])
+           if r.trigger_kind == "insn"]
+        + [("watch", f, r.id) for r in RULES
+           if r.trigger_kind == "watch" for f in r.watch_fields])
     actual = sorted((kind, name, r.id)
                     for (kind, name), rules in catalog.TRIGGERS.items()
                     for r in rules)

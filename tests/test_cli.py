@@ -11,8 +11,7 @@ import pytest
 from evprof import cli
 from evprof.catalog import RunConfig
 from evprof.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from evprof.generate import (GenSpec, TechniqueSpec, roundtrip_specs,
-                             suite_specs, write_corpus)
+from evprof.generate import GenSpec, TechniqueSpec, suite_specs, write_corpus
 from evprof.profiler import SampleReport
 
 from helpers import behavior_diff
@@ -23,7 +22,7 @@ def corpus_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
     wanted = {"GetTickCount", "CanOpenCsrss", "Check_EIP", "RDTSC",
               "ErasePEHeader", "IsDebuggerPresentPEB"}
-    specs = [s for s in roundtrip_specs()
+    specs = [s for s in suite_specs("roundtrip")
              if s.techniques[0].id in wanted]
     write_corpus(specs, out)
     return out
@@ -377,7 +376,7 @@ def test_divergence_study_via_override(corpus_dir, tmp_path):
 
 def edited_trace(tmp_path, technique, old, new):
     """The roundtrip trace of ``technique`` with one text edit applied."""
-    specs = [s for s in roundtrip_specs()
+    specs = [s for s in suite_specs("roundtrip")
              if s.sample_id == f"pos_{technique}"]
     write_corpus(specs, tmp_path / "gen")
     trace = tmp_path / "gen" / f"pos_{technique}.trace"

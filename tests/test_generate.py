@@ -12,7 +12,7 @@ from evprof import catalog, generate
 from evprof.catalog import RunConfig
 from evprof.generate import (
     GenError, GenSpec, TechniqueSpec, build_sample, parse_genspec_file,
-    roundtrip_specs, suite_specs, write_corpus,
+    suite_specs, write_corpus,
 )
 from evprof.profiler import SampleProfiler, run_sample
 from evprof.trace import parse_trace, validate_trace
@@ -64,7 +64,7 @@ def test_generated_traces_validate_cleanly():
 
 def roundtrip_sample(sample_id):
     """The sample of the ``roundtrip`` suite named ``sample_id``."""
-    spec, = [s for s in roundtrip_specs() if s.sample_id == sample_id]
+    spec, = [s for s in suite_specs("roundtrip") if s.sample_id == sample_id]
     return build_sample(spec)
 
 
@@ -92,12 +92,12 @@ def test_same_value_header_write_variant_detects_nothing():
 
 def test_roundtrip_corpus_serialization_is_lossless():
     from evprof.trace import serialize_trace
-    for sample in build_samples(roundtrip_specs()).values():
+    for sample in build_samples(suite_specs("roundtrip")).values():
         assert serialize_trace(parse_trace(sample.text)) == sample.text
 
 
 def test_roundtrip_suite_is_106_specs():
-    specs = roundtrip_specs()
+    specs = suite_specs("roundtrip")
     assert len(specs) == 106
     ids = {s.sample_id for s in specs}
     assert len(ids) == 106
@@ -150,7 +150,7 @@ def test_corpus60_has_60_labeled_samples():
 
 
 def test_suite_seed_shifts_every_line_seed():
-    for name in ("corpus60", "scenarios"):
+    for name in ("roundtrip", "corpus60", "scenarios"):
         base = suite_specs(name)
         assert [s.seed + 3 for s in base] == \
             [s.seed for s in suite_specs(name, seed=3)]
@@ -180,7 +180,7 @@ def test_write_corpus_drops_each_sample_before_building_the_next(
 
     real_build = generate.build_sample
     monkeypatch.setattr(generate, "build_sample", build)
-    write_corpus(roundtrip_specs()[:3], tmp_path)
+    write_corpus(suite_specs("roundtrip")[:3], tmp_path)
     assert len(built) == 3
 
 
@@ -270,7 +270,7 @@ def test_locky_fixture_ratio_matched_at_least_once():
 
 def test_write_corpus_outputs(tmp_path):
     out = tmp_path / "corpus"
-    manifest = write_corpus(roundtrip_specs()[:4], out)
+    manifest = write_corpus(suite_specs("roundtrip")[:4], out)
     files = sorted(p.name for p in out.iterdir())
     assert "manifest.json" in files
     assert sum(1 for f in files if f.endswith(".trace")) == 4

@@ -1,12 +1,12 @@
 """Region table, red area, watchpoints, and PE header shadow."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from evprof.memory import (
     MemoryRegion, MemoryTracker, RegionOverlapError,
 )
-from evprof.catalog import WATCH_FIELD_TECHNIQUES
+from evprof.catalog import TRIGGERS
 from evprof.trace import FieldRef, MemPayload, StructLayout, TraceEvent
 
 from helpers import header_bytes
@@ -93,7 +93,7 @@ def test_is_red_stable_between_region_events():
 # -- watchpoints --------------------------------------------------------------
 
 def test_install_watchpoints_one_per_field():
-    tr = MemoryTracker(WATCH_FIELD_TECHNIQUES)
+    tr = MemoryTracker()
     layout = StructLayout("PEB", 0x7000, (
         ("BeingDebugged", 0x2, 1),
         ("NtGlobalFlag", 0x68, 4),
@@ -105,18 +105,20 @@ def test_install_watchpoints_one_per_field():
     wps = tr.install_watchpoints(1, layout)
     assert len(wps) == 6
     assert all(wp.live for wp in wps)
-    by_field = {wp.field: wp for wp in wps}
-    assert by_field["PEB.BeingDebugged"].technique == "IsDebuggerPresentPEB"
-    assert by_field["PEB.Reserved"].technique is None
+    rules = {wp.field: [r.id for r in TRIGGERS.get(("watch", wp.field), ())]
+             for wp in wps}
+    assert rules["PEB.BeingDebugged"] == ["IsDebuggerPresentPEB"]
+    assert rules["PEB.Reserved"] == []
 
 
 def test_install_single_field_from_api_out_struct():
-    tr = MemoryTracker(WATCH_FIELD_TECHNIQUES)
+    tr = MemoryTracker()
     wps = tr.install_field_watchpoints(
         1, [FieldRef("SYSTEM_INFO", "dwNumberOfProcessors", 0x5FF0, 4)])
     assert len(wps) == 1
     assert wps[0].live
-    assert wps[0].technique == "NumberOfProcessors"
+    assert [r.id for r in TRIGGERS[("watch", wps[0].field)]] == \
+        ["NumberOfProcessors"]
 
 
 def test_empty_field_map_installs_nothing():
@@ -135,7 +137,7 @@ def test_duplicate_live_watchpoint_replaced_with_diagnostic():
 
 
 def test_read_live_watchpoint_hits():
-    tr = MemoryTracker(WATCH_FIELD_TECHNIQUES)
+    tr = MemoryTracker()
     tr.install_watchpoints(1, StructLayout(
         "PEB", 0x7000, (("BeingDebugged", 0x2, 1),)))
     hits = tr.resolve_access(read_event(1, 0x7002))
@@ -369,6 +371,12 @@ def table_state(tracker):
 
 @settings(max_examples=400, deadline=None)
 @given(st.lists(OPS, min_size=10, max_size=80))
+# writes running from code into a header, and across two headers into the
+# second one's SizeOfImage field at 0x12
+@example([("register", 1, 0x4, 4, "exec_alloc"), ("shadow", 1, 0x8, 8, 0),
+          ("shadow", 1, 0x10, 4, 0), ("header_write", 1, 0x6, 4, 0),
+          ("header_write", 1, 0x8, 2, 0), ("header_write", 1, 0xc, 8, 0),
+          ("header_write", 1, 0x10, 2, 0)])
 def test_indexed_tracker_matches_list_scan(ops):
     # After each operation only what it can change is compared: the tables
     # of its pid, the shadows registered there and the new diagnostics, so

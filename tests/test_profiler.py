@@ -273,6 +273,19 @@ def test_pe_header_write_flow():
     assert profile(same).detections == []
 
 
+def test_write_running_into_a_pe_header_changes_it():
+    # the write at seq 3 starts in the code below the header and zeroes
+    # "MZ"; the write at seq 4 then deposits the zeros already there
+    t = T(structs=())
+    t.main_image(header=b"MZ\x00\x00")
+    t.alloc(0x3FF000, 0x1000, "exec_alloc")
+    t.write(0x3FFFFF, size=4, value=0)
+    t.write(0x400000, size=2, value=0)
+    report = profile(t)
+    assert [(d.technique, d.seq) for d in report.detections] == \
+        [("ErasePEHeader", 3)]
+
+
 def test_refused_header_region_gets_no_shadow():
     # the allocation overlaps the main image, so it is not mapped and
     # writes there are not header writes
