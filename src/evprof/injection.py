@@ -11,7 +11,7 @@ is the catalog's ``Shellcode_injected`` rule; this module only reroutes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 from .catalog import HONEYPOT_PID, INJECTION_APIS
 from .memory import MemoryRegion, MemoryTracker
@@ -23,7 +23,6 @@ HONEYPOT_IMAGE_SIZE = 0x10000
 
 @dataclass
 class RouteResult:
-    event: TraceEvent        # with target_pid rewritten when rerouted
     rerouted: bool
 
 
@@ -50,10 +49,8 @@ class InjectionRouter:
         if (not self.active or event.kind != "api"
                 or p.name not in INJECTION_APIS
                 or p.target_pid is None or p.target_pid == event.pid):
-            return RouteResult(event, rerouted=False)
+            return RouteResult(rerouted=False)
 
-        routed = dc_replace(event, payload=dc_replace(
-            p, target_pid=HONEYPOT_PID))
         if p.name == "NtWriteVirtualMemory":
             self._register_injection(event)
         elif p.name == "NtCreateThreadEx":
@@ -64,7 +61,7 @@ class InjectionRouter:
                     event.seq,
                     f"thread start 0x{start:x} targets memory never "
                     f"written into the honeypot"))
-        return RouteResult(routed, rerouted=True)
+        return RouteResult(rerouted=True)
 
     def _register_injection(self, event: TraceEvent) -> None:
         p: ApiPayload = event.payload

@@ -195,7 +195,6 @@ class SampleProfiler:
             self.tracker,
             active=self.config.mitigation_enabled("Shellcode_injected"))
         self.effects: list[Effect] = []
-        self.routed_events: list[TraceEvent] = []
         self.report = SampleReport(sample_id="")
         self._max_seq = 0
         self._visible_seqs: list[int] = []
@@ -228,13 +227,16 @@ class SampleProfiler:
         p = event.payload
         if p.header is not None:
             # split the image so the header gets its own shadow-tracked
-            # region; code above the header keeps the image's red kind
-            header_size = len(p.header)
+            # region; code above the header keeps the image's red kind.
+            # A header longer than its image (a validation diagnostic) is
+            # cut to the image.
+            header_size = min(len(p.header), p.size)
             if self._register(event, MemoryRegion(
                     event.pid, p.base, header_size, "pe_header",
                     name=p.name + "/header")):
                 self.tracker.register_pe_header(
-                    event.pid, p.base, p.header, p.size_of_image_addr)
+                    event.pid, p.base, p.header[:header_size],
+                    p.size_of_image_addr)
             if p.size > header_size:
                 self._register(event, MemoryRegion(
                     event.pid, p.base + header_size, p.size - header_size,
@@ -273,11 +275,9 @@ class SampleProfiler:
             counts[p.name] = counts.get(p.name, 0) + 1
             self._visible_seqs.append(event.seq)
 
-        # matching reads the original event: the Shellcode_injected rule
-        # checks the target that routing rewrites
-        route = self.router.route(event)
-        if route.rerouted:
-            self.routed_events.append(route.event)
+        # routing changes no event: the Shellcode_injected rule matches
+        # the target the sample named
+        if self.router.route(event).rerouted:
             self.effects.append(Effect(
                 event.seq, "reroute",
                 f"{p.name} target rerouted to honeypot pid {HONEYPOT_PID}",

@@ -6,8 +6,10 @@ percent-encoded so that spaces and separator characters never appear raw.
 The first record must be the single ``meta`` record; ``seq`` must be
 strictly increasing across the file. ``SCHEMA`` lists each kind's fields
 with their codecs and defaults; parsing, serialization and the
-unexpected-field check all read it. The records are slotted dataclasses,
-not frozen, so they are cheap to build; nothing may mutate a parsed event
+unexpected-field check all read it, and each kind's record class is built
+from its rows: the required fields first, then the optional ones with
+their defaults. The records are slotted dataclasses, not frozen, so they
+are cheap to build; nothing may mutate a parsed event
 (``dataclasses.replace`` makes a changed copy).
 
 ``parse_trace`` decodes a repeated raw value once per trace. Each schema
@@ -37,7 +39,7 @@ consumer needs flows through the layout declarations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, make_dataclass
 from functools import partial
 from typing import Iterable, Union
 
@@ -238,96 +240,13 @@ class FieldRef:
 
 
 @dataclass(slots=True)
-class MetaPayload:
-    sample_id: str
-    labels: tuple[tuple[str, str], ...] = ()
-    structs: tuple[StructLayout, ...] = ()
-
-
-@dataclass(slots=True)
-class ImageLoadPayload:
-    name: str
-    base: int
-    size: int
-    region_kind: str
-    header: bytes | None = None          # initial PE header bytes, if tracked
-    size_of_image_addr: int | None = None
-    structs: tuple[StructLayout, ...] = ()
-
-
-@dataclass(slots=True)
-class RegionAllocPayload:
-    base: int
-    size: int
-    region_kind: str
-    name: str | None = None
-
-
-@dataclass(slots=True)
-class RegionFreePayload:
-    base: int
-
-
-@dataclass(slots=True)
-class ProcessStartPayload:
-    parent_pid: int | None = None
-    name: str | None = None
-
-
-@dataclass(slots=True)
-class ThreadStartPayload:
-    parent_tid: int | None = None
-
-
-@dataclass(slots=True)
-class ApiPayload:
-    name: str
-    args: tuple[Value, ...]
-    ret: Value | None
-    return_address: int
-    native: bool
-    out_structs: tuple[FieldRef, ...] = ()
-    target_pid: int | None = None
-
-    def str_args(self) -> tuple[str, ...]:
-        return tuple(str(a.v) for a in self.args if a.t == "s")
-
-
-@dataclass(slots=True)
-class InsnPayload:
-    mnemonic: str
-    address: int
-    in_regs: tuple[tuple[str, int], ...] = ()
-    out_regs: tuple[tuple[str, int], ...] = ()
-
-    def reg_in(self, name: str) -> int | None:
-        return next((v for k, v in self.in_regs if k == name), None)
-
-    def reg_out(self, name: str) -> int | None:
-        return next((v for k, v in self.out_regs if k == name), None)
-
-
-@dataclass(slots=True)
-class MemPayload:
-    address: int
-    size: int
-    value: int
-    accessor_address: int
-
-
-Payload = Union[MetaPayload, ImageLoadPayload, RegionAllocPayload,
-                RegionFreePayload, ProcessStartPayload, ThreadStartPayload,
-                ApiPayload, InsnPayload, MemPayload]
-
-
-@dataclass(slots=True)
 class TraceEvent:
     seq: int
     pid: int
     tid: int
     insn_index: int
     kind: str
-    payload: Payload
+    payload: object  # the record class of its kind in SCHEMA
 
 
 @dataclass(frozen=True)
@@ -415,41 +334,69 @@ _EVENT_FIELDS = (
     _field("insn_index", _DEC), _field("kind", _TEXT),
 )
 
-_MEM = (MemPayload, (
+
+def _record(name, rows, **methods):
+    """(record class, ``rows``): a slotted dataclass of the rows' attributes,
+    the required ones first, then the optional ones, each in row order."""
+    specs = [(attr, object) if default is REQUIRED
+             else (attr, object, field(default=default))
+             for _, attr, _, default in sorted(
+                 rows, key=lambda row: row[3] is not REQUIRED)]
+    # Python 3.11's make_dataclass takes no module argument
+    return make_dataclass(name, specs, slots=True, namespace={
+        "__module__": __name__, **methods}), rows
+
+
+def _str_args(self) -> tuple[str, ...]:
+    return tuple(str(a.v) for a in self.args if a.t == "s")
+
+
+def _reg(attr):
+    """The method that reads one register of the map in ``attr``."""
+    def reg(self, name: str) -> int | None:
+        return next((v for k, v in getattr(self, attr) if k == name), None)
+    return reg
+
+
+_MEM = _record("MemPayload", (
     _field("address", _HEX), _field("size", _DEC), _field("value", _HEX),
     _field("accessor_address", _HEX),
 ))
 
-# kind -> (payload class, fields in written order)
+# kind -> (record class, fields in written order). Each kind has its own
+# class, so records of two kinds never compare equal.
 SCHEMA = {
-    "meta": (MetaPayload, (
+    "meta": _record("MetaPayload", (
         _field("sample_id", _TEXT),
         _field(None, (_take_labels, _write_labels), (), "labels"),
         _field("structs", _STRUCTS, ()),
     )),
-    "image_load": (ImageLoadPayload, (
+    "image_load": _record("ImageLoadPayload", (
         _field("name", _TEXT),
         _field("base", _HEX),
         _field("size", (_extent, hex)),
         _field("region_kind", _REGION_KIND),
+        # initial PE header bytes, if tracked
         _field("header", (lambda raw: bytes.fromhex(decode_text(raw)),
                           bytes.hex), None),
         _field("size_of_image_addr", _HEX, None),
         _field("structs", _STRUCTS, ()),
     )),
-    "region_alloc": (RegionAllocPayload, (
+    "region_alloc": _record("RegionAllocPayload", (
         _field("base", _HEX),
         _field("size", (_extent, hex)),
         _field("region_kind", _REGION_KIND),
         _field("name", _TEXT, None),
     )),
-    "region_free": (RegionFreePayload, (_field("base", _HEX),)),
-    "process_start": (ProcessStartPayload, (
+    "region_free": _record("RegionFreePayload", (_field("base", _HEX),)),
+    "process_start": _record("ProcessStartPayload", (
         _field("parent_pid", _DEC, None),
         _field("name", _TEXT, None),
     )),
-    "thread_start": (ThreadStartPayload, (_field("parent_tid", _DEC, None),)),
-    "api": (ApiPayload, (
+    "thread_start": _record("ThreadStartPayload", (
+        _field("parent_tid", _DEC, None),
+    )),
+    "api": _record("ApiPayload", (
         _field("name", _TEXT),
         _field("args", _joined(",", Value.parse, Value.encode), ()),
         _field("ret", (Value.parse, Value.encode), None),
@@ -458,16 +405,21 @@ SCHEMA = {
         _field("target_pid", _DEC, None),
         _field("out_structs", _joined(";", FieldRef.parse, FieldRef.encode),
                ()),
-    )),
-    "insn": (InsnPayload, (
+    ), str_args=_str_args),
+    "insn": _record("InsnPayload", (
         _field("mnemonic", (_one_of(INSN_MNEMONICS, "mnemonic"), str)),
         _field("address", _HEX),
         _field("in", _REGS, (), "in_regs"),
         _field("out", _REGS, (), "out_regs"),
-    )),
+    ), reg_in=_reg("in_regs"), reg_out=_reg("out_regs")),
     "mem_read": _MEM,
     "mem_write": _MEM,
 }
+
+# each record class under its own name (mem_read and mem_write share one)
+(MetaPayload, ImageLoadPayload, RegionAllocPayload, RegionFreePayload,
+ ProcessStartPayload, ThreadStartPayload, ApiPayload, InsnPayload,
+ MemPayload) = dict.fromkeys(cls for cls, _ in SCHEMA.values())
 
 
 # ---------------------------------------------------------------------------
@@ -637,9 +589,9 @@ def parse_trace(source) -> list[TraceEvent]:
 
 def validate_trace(events: list[TraceEvent]) -> list[Diagnostic]:
     """Check the invariants that parsing leaves open: insn_index order per
-    thread, the registers of cpuid and rdtsc, memory access sizes and
-    overlapping struct fields. Record order (one leading meta record,
-    increasing seq) is ``parse_trace``'s to enforce.
+    thread, the registers of cpuid and rdtsc, memory access sizes, struct
+    fields that do not overlap and a PE header within its image. Record
+    order (one leading meta record, increasing seq) is ``parse_trace``'s.
 
     Returns diagnostics rather than raising; an empty list means every
     invariant holds.
@@ -671,6 +623,10 @@ def validate_trace(events: list[TraceEvent]) -> list[Diagnostic]:
                 diags.append(Diagnostic(
                     ev.seq, f"memory access size {p.size} not in {{1,2,4,8}}"))
         elif ev.kind in ("meta", "image_load"):
+            if ev.kind == "image_load" and len(p.header or b"") > p.size:
+                diags.append(Diagnostic(
+                    ev.seq, f"header of 0x{len(p.header):x} bytes is longer "
+                            f"than its image (size 0x{p.size:x})"))
             for layout in p.structs:
                 spans = sorted(
                     (addr, addr + width, name)

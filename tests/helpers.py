@@ -80,8 +80,9 @@ class T:
         if native is None:
             native = name.startswith(("Nt", "Zw"))
         return self._emit("api", ApiPayload(
-            name, tuple(args), ret, origin, native, tuple(out_structs),
-            target_pid), pid=pid, tid=tid)
+            name=name, args=tuple(args), ret=ret, return_address=origin,
+            native=native, out_structs=tuple(out_structs),
+            target_pid=target_pid), pid=pid, tid=tid)
 
     def native_filler(self, count, origin=RED):
         for i in range(count):

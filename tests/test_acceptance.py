@@ -185,12 +185,18 @@ def test_criterion_6_injection_end_to_end():
     sample = build_sample(GenSpec(sample_id="inj", filler=60,
                                   scenario="injection", seed=5))
     prof = SampleProfiler(RunConfig())
-    for ev in parse_trace(sample.text):
+    events = parse_trace(sample.text)
+    for ev in events:
         prof.process(ev)
     report = prof.finish()
     hp = HONEYPOT_PID
-    assert prof.routed_events, "cross-process calls must be rerouted"
-    assert all(ev.payload.target_pid == hp for ev in prof.routed_events)
+    cross = [ev.seq for ev in events if ev.kind == "api"
+             and ev.payload.target_pid not in (None, ev.pid)]
+    reroutes = [e for e in prof.effects if e.kind == "reroute"]
+    assert cross, "the scenario must make cross-process calls"
+    assert [e.seq for e in reroutes] == cross, \
+        "each cross-process call must be rerouted once"
+    assert all(e.value == hp for e in reroutes)
     injected = [r for r in prof.tracker.regions(hp) if r.kind == "injected"]
     assert injected and all(
         prof.tracker.is_red(hp, r.base) for r in injected)

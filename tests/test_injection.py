@@ -109,9 +109,10 @@ def test_all_cross_process_targets_become_honeypot():
     t.api("NtResumeThread", args=(), ret=Value("i", 0), target_pid=888)
     prof, _ = profile(t)
     hp = HONEYPOT_PID
-    routed = [e for e in prof.routed_events]
-    assert len(routed) == 3
-    assert all(e.payload.target_pid == hp for e in routed)
+    reroutes = [e for e in prof.effects if e.kind == "reroute"]
+    assert [e.seq for e in reroutes] == [ev.seq for ev in t.events[-3:]]
+    assert all(e.value == hp for e in reroutes)
+    assert prof.tracker.is_red(hp, 0x9010)
 
 
 def test_router_inactive_when_injection_mitigation_disabled():
@@ -123,7 +124,7 @@ def test_router_inactive_when_injection_mitigation_disabled():
     assert [d.technique for d in report.detections] == ["Shellcode_injected"]
     assert not report.detections[0].mitigated
     assert prof.tracker.regions(HONEYPOT_PID) == []
-    assert prof.routed_events == []
+    assert [e for e in prof.effects if e.kind == "reroute"] == []
 
 
 def test_write_into_honeypot_image_registers_only_the_uncovered_part():

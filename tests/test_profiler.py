@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from evprof.catalog import RunConfig
+from evprof.catalog import HONEYPOT_PID, RunConfig
 from evprof.profiler import (
     SampleProfiler, SampleReport, run_sample, timeline_slot,
 )
@@ -538,7 +538,7 @@ def test_report_value_of_the_wrong_json_type_is_rejected(key):
 @pytest.mark.parametrize("mitigate", [True, False])
 def test_profiling_leaves_the_parsed_events_unchanged(mitigate):
     # records are not frozen: nothing downstream of the parser may mutate
-    # one, and a rerouted event is a copy
+    # one, and a reroute changes no event
     from evprof.generate import suite_specs
     from evprof.trace import parse_trace, serialize_trace
     samples = build_samples(suite_specs("scenarios"))
@@ -550,7 +550,9 @@ def test_profiling_leaves_the_parsed_events_unchanged(mitigate):
         for event in events:
             profiler.process(event)
         profiler.finish()
-        rerouted += len(profiler.routed_events)
+        reroutes = [e for e in profiler.effects if e.kind == "reroute"]
+        assert all(e.value == HONEYPOT_PID for e in reroutes), sid
+        rerouted += len(reroutes)
         assert serialize_trace(events) == before, sid
     assert (rerouted > 0) == mitigate
 
@@ -576,6 +578,23 @@ def test_freed_region_leaves_the_red_area():
     report = profile(t)
     assert [d.seq for d in report.detections] == [red.seq]
     assert report.warnings == []
+
+
+def test_a_header_longer_than_its_image_is_cut_to_the_image():
+    from evprof.trace import parse_trace, validate_trace
+    events = parse_trace(
+        "seq=0 pid=1 tid=1 insn_index=0 kind=meta sample_id=h\n"
+        "seq=1 pid=1 tid=1 insn_index=1 kind=image_load name=a.exe "
+        "base=0x400000 size=0x10 region_kind=main_image "
+        f"header=4d5a{'00' * 0x20}\n"
+        "seq=2 pid=1 tid=1 insn_index=2 kind=region_alloc base=0x400010 "
+        "size=0x1000 region_kind=exec_alloc\n"
+        "seq=3 pid=1 tid=1 insn_index=3 kind=mem_write address=0x400000 "
+        "size=4 value=0x0 accessor_address=0x400020\n")
+    report = run_sample(events, None, validate_trace(events))
+    assert [d.technique for d in report.detections] == ["ErasePEHeader"]
+    assert report.warnings == [
+        "seq 1: header of 0x22 bytes is longer than its image (size 0x10)"]
 
 
 def test_image_load_structs_install_watchpoints():

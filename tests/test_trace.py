@@ -409,10 +409,11 @@ PAYLOADS = {
                                st.none() | st.text(max_size=8)),
     "thread_start": st.builds(ThreadStartPayload, st.none() | ints),
     "api": st.builds(
-        ApiPayload, st.text(max_size=8), tuples_of(values),
-        st.none() | values, ints, st.booleans(),
-        tuples_of(st.builds(FieldRef, names, names, u64, st.integers(0, 8))),
-        st.none() | ints),
+        ApiPayload, name=st.text(max_size=8), args=tuples_of(values),
+        ret=st.none() | values, return_address=ints, native=st.booleans(),
+        out_structs=tuples_of(
+            st.builds(FieldRef, names, names, u64, st.integers(0, 8))),
+        target_pid=st.none() | ints),
     "insn": st.builds(InsnPayload, st.sampled_from(sorted(INSN_MNEMONICS)),
                       ints, regs, regs),
     "mem_read": mem,
@@ -429,8 +430,8 @@ ZERO_PAYLOADS = {
     "region_free": RegionFreePayload(0),
     "process_start": ProcessStartPayload(parent_pid=0, name=""),
     "thread_start": ThreadStartPayload(parent_tid=0),
-    "api": ApiPayload("", (Value("i", 0),), Value("s", ""), 0, False,
-                      target_pid=0),
+    "api": ApiPayload(name="", args=(Value("i", 0),), ret=Value("s", ""),
+                      return_address=0, native=False, target_pid=0),
     "insn": InsnPayload("rdtsc", 0, (("", 0),), (("tsc", 0),)),
     "mem_read": MemPayload(0, 0, 0, 0),
     "mem_write": MemPayload(0, 0, 0, 0),
@@ -496,6 +497,47 @@ def test_a_stray_field_is_rejected(kind):
                        match=r"unexpected fields \['stray'\]") as exc:
         parse_trace("\n".join(lines))
     assert exc.value.line == line
+
+
+def test_each_record_class_is_built_from_its_schema_rows():
+    from dataclasses import MISSING, fields
+    import evprof.trace
+    for kind, (cls, rows) in SCHEMA.items():
+        required = [(attr, MISSING) for _, attr, _, default in rows
+                    if default is REQUIRED]
+        optional = [(attr, default) for _, attr, _, default in rows
+                    if default is not REQUIRED]
+        assert [(f.name, f.default) for f in fields(cls)] == \
+            required + optional, kind
+        assert "__slots__" in vars(cls), kind
+        assert not cls.__dataclass_params__.frozen, kind
+        assert getattr(evprof.trace, cls.__name__) is cls, kind
+    # each kind has its own class
+    assert RegionFreePayload(0) != ThreadStartPayload(0)
+
+
+def test_readme_record_table_lists_the_schema_fields():
+    import os
+    import re
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        table = fh.read().split(
+            "| kind | required | optional (default) |\n")[1].split("\n\n")[0]
+    listed = {}
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            kinds, required, optional = (
+                re.findall(r"`([^`]+)`", cell) for cell in line.split("|")[1:4])
+            listed.update((kind, (required, optional)) for kind in kinds)
+
+    def keys(rows, required):
+        # the meta labels row (key None) is one token per label key
+        return [k for key, _, _, default in rows
+                if (default is REQUIRED) == required
+                for k in ((key,) if key else META_LABEL_KEYS)]
+    assert listed == {kind: (keys(rows, True), keys(rows, False))
+                      for kind, (_, rows) in SCHEMA.items()}
 
 
 # -- validation -----------------------------------------------------------
