@@ -60,6 +60,8 @@ FILLER_APIS = (
     "NtQueryDefaultLocale", "NtQueryVirtualMemory", "NtReadFile",
     "NtQueryInformationThread", "NtFreeVirtualMemory",
 )
+# the return value every filler call shares, safe as nothing mutates an event
+_FILLER_RET = vint(0)
 
 PEB_LAYOUT = StructLayout("PEB", PEB_BASE, (
     ("BeingDebugged", 0x2, 1),
@@ -148,11 +150,6 @@ class TraceBuilder:
         self.triggers: list[tuple[str, int, bool]] = []
         self.expect_triggers = True
 
-    def _next_insn(self, pid: int, tid: int, stride: int = 3) -> int:
-        key = (pid, tid)
-        self._insn[key] = self._insn.get(key, 0) + stride
-        return self._insn[key]
-
     def advance_insn(self, n: int, pid: int = MAIN_PID, tid: int = MAIN_TID):
         key = (pid, tid)
         self._insn[key] = self._insn.get(key, 0) + n
@@ -160,14 +157,12 @@ class TraceBuilder:
     def emit(self, kind: str, payload, pid: int = MAIN_PID,
              tid: int = MAIN_TID, trigger: str | None = None,
              stride: int = 3) -> TraceEvent:
-        ev = TraceEvent(
-            seq=len(self.events), pid=pid, tid=tid,
-            insn_index=self._next_insn(pid, tid, stride),
-            kind=kind, payload=payload)
+        key = (pid, tid)
+        insn_index = self._insn[key] = self._insn.get(key, 0) + stride
+        ev = TraceEvent(len(self.events), pid, tid, insn_index, kind, payload)
         self.events.append(ev)
         if trigger is not None:
-            self.triggers.append((trigger, len(self.events) - 1,
-                                  self.expect_triggers))
+            self.triggers.append((trigger, ev.seq, self.expect_triggers))
         return ev
 
     def api(self, name: str, args=(), ret=None, origin: int = RED_CODE,
@@ -176,11 +171,9 @@ class TraceBuilder:
             trigger: str | None = None) -> TraceEvent:
         if native is None:
             native = name.startswith(("Nt", "Zw"))
-        payload = ApiPayload(
-            name=name, args=tuple(args), ret=ret, return_address=origin,
-            native=native, out_structs=tuple(out_structs),
-            target_pid=target_pid)
-        return self.emit("api", payload, pid=pid, tid=tid, trigger=trigger)
+        payload = ApiPayload(name, origin, native, tuple(args), ret,
+                             target_pid, tuple(out_structs))
+        return self.emit("api", payload, pid, tid, trigger)
 
     def insn(self, mnemonic: str, origin: int = RED_CODE, in_regs=(),
              out_regs=(), pid: int = MAIN_PID, tid: int = MAIN_TID,
@@ -203,8 +196,8 @@ class TraceBuilder:
 
     def filler_api(self) -> TraceEvent:
         name = FILLER_APIS[self.rng.randrange(len(FILLER_APIS))]
-        return self.api(name, args=(vint(self.rng.randrange(1 << 16)),),
-                        ret=vint(0), origin=RED_CODE)
+        return self.api(name, (vint(self.rng.randrange(1 << 16)),),
+                        _FILLER_RET)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +396,7 @@ def build_sample(spec: GenSpec) -> GeneratedSample:
     for name, pos in spec.visible:
         items.append((pos, order, ("visible", name)))
         order += 1
-    items.sort(key=lambda it: (it[0], it[1]))
+    items.sort()  # orders are unique, so the items are never compared
 
     for _, _, item in items:
         if item == "filler":

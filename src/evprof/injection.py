@@ -21,9 +21,13 @@ HONEYPOT_IMAGE_BASE = 0x71000000
 HONEYPOT_IMAGE_SIZE = 0x10000
 
 
-@dataclass
+@dataclass(frozen=True)
 class RouteResult:
     rerouted: bool
+
+
+# route's two results, shared: it runs once per api event
+_REROUTED, _PASSED = RouteResult(True), RouteResult(False)
 
 
 class InjectionRouter:
@@ -49,7 +53,7 @@ class InjectionRouter:
         if (not self.active or event.kind != "api"
                 or p.name not in INJECTION_APIS
                 or p.target_pid is None or p.target_pid == event.pid):
-            return RouteResult(rerouted=False)
+            return _PASSED
 
         if p.name == "NtWriteVirtualMemory":
             self._register_injection(event)
@@ -61,7 +65,7 @@ class InjectionRouter:
                     event.seq,
                     f"thread start 0x{start:x} targets memory never "
                     f"written into the honeypot"))
-        return RouteResult(rerouted=True)
+        return _REROUTED
 
     def _register_injection(self, event: TraceEvent) -> None:
         p: ApiPayload = event.payload

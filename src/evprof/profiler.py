@@ -225,11 +225,12 @@ class SampleProfiler:
 
     def _on_image_load(self, event: TraceEvent) -> None:
         p = event.payload
-        if p.header is not None:
+        if p.header:
             # split the image so the header gets its own shadow-tracked
             # region; code above the header keeps the image's red kind.
             # A header longer than its image (a validation diagnostic) is
-            # cut to the image.
+            # cut to the image, and an empty one (also a diagnostic) is no
+            # header.
             header_size = min(len(p.header), p.size)
             if self._register(event, MemoryRegion(
                     event.pid, p.base, header_size, "pe_header",

@@ -590,8 +590,9 @@ def parse_trace(source) -> list[TraceEvent]:
 def validate_trace(events: list[TraceEvent]) -> list[Diagnostic]:
     """Check the invariants that parsing leaves open: insn_index order per
     thread, the registers of cpuid and rdtsc, memory access sizes, struct
-    fields that do not overlap and a PE header within its image. Record
-    order (one leading meta record, increasing seq) is ``parse_trace``'s.
+    fields that do not overlap and a PE header that is not empty and lies
+    within its image. Record order (one leading meta record, increasing
+    seq) is ``parse_trace``'s.
 
     Returns diagnostics rather than raising; an empty list means every
     invariant holds.
@@ -623,10 +624,13 @@ def validate_trace(events: list[TraceEvent]) -> list[Diagnostic]:
                 diags.append(Diagnostic(
                     ev.seq, f"memory access size {p.size} not in {{1,2,4,8}}"))
         elif ev.kind in ("meta", "image_load"):
-            if ev.kind == "image_load" and len(p.header or b"") > p.size:
-                diags.append(Diagnostic(
-                    ev.seq, f"header of 0x{len(p.header):x} bytes is longer "
-                            f"than its image (size 0x{p.size:x})"))
+            if ev.kind == "image_load" and p.header is not None:
+                if not p.header:
+                    diags.append(Diagnostic(ev.seq, "header is empty"))
+                elif len(p.header) > p.size:
+                    diags.append(Diagnostic(
+                        ev.seq, f"header of 0x{len(p.header):x} bytes is "
+                                f"longer than its image (size 0x{p.size:x})"))
             for layout in p.structs:
                 spans = sorted(
                     (addr, addr + width, name)

@@ -15,7 +15,7 @@ from evprof.generate import (
     suite_specs, write_corpus,
 )
 from evprof.profiler import SampleProfiler, run_sample
-from evprof.trace import parse_trace, validate_trace
+from evprof.trace import parse_trace, validate_trace, vint
 
 from helpers import behavior_diff, build_samples, divergent_pair
 
@@ -60,6 +60,15 @@ def test_generated_traces_validate_cleanly():
     for spec in suite_specs("scenarios"):
         sample = build_sample(spec)
         assert validate_trace(parse_trace(sample.text)) == []
+
+
+def test_filler_calls_share_one_return_value():
+    # safe for the reason parsed events may share decoded values: nothing
+    # mutates an event
+    sample = build_sample(GenSpec("filler_only", filler=50, seed=3))
+    rets = [ev.payload.ret for ev in sample.events if ev.kind == "api"]
+    assert len(rets) == 50 and rets[0] == vint(0)
+    assert all(ret is rets[0] for ret in rets)
 
 
 def roundtrip_sample(sample_id):

@@ -582,19 +582,24 @@ def test_freed_region_leaves_the_red_area():
 
 def test_a_header_longer_than_its_image_is_cut_to_the_image():
     from evprof.trace import parse_trace, validate_trace
-    events = parse_trace(
-        "seq=0 pid=1 tid=1 insn_index=0 kind=meta sample_id=h\n"
-        "seq=1 pid=1 tid=1 insn_index=1 kind=image_load name=a.exe "
-        "base=0x400000 size=0x10 region_kind=main_image "
-        f"header=4d5a{'00' * 0x20}\n"
-        "seq=2 pid=1 tid=1 insn_index=2 kind=region_alloc base=0x400010 "
-        "size=0x1000 region_kind=exec_alloc\n"
-        "seq=3 pid=1 tid=1 insn_index=3 kind=mem_write address=0x400000 "
-        "size=4 value=0x0 accessor_address=0x400020\n")
-    report = run_sample(events, None, validate_trace(events))
-    assert [d.technique for d in report.detections] == ["ErasePEHeader"]
-    assert report.warnings == [
-        "seq 1: header of 0x22 bytes is longer than its image (size 0x10)"]
+    for header, techniques, warning in [
+        (f"4d5a{'00' * 0x20}", ["ErasePEHeader"],
+         "header of 0x22 bytes is longer than its image (size 0x10)"),
+        # an empty header is no header: the image maps whole as main_image
+        ("", [], "header is empty"),
+    ]:
+        events = parse_trace(
+            "seq=0 pid=1 tid=1 insn_index=0 kind=meta sample_id=h\n"
+            "seq=1 pid=1 tid=1 insn_index=1 kind=image_load name=a.exe "
+            "base=0x400000 size=0x10 region_kind=main_image "
+            f"header={header}\n"
+            "seq=2 pid=1 tid=1 insn_index=2 kind=region_alloc base=0x400010 "
+            "size=0x1000 region_kind=exec_alloc\n"
+            "seq=3 pid=1 tid=1 insn_index=3 kind=mem_write address=0x400000 "
+            "size=4 value=0x0 accessor_address=0x400020\n")
+        report = run_sample(events, None, validate_trace(events))
+        assert [d.technique for d in report.detections] == techniques
+        assert report.warnings == ["seq 1: " + warning]
 
 
 def test_image_load_structs_install_watchpoints():
