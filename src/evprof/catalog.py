@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .clock import STALL_APIS, VirtualClock
-from .trace import Diagnostic, TraceEvent
+from .trace import SIZE_OF_IMAGE_FIELD, Diagnostic, TraceEvent
 
 CAT_ANTI_DEBUG = "AntiDebug"
 CAT_ANTI_DUMP = "AntiDump"
@@ -598,7 +598,7 @@ def match_event(event: TraceEvent, tracker, clock: VirtualClock,
         tracker.resolve_access(event)
         result = tracker.pe_header_write(event)
         if result is not None and result.changed:
-            technique = ("SizeOfImage" if result.field == "SIZE_OF_IMAGE"
+            technique = ("SizeOfImage" if result.field == SIZE_OF_IMAGE_FIELD
                          else "ErasePEHeader")
             hits.append(_BY_ID[technique])
 

@@ -5,7 +5,7 @@ well-formed trace exercising exactly that technique, from either red
 (sample-controlled) or benign (standard-library) code, padded with enough
 native filler calls to make the sample active. A recipe is built from the
 technique's catalog rule, with ``EXAMPLES`` giving the values the rule
-leaves open; six techniques keep a hand-written one. Negative twins reuse
+leaves open; three techniques keep a hand-written one. Negative twins reuse
 the positive events with only the provenance flipped, so red-area gating
 is the single variable under test.
 
@@ -204,7 +204,8 @@ class TraceBuilder:
 # per-technique recipes
 
 # What a rule leaves open about its proof of concept: an API's return value
-# and underived args, an insn's out_regs, a watched read's value (default 0).
+# and underived args, an insn's out_regs, a watched read's value (default 0),
+# a header write's (address, size, value).
 EXAMPLES = {
     # Anti Debug
     "IsDebuggerPresentAPI": dict(ret=vint(0)),
@@ -261,6 +262,14 @@ EXAMPLES = {
         args=(vstr("IOCTL_DISK_GET_LENGTH_INFO"),), ret=vint(40 * 1024 ** 3)),
     "disk_size_wmi": dict(ret=vint(40 * 1024 ** 3)),
 
+    # Timing Attacks
+    "time_stalling": dict(args=(vdur(10 * STALL_THRESHOLD_MS),), ret=vint(0)),
+
+    # Anti Dump
+    "ErasePEHeader": dict(write=(MAIN_BASE, 2, 0x0000)),
+    "SizeOfImage": dict(write=(SIZE_OF_IMAGE_ADDR, 4,
+                               SIZE_OF_IMAGE_INITIAL + 0x100000)),
+
     # Anti Instrumentation
     "Check_EIP": dict(out_regs=(("eip", 0x7A001234),)),
 }
@@ -274,9 +283,13 @@ _WATCHED = {name: (address, width)
 def _recipe_from_rule(rule: catalog.TechniqueRule):
     """A rule's trigger as a recipe: its first API name, called with the
     EXAMPLES args plus its ``token`` or a ``SELECT <first field> FROM
-    <class>`` query; its mnemonic, with its ``eax`` leaf; or a read of
-    its first watched field."""
+    <class>`` query; its mnemonic, with its ``eax`` leaf; a read of its
+    first watched field; or the EXAMPLES ``write`` into the PE header."""
     example = EXAMPLES.get(rule.id, {})
+    if rule.trigger_kind == "mem_write":
+        write = example["write"]  # a rule without one fails at import
+        return lambda b, origin, technique: b.mem_write(
+            *write, origin=origin, trigger=technique)
     if rule.trigger_kind == "watch":
         address, width = _WATCHED[rule.watch_fields[0]]
         return lambda b, origin, technique: b.mem_read(
@@ -308,15 +321,6 @@ def _recipe_number_of_processors(b: TraceBuilder, origin: int, technique: str):
     b.mem_read(SYSTEM_INFO_ADDR, 4, 1, origin=origin, trigger=technique)
 
 
-def _recipe_erase_pe_header(b: TraceBuilder, origin: int, technique: str):
-    b.mem_write(MAIN_BASE, 2, 0x0000, origin=origin, trigger=technique)
-
-
-def _recipe_size_of_image(b: TraceBuilder, origin: int, technique: str):
-    b.mem_write(SIZE_OF_IMAGE_ADDR, 4, SIZE_OF_IMAGE_INITIAL + 0x100000,
-                origin=origin, trigger=technique)
-
-
 # instruction gaps before an rdtsc read: paired <= SANDWICH_WINDOW < fresh
 FRESH_GAP = SANDWICH_WINDOW * 6 // 5
 PAIRED_GAP = SANDWICH_WINDOW * 3 // 5
@@ -331,11 +335,6 @@ def _recipe_rdtsc(b: TraceBuilder, origin: int, technique: str):
            trigger=technique, stride=0)
 
 
-def _recipe_time_stalling(b: TraceBuilder, origin: int, technique: str):
-    b.api("NtDelayExecution", args=(vdur(10 * STALL_THRESHOLD_MS),),
-          ret=vint(0), origin=origin, trigger=technique)
-
-
 def _recipe_injection(b: TraceBuilder, origin: int, technique: str):
     b.api("NtWriteVirtualMemory",
           args=(vaddr(INJECT_ADDR), vlen(INJECT_LEN)), ret=vint(0),
@@ -345,10 +344,7 @@ def _recipe_injection(b: TraceBuilder, origin: int, technique: str):
 # the techniques whose trace the rule alone does not describe
 _HAND_WRITTEN = {
     "NumberOfProcessors": _recipe_number_of_processors,
-    "time_stalling": _recipe_time_stalling,
     "RDTSC": _recipe_rdtsc,
-    "ErasePEHeader": _recipe_erase_pe_header,
-    "SizeOfImage": _recipe_size_of_image,
     "Shellcode_injected": _recipe_injection,
 }
 

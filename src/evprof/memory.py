@@ -46,14 +46,14 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 from .trace import (
-    MEM_ACCESS_SIZES, Diagnostic, MemPayload, StructLayout, TraceEvent,
+    MEM_ACCESS_SIZES, SIZE_OF_IMAGE_FIELD, Diagnostic, MemPayload,
+    StructLayout, TraceEvent,
 )
 
 RED_REGION_KINDS = frozenset({
     "main_image", "custom_library", "exec_alloc", "injected", "honeypot_image",
 })
 
-SIZE_OF_IMAGE_FIELD = "SIZE_OF_IMAGE"
 SIZE_OF_IMAGE_WIDTH = 4
 
 
@@ -104,7 +104,7 @@ class WatchPoint:
 @dataclass
 class PeWriteResult:
     changed: bool
-    field: str | None  # SIZE_OF_IMAGE when the write touches such a field
+    field: str | None  # SIZE_OF_IMAGE_FIELD when the write touches it
 
 
 @dataclass

@@ -198,23 +198,13 @@ class SampleProfiler:
         self.report = SampleReport(sample_id="")
         self._max_seq = 0
         self._visible_seqs: list[int] = []
-        # kinds without an entry (insn, mem_read, mem_write) go to _match
-        self._handlers = {
-            "meta": self._on_meta,
-            "image_load": self._on_image_load,
-            "region_alloc": self._on_region_alloc,
-            "region_free": self._on_region_free,
-            "process_start": self._ignore,
-            "thread_start": self._ignore,
-            "api": self._on_api,
-        }
 
     # -- event handling ------------------------------------------------------
 
     def process(self, event: TraceEvent) -> None:
         self.report.total_event_count += 1
         self._max_seq = event.seq
-        self._handlers.get(event.kind, self._match)(event)
+        self._HANDLERS.get(event.kind, SampleProfiler._match)(self, event)
 
     def _on_meta(self, event: TraceEvent) -> None:
         p = event.payload
@@ -299,6 +289,18 @@ class SampleProfiler:
             self.report.warnings.append(f"seq {event.seq}: {exc}")
             return False
         return True
+
+    # kind -> handler; plain functions, so no profiler refers to itself.
+    # Kinds without an entry (insn, mem_read, mem_write) go to _match.
+    _HANDLERS = {
+        "meta": _on_meta,
+        "image_load": _on_image_load,
+        "region_alloc": _on_region_alloc,
+        "region_free": _on_region_free,
+        "process_start": _ignore,
+        "thread_start": _ignore,
+        "api": _on_api,
+    }
 
     # -- reporting -------------------------------------------------------------
 

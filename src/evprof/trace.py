@@ -6,11 +6,11 @@ percent-encoded so that spaces and separator characters never appear raw.
 The first record must be the single ``meta`` record; ``seq`` must be
 strictly increasing across the file. ``SCHEMA`` lists each kind's fields
 with their codecs and defaults; parsing, serialization and the
-unexpected-field check all read it, and each kind's record class is built
-from its rows: the required fields first, then the optional ones with
-their defaults. The records are slotted dataclasses, not frozen, so they
-are cheap to build; nothing may mutate a parsed event
-(``dataclasses.replace`` makes a changed copy).
+unexpected-field check all read it. Each kind's record class is built from
+its rows, the required fields first and then the optional ones, and
+``TraceEvent`` from the header rows and ``payload``. The records are
+slotted dataclasses, not frozen, so they are cheap to build; nothing may
+mutate a parsed event (``dataclasses.replace`` makes a changed copy).
 
 ``parse_trace`` decodes a repeated raw value once per trace. Each schema
 row, except the meta labels and the per-event counters ``seq`` and
@@ -55,7 +55,10 @@ INSN_MNEMONICS = frozenset({
 
 MEM_ACCESS_SIZES = frozenset({1, 2, 4, 8})
 
-# widest declared field: a watchpoint lookup scans back this far
+# what a PE header write that touches the SizeOfImage field reports
+SIZE_OF_IMAGE_FIELD = "SIZE_OF_IMAGE"
+
+# widest declared field; a watchpoint lookup scans back at most this far
 MAX_FIELD_WIDTH = 64
 
 META_LABEL_KEYS = ("dataset", "family", "year", "packer", "protector")
@@ -239,16 +242,6 @@ class FieldRef:
             raise TraceError(f"bad out_struct field {text!r}")
 
 
-@dataclass(slots=True)
-class TraceEvent:
-    seq: int
-    pid: int
-    tid: int
-    insn_index: int
-    kind: str
-    payload: object  # the record class of its kind in SCHEMA
-
-
 @dataclass(frozen=True)
 class Diagnostic:
     seq: int
@@ -329,12 +322,6 @@ def _field(key, codec, default=REQUIRED, attr=None):
     return key, attr or key, codec, default
 
 
-_EVENT_FIELDS = (
-    _field("seq", _DEC), _field("pid", _DEC), _field("tid", _DEC),
-    _field("insn_index", _DEC), _field("kind", _TEXT),
-)
-
-
 def _record(name, rows, **methods):
     """(record class, ``rows``): a slotted dataclass of the rows' attributes,
     the required ones first, then the optional ones, each in row order."""
@@ -345,6 +332,15 @@ def _record(name, rows, **methods):
     # Python 3.11's make_dataclass takes no module argument
     return make_dataclass(name, specs, slots=True, namespace={
         "__module__": __name__, **methods}), rows
+
+
+_EVENT_FIELDS = (
+    _field("seq", _DEC), _field("pid", _DEC), _field("tid", _DEC),
+    _field("insn_index", _DEC), _field("kind", _TEXT),
+)
+# a trace record: the header fields, then its kind's record class in SCHEMA
+TraceEvent = _record("TraceEvent", _EVENT_FIELDS + (
+    _field("payload", None),))[0]
 
 
 def _str_args(self) -> tuple[str, ...]:

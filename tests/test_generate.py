@@ -29,6 +29,26 @@ def test_generator_covers_every_catalog_technique():
     assert set(RECIPES) == set(catalog.KNOWN_TECHNIQUES)
 
 
+def test_one_event_fixtures_come_from_their_rule():
+    from evprof.generate import RECIPES, TraceBuilder, _recipe_from_rule
+    from evprof.trace import serialize_trace
+    # the trigger kind -> the kind of the one event its recipe emits
+    kinds = {"api": "api", "clock": "api", "insn": "insn",
+             "watch": "mem_read", "mem_write": "mem_write"}
+    spec = GenSpec(sample_id="one")
+    for rule in catalog.RULES:
+        if rule.id in ("NumberOfProcessors", "RDTSC", "Shellcode_injected"):
+            continue
+        derived, listed = TraceBuilder(spec), TraceBuilder(spec)
+        _recipe_from_rule(rule)(derived, generate.RED_CODE, rule.id)
+        RECIPES[rule.id](listed, generate.RED_CODE, rule.id)
+        assert [ev.kind for ev in derived.events] == \
+            [kinds[rule.trigger_kind]], rule.id
+        assert derived.triggers == [(rule.id, 0, True)], rule.id
+        assert serialize_trace(derived.events) == \
+            serialize_trace(listed.events), rule.id
+
+
 def test_equal_spec_and_seed_byte_identical():
     spec = GenSpec(sample_id="det", filler=40, seed=99,
                    techniques=(TechniqueSpec("RDTSC", pos=30.0),))

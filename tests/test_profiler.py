@@ -607,3 +607,28 @@ def test_image_load_structs_install_watchpoints():
     t.main_image(structs=(PEB,))
     t.read(PEB_BASE + 0x2, size=1)
     assert profile(t).technique_set == ["IsDebuggerPresentPEB"]
+
+
+# -- lifetime ----------------------------------------------------------------
+
+def test_a_finished_profiler_is_freed_without_the_cyclic_collector():
+    import gc
+    import weakref
+    from evprof.generate import RECIPES, GenSpec, TechniqueSpec, build_sample
+    events = build_sample(GenSpec(
+        "lifetime", techniques=tuple(map(TechniqueSpec, RECIPES)),
+        scenario="injection")).events
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        profiler = SampleProfiler()
+        for event in events:
+            profiler.process(event)
+        profiler.finish()
+        alive = weakref.ref(profiler)
+        del profiler
+        # a profiler that refers to itself lives on until a collection
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
