@@ -11,7 +11,7 @@ from collections import Counter
 from . import catalog
 from .catalog import ConfigError, RunConfig
 from .profiler import SampleReport, run_sample
-from .trace import TraceError, parse_trace, validate_trace
+from .trace import TraceError, check_plain_name, parse_trace, validate_trace
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -53,9 +53,10 @@ def _profile_file(path: str, cfg: RunConfig) -> tuple[str, str, list[str]]:
 
 def _report_path(out_dir: str, sample_id: str) -> str:
     """Where a sample's report goes; the id must be a plain file name."""
-    if (sample_id in ("", ".", "..")
-            or any(c in sample_id for c in "/\\\0")):
-        raise CliError(f"sample_id {sample_id!r} is not a plain file name")
+    try:
+        check_plain_name(sample_id)
+    except ValueError as exc:
+        raise CliError(str(exc))
     return os.path.join(out_dir, sample_id + ".report.json")
 
 

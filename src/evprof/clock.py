@@ -117,9 +117,10 @@ class VirtualClock:
         """
         state = self._sandwiches.setdefault((pid, tid), SandwichState())
         candidate = raw_tsc + self.offset_ms * TICKS_PER_MS
+        # pair only with an earlier read: a backwards insn_index starts anew
         in_window = (
             state.last_insn_index is not None
-            and insn_index - state.last_insn_index <= SANDWICH_WINDOW
+            and 0 <= insn_index - state.last_insn_index <= SANDWICH_WINDOW
         )
         if in_window and adjust:
             delta = candidate - state.last_returned

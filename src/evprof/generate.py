@@ -21,14 +21,15 @@ import json
 import os
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import catalog, suites
 from .clock import SANDWICH_WINDOW, STALL_THRESHOLD_MS
 from .trace import (
     LABEL_COLUMNS, META_LABEL_KEYS, ApiPayload, FieldRef, ImageLoadPayload,
     InsnPayload, MemPayload, MetaPayload, StructLayout, ThreadStartPayload,
-    TraceError, TraceEvent, decode_text, serialize_trace, text_lines,
-    tokenize, vaddr, vdur, vint, vlen, vstr,
+    TraceError, TraceEvent, check_plain_name, decode_text, serialize_trace,
+    text_lines, tokenize, vaddr, vdur, vint, vlen, vstr,
 )
 
 MAIN_PID = 1000
@@ -111,23 +112,22 @@ class GenSpec:
     # externally visible behavior calls: (api name, position percent)
     visible: tuple[tuple[str, float], ...] = ()
     labels: tuple[tuple[str, str], ...] = ()
-    scenario: str | None = None   # one of SCENARIO_NAMES
+    scenario: str | None = None   # a key of SCENARIOS
     seed: int = 0
 
     def __post_init__(self):
-        if self.scenario not in SCENARIO_NAMES:
+        check_plain_name(self.sample_id)
+        if self.filler < 0:
+            raise ValueError(f"filler {self.filler} is negative")
+        if self.scenario is not None and self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-
-
-# what build_sample appends after the scheduled body
-SCENARIO_NAMES = (None, "locky", "injection", "pe_same_value")
 
 
 @dataclass
 class GeneratedSample:
     spec: GenSpec
     events: list[TraceEvent]
-    # technique id -> normalized positions of its trigger events
+    # technique id -> normalized positions of its expected detections
     positions: dict[str, list[float]]
     expect_detections: list[str]
     expect_technique_set: list[str]
@@ -146,13 +146,9 @@ class TraceBuilder:
         self.rng = random.Random(spec.seed)
         self.events: list[TraceEvent] = []
         self._insn: dict[tuple[int, int], int] = {}
-        # (technique, event index, detection expected)
+        # (technique, seq, detection expected)
         self.triggers: list[tuple[str, int, bool]] = []
         self.expect_triggers = True
-
-    def advance_insn(self, n: int, pid: int = MAIN_PID, tid: int = MAIN_TID):
-        key = (pid, tid)
-        self._insn[key] = self._insn.get(key, 0) + n
 
     def emit(self, kind: str, payload, pid: int = MAIN_PID,
              tid: int = MAIN_TID, trigger: str | None = None,
@@ -330,9 +326,8 @@ SHORT_PAIRED_GAP = SANDWICH_WINDOW // 5
 def _recipe_rdtsc(b: TraceBuilder, origin: int, technique: str):
     base = 1_000_000 + b.rng.randrange(1 << 20)
     b.insn("rdtsc", origin=origin, out_regs=(("tsc", base),))
-    b.advance_insn(PAIRED_GAP)
     b.insn("rdtsc", origin=origin, out_regs=(("tsc", base + 2_000),),
-           trigger=technique, stride=0)
+           trigger=technique, stride=PAIRED_GAP)
 
 
 def _recipe_injection(b: TraceBuilder, origin: int, technique: str):
@@ -379,60 +374,41 @@ def build_sample(spec: GenSpec) -> GeneratedSample:
     b = TraceBuilder(spec)
     _preamble(b)
 
-    # schedule body items by target position; filler spreads uniformly
-    items: list[tuple[float, int, object]] = []
-    order = 0
-    for i in range(spec.filler):
-        pos = 100.0 * i / max(spec.filler - 1, 1)
-        items.append((pos, order, "filler"))
-        order += 1
-    for t in spec.techniques:
-        items.append((t.pos, order, t))
-        order += 1
-    for name, pos in spec.visible:
-        items.append((pos, order, ("visible", name)))
-        order += 1
-    items.sort()  # orders are unique, so the items are never compared
+    # (position, item): filler (None) spreads uniformly, a technique is its
+    # TechniqueSpec and a visible call its API name. The sort is stable, so
+    # at one position filler comes first, then techniques, then calls.
+    items = [(100.0 * i / max(spec.filler - 1, 1), None)
+             for i in range(spec.filler)]
+    items += [(t.pos, t) for t in spec.techniques]
+    items += [(pos, name) for name, pos in spec.visible]
+    items.sort(key=itemgetter(0))
 
-    for _, _, item in items:
-        if item == "filler":
+    for _, item in items:
+        if item is None:
             b.filler_api()
-        elif isinstance(item, TechniqueSpec):
+        elif isinstance(item, str):
+            b.api(item, args=(vstr("payload"),), ret=vint(0), origin=RED_CODE)
+        else:
             origin = RED_CODE if item.origin == "red" else BENIGN_CODE
             b.expect_triggers = item.origin == "red"
             RECIPES[item.id](b, origin, item.id)
             b.expect_triggers = True
-        else:
-            _, name = item
-            b.api(name, args=(vstr("payload"),), ret=vint(0), origin=RED_CODE)
 
-    if spec.scenario == "locky":
-        build_locky_loop(b)
-    elif spec.scenario == "injection":
-        build_injection_scenario(b)
-    elif spec.scenario == "pe_same_value":
-        # rewrites the signature with the bytes already stored: no change,
-        # so no Anti-Dump detection may come out of it
-        b.mem_write(MAIN_BASE, 2, 0x5A4D)
-
+    if spec.scenario is not None:
+        SCENARIOS[spec.scenario](b)
     return _finish_sample(b)
 
 
 def _finish_sample(b: TraceBuilder) -> GeneratedSample:
-    spec = b.spec
     max_seq = max(b.events[-1].seq, 1)
     positions: dict[str, list[float]] = {}
-    detections: list[str] = []
-    for technique, idx, expected in b.triggers:
-        if not expected:
-            continue
-        ev = b.events[idx]
-        positions.setdefault(technique, []).append(100.0 * ev.seq / max_seq)
-        detections.append(technique)
-    technique_set = sorted(set(detections) - set(catalog.FP_PRONE_TECHNIQUES))
+    for technique, seq, expected in b.triggers:
+        if expected:
+            positions.setdefault(technique, []).append(100.0 * seq / max_seq)
+    technique_set = sorted(set(positions) - catalog.FP_PRONE_TECHNIQUES)
     return GeneratedSample(
-        spec=spec, events=b.events, positions=positions,
-        expect_detections=sorted(set(detections)),
+        spec=b.spec, events=b.events, positions=positions,
+        expect_detections=sorted(positions),
         expect_technique_set=technique_set,
         expect_evasive=bool(technique_set),
     )
@@ -444,6 +420,14 @@ def _finish_sample(b: TraceBuilder) -> GeneratedSample:
 LOCKY_ITERATIONS = 10
 LOCKY_FAST_RAW = 1_000     # raw ticks the instrumented fast call takes
 LOCKY_SLOW_RAW = 3_000     # raw ticks the instrumented slow call takes
+# one iteration's reads: (instruction gap before, trigger, raw ticks after)
+LOCKY_READS = (
+    (FRESH_GAP, None, LOCKY_FAST_RAW),        # fast op under timing
+    (PAIRED_GAP, "RDTSC", 400),
+    (FRESH_GAP, None, LOCKY_SLOW_RAW),        # slow op under timing
+    (PAIRED_GAP, "RDTSC", 150),
+    (SHORT_PAIRED_GAP, "RDTSC", 900),         # parity burner
+)
 
 
 def build_locky_loop(b: TraceBuilder) -> None:
@@ -457,21 +441,10 @@ def build_locky_loop(b: TraceBuilder) -> None:
     """
     raw = 5_000_000 + b.rng.randrange(1 << 20)
     for _ in range(LOCKY_ITERATIONS):
-        b.advance_insn(FRESH_GAP)
-        b.insn("rdtsc", out_regs=(("tsc", raw),), stride=0)
-        raw += LOCKY_FAST_RAW                    # fast op under timing
-        b.advance_insn(PAIRED_GAP)
-        b.insn("rdtsc", out_regs=(("tsc", raw),), trigger="RDTSC", stride=0)
-        raw += 400
-        b.advance_insn(FRESH_GAP)
-        b.insn("rdtsc", out_regs=(("tsc", raw),), stride=0)
-        raw += LOCKY_SLOW_RAW                    # slow op under timing
-        b.advance_insn(PAIRED_GAP)
-        b.insn("rdtsc", out_regs=(("tsc", raw),), trigger="RDTSC", stride=0)
-        raw += 150
-        b.advance_insn(SHORT_PAIRED_GAP)        # parity burner
-        b.insn("rdtsc", out_regs=(("tsc", raw),), trigger="RDTSC", stride=0)
-        raw += 900
+        for gap, trigger, ticks in LOCKY_READS:
+            b.insn("rdtsc", out_regs=(("tsc", raw),), trigger=trigger,
+                   stride=gap)
+            raw += ticks
 
 
 def build_injection_scenario(b: TraceBuilder) -> None:
@@ -484,6 +457,20 @@ def build_injection_scenario(b: TraceBuilder) -> None:
     b.api("IsDebuggerPresent", ret=vint(0), origin=INJECT_ADDR + 0x10,
           native=False, pid=catalog.HONEYPOT_PID, tid=1,
           trigger="IsDebuggerPresentAPI")
+
+
+def build_pe_same_value(b: TraceBuilder) -> None:
+    """Rewrite the PE signature with the bytes already stored: no change,
+    so no Anti-Dump detection may come out of it."""
+    b.mem_write(MAIN_BASE, 2, 0x5A4D)
+
+
+# what build_sample appends after the scheduled body, by GenSpec.scenario
+SCENARIOS = {
+    "locky": build_locky_loop,
+    "injection": build_injection_scenario,
+    "pe_same_value": build_pe_same_value,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,13 @@ class TraceError(Exception):
         super().__init__(message)
 
 
+def check_plain_name(sample_id: str) -> None:
+    """Refuse a sample id that is not a plain file name: reports and
+    generated traces are written to ``<out dir>/<sample id>.<suffix>``."""
+    if sample_id in ("", ".", "..") or any(c in sample_id for c in "/\\\0"):
+        raise ValueError(f"sample_id {sample_id!r} is not a plain file name")
+
+
 def encode_text(text: str) -> str:
     if _SAFE_CHARS.issuperset(text):
         return text

@@ -304,7 +304,8 @@ def test_criterion_7_aggregator_oracle_equivalence(tmp_path):
     for name in sorted(os.listdir(corpus)):
         if not name.endswith(".trace"):
             continue
-        events = parse_trace(open(corpus / name, encoding="utf-8").read())
+        with open(corpus / name, encoding="utf-8") as fh:
+            events = parse_trace(fh.read())
         report = next(r for r in reports
                       if r.sample_id == name[:-len(".trace")])
         want_split = oracles.oracle_visible_split(events, report)

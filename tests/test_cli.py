@@ -616,6 +616,23 @@ def test_gen_bad_spec_value_is_a_data_error_with_line(tmp_path, capsys,
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize("fields", [
+    "sample_id=%2E%2E%2Fescaped filler=3", "sample_id=a/b",
+    "sample_id=a%5Cb", "sample_id=.", "sample_id=.. filler=3",
+    "sample_id=a%00b", "sample_id=g1 filler=-5",
+])
+def test_gen_refuses_a_spec_it_cannot_write_inside_out(tmp_path, capsys,
+                                                      fields):
+    spec = tmp_path / "s.gspec"
+    spec.write_text(f"sample_id=ok filler=3\n{fields}\n")
+    out = tmp_path / "work" / "out"
+    assert main(["gen", "--spec", str(spec), "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "error: line 2: " in err
+    assert "internal error" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["s.gspec"]
+
+
 def test_gen_spec_line_holding_a_form_feed_is_one_sample(tmp_path):
     spec = tmp_path / "samples.gspec"
     spec.write_text("sample_id=a\x0cfiller=5\n")

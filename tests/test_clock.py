@@ -25,7 +25,7 @@ def oracle_rdtsc(sequence, window=50, offset_ticks=0):
     out = []
     for idx, raw in sequence:
         candidate = raw + offset_ticks
-        if last_idx is not None and idx - last_idx <= window:
+        if last_idx is not None and 0 <= idx - last_idx <= window:
             delta = candidate - r1
             if delta < 0:
                 ret = r1 + 1
@@ -186,6 +186,15 @@ def test_pair_outside_window_returns_raw_plus_offset():
 def test_window_boundary_inclusive():
     _, outs = run_clock([(100, 1_000), (150, 3_000)])
     assert outs == [1_000, 2_000]
+
+
+def test_a_read_at_a_lower_insn_index_is_not_paired():
+    clock = VirtualClock()
+    clock.on_rdtsc(1, 1, 100_000, 1_000)
+    result = clock.on_rdtsc(1, 1, 5, 3_000)
+    assert (result.returned, result.sandwich) == (3_000, False)
+    # the backwards read starts a fresh window
+    assert clock.on_rdtsc(1, 1, 10, 5_000).returned == 4_000
 
 
 def test_offset_added_to_rdtsc():

@@ -64,9 +64,34 @@ def test_different_seed_changes_filler():
 def test_unknown_technique_and_scenario_rejected():
     with pytest.raises(ValueError, match="unknown technique 'Nope'"):
         TechniqueSpec("Nope")
-    for name in ("nope", "themida", "divergent_mitigated", "divergent_bare"):
+    for name in ("nope", "themida", "divergent_mitigated", "divergent_bare",
+                 "", "LOCKY", "build_locky_loop"):
         with pytest.raises(ValueError, match=f"unknown scenario '{name}'"):
             GenSpec(sample_id="x", scenario=name)
+
+
+@pytest.mark.parametrize("name", sorted(generate.SCENARIOS))
+def test_every_scenario_builds_a_trace_that_validates_cleanly(name):
+    sample = build_sample(GenSpec(sample_id=name, scenario=name, seed=4))
+    assert validate_trace(parse_trace(sample.text)) == []
+    assert sample.expect_detections == sorted(sample.positions)
+
+
+def test_items_at_one_position_build_filler_then_techniques_then_calls():
+    # three filler calls sit at 0, 50 and 100; everything else at 50
+    spec = GenSpec(sample_id="tie", filler=3, seed=1,
+                   visible=(("CreateFileW", 50.0), ("send", 50)),
+                   techniques=(TechniqueSpec("GetTickCount", 50.0),
+                               TechniqueSpec("IsDebuggerPresentAPI", 50)))
+    sample = build_sample(spec)
+    body = [ev.payload.name for ev in sample.events[3:]]
+    assert [name in generate.FILLER_APIS for name in body] == \
+        [True, True, False, False, False, False, True]
+    assert body[2:6] == ["GetTickCount", "IsDebuggerPresent", "CreateFileW",
+                         "send"]
+    # the techniques trigger at seq 5 and 6 of the trace's 0..9
+    assert sample.positions == {"GetTickCount": [100.0 * 5 / 9],
+                                "IsDebuggerPresentAPI": [100.0 * 6 / 9]}
 
 
 def test_duplicate_sample_ids_rejected_before_any_file(tmp_path):

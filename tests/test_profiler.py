@@ -237,6 +237,15 @@ def test_lone_rdtsc_is_not_a_detection():
     assert all(d.technique != "RDTSC" for d in report.detections)
 
 
+def test_rdtsc_reads_with_a_backwards_insn_index_are_not_a_pair():
+    t = T().images()
+    t.native_filler(50)
+    t.insn("rdtsc", out_regs=(("tsc", 1000),), insn_index=100_000)
+    t.insn("rdtsc", out_regs=(("tsc", 9000),), insn_index=5)
+    report = profile(t)
+    assert all(d.technique != "RDTSC" for d in report.detections)
+
+
 def test_unknown_override_rejected():
     from evprof.catalog import ConfigError
     with pytest.raises(ConfigError):
