@@ -248,6 +248,8 @@ def cmd_gen(args) -> int:
         manifest = generate.write_corpus(specs, args.out)
     except generate.GenError as exc:
         raise CliError(str(exc))
+    except OSError as exc:
+        raise CliError(f"{args.out}: {exc}")
     print(f"generated {len(manifest['samples'])} traces in {args.out}")
     return EXIT_OK
 

@@ -17,6 +17,7 @@ verdicts for oracle comparison.
 from __future__ import annotations
 
 import csv
+import heapq
 import json
 import os
 import random
@@ -119,6 +120,9 @@ class GenSpec:
         check_plain_name(self.sample_id)
         if self.filler < 0:
             raise ValueError(f"filler {self.filler} is negative")
+        for _, pos in self.visible:
+            if not 0 <= pos <= 100:  # also refuses nan
+                raise ValueError(f"position {pos} outside [0, 100]")
         if self.scenario is not None and self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
 
@@ -370,20 +374,24 @@ def _preamble(b: TraceBuilder) -> None:
         region_kind="standard_library"))
 
 
+def _schedule(spec: GenSpec):
+    """The body's (position, item) pairs in build order, never held whole:
+    filler (None) spreads uniformly, a technique is its TechniqueSpec and a
+    visible call its API name. merge breaks ties by stream, so at one
+    position filler comes first, then techniques, then calls."""
+    filler = ((100.0 * i / max(spec.filler - 1, 1), None)
+              for i in range(spec.filler))
+    techniques = sorted([(t.pos, t) for t in spec.techniques],
+                        key=itemgetter(0))
+    visible = sorted([(pos, name) for name, pos in spec.visible],
+                     key=itemgetter(0))
+    return heapq.merge(filler, techniques, visible, key=itemgetter(0))
+
+
 def build_sample(spec: GenSpec) -> GeneratedSample:
     b = TraceBuilder(spec)
     _preamble(b)
-
-    # (position, item): filler (None) spreads uniformly, a technique is its
-    # TechniqueSpec and a visible call its API name. The sort is stable, so
-    # at one position filler comes first, then techniques, then calls.
-    items = [(100.0 * i / max(spec.filler - 1, 1), None)
-             for i in range(spec.filler)]
-    items += [(t.pos, t) for t in spec.techniques]
-    items += [(pos, name) for name, pos in spec.visible]
-    items.sort(key=itemgetter(0))
-
-    for _, item in items:
+    for _, item in _schedule(spec):
         if item is None:
             b.filler_api()
         elif isinstance(item, str):
@@ -490,7 +498,8 @@ def write_corpus(specs: list[GenSpec], out_dir) -> dict:
     ``labels.csv``. Returns the manifest.
 
     Each sample is dropped once its trace is written, before the next one
-    is built, so memory holds one sample at a time.
+    is built, and its trace is written ``BLOCK`` records at a time, so
+    memory holds one sample's events and one block of its text.
     """
     seen = set()
     for spec in specs:
@@ -516,13 +525,20 @@ def write_corpus(specs: list[GenSpec], out_dir) -> dict:
     return manifest
 
 
+# records serialized per write: about 130 KB of text, so the whole trace's
+# text never exists at once
+BLOCK = 1024
+
+
 def _write_sample(spec: GenSpec, out_dir) -> dict:
     """Build ``spec``'s sample, write its trace and return its manifest
     entry."""
     sample = build_sample(spec)
+    events = sample.events
     with open(os.path.join(out_dir, spec.sample_id + ".trace"), "w",
               encoding="utf-8") as fh:
-        fh.write(sample.text)
+        for i in range(0, len(events), BLOCK):
+            fh.write(serialize_trace(events[i:i + BLOCK]))
     return {
         "trace_file": spec.sample_id + ".trace",
         "labels": dict(spec.labels),

@@ -5,6 +5,8 @@ that check the generator or the profiler need fixtures built straight from
 the event dataclasses.
 """
 
+import tracemalloc
+
 from evprof.aggregate import AggregateError
 from evprof.generate import GenSpec, TechniqueSpec, build_sample
 from evprof.trace import (
@@ -121,6 +123,19 @@ class T:
 
 
 # -- generated samples and run comparisons -----------------------------------
+
+def traced_peak(fn, *args):
+    """Run ``fn(*args)`` under tracemalloc. Returns its result, the peak of
+    the bytes allocated during the call, and the bytes of those still held
+    when it returns (the result, for a function that keeps no cache)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, held
+
 
 def build_samples(specs):
     """Each spec's generated sample, by sample id: what ``write_corpus``

@@ -1,5 +1,5 @@
-"""Brute-force recomputations of every corpus statistic, and a list-scan
-memory tracker.
+"""Brute-force recomputations of every corpus statistic, a list-scan
+memory tracker, and a generated sample's schedule as one sorted list.
 
 These are written as direct loops over report lists, independent of the
 accumulator in evprof.aggregate, to serve as the second implementation in
@@ -7,6 +7,7 @@ dual-route checks. Keep them dumb.
 """
 
 import statistics
+from operator import itemgetter
 
 from evprof import catalog
 from evprof.memory import (
@@ -333,3 +334,15 @@ class ListMemoryTracker:
                     wp.live = False
             return []
         return [wp for wp in table if wp.live and wp.overlaps(p.address, p.size)]
+
+
+def oracle_schedule(spec):
+    """A GenSpec's body as (position, item) pairs in build order: every
+    filler call (None), technique (its TechniqueSpec) and visible call (its
+    API name) in one list, stably sorted by position."""
+    items = [(100.0 * i / max(spec.filler - 1, 1), None)
+             for i in range(spec.filler)]
+    items += [(t.pos, t) for t in spec.techniques]
+    items += [(pos, name) for name, pos in spec.visible]
+    items.sort(key=itemgetter(0))
+    return items

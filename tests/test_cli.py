@@ -603,7 +603,8 @@ def test_batch_duplicate_sample_id_is_a_failure(tmp_path, capsys):
 
 @pytest.mark.parametrize("fields", [
     "techniques=RDTSC@x:red", "filler=zz", "techniques=RDTSC@5:blue",
-    "filler=1 filler=2", "techniqes=RDTSC@10",
+    "filler=1 filler=2", "techniqes=RDTSC@10", "visible=NtWriteFile@500",
+    "visible=NtWriteFile@nan",
 ])
 def test_gen_bad_spec_value_is_a_data_error_with_line(tmp_path, capsys,
                                                       fields):
@@ -639,6 +640,22 @@ def test_gen_spec_line_holding_a_form_feed_is_one_sample(tmp_path):
     out = tmp_path / "gen"
     assert main(["gen", "--spec", str(spec), "--out", str(out)]) == EXIT_OK
     assert sorted(p.name for p in out.glob("*.trace")) == ["a.trace"]
+
+
+@pytest.mark.parametrize("blocked", ["out_is_a_file", "out_under_a_file",
+                                     "trace_is_a_directory"])
+def test_gen_out_errors_are_data_errors(tmp_path, capsys, blocked):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = {"out_is_a_file": blocker, "out_under_a_file": blocker / "sub",
+           "trace_is_a_directory": tmp_path / "gen"}[blocked]
+    if blocked == "trace_is_a_directory":
+        (out / "pos_RDTSC.trace").mkdir(parents=True)
+    assert main(["gen", "--suite", "roundtrip",
+                 "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"error: {out}: " in err
+    assert "internal error" not in err
 
 
 DELETED = object()  # the key is removed from the report

@@ -5,8 +5,10 @@ import os
 import subprocess
 import sys
 import weakref
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evprof import catalog, generate
 from evprof.catalog import RunConfig
@@ -17,7 +19,8 @@ from evprof.generate import (
 from evprof.profiler import SampleProfiler, run_sample
 from evprof.trace import parse_trace, validate_trace, vint
 
-from helpers import behavior_diff, build_samples, divergent_pair
+from helpers import behavior_diff, build_samples, divergent_pair, traced_peak
+from oracles import oracle_schedule
 
 
 def profile_sample(sample, config=None):
@@ -92,6 +95,35 @@ def test_items_at_one_position_build_filler_then_techniques_then_calls():
     # the techniques trigger at seq 5 and 6 of the trace's 0..9
     assert sample.positions == {"GetTickCount": [100.0 * 5 / 9],
                                 "IsDebuggerPresentAPI": [100.0 * 6 / 9]}
+
+
+@st.composite
+def tied_specs(draw):
+    """A spec whose techniques and visible calls often sit on a filler
+    call's position, or on one another's."""
+    filler = draw(st.integers(min_value=0, max_value=40))
+    grid = [100.0 * i / max(filler - 1, 1) for i in range(filler)]
+    positions = st.sampled_from(grid + [0.0, 50.0, 100.0]) | \
+        st.floats(min_value=0, max_value=100)
+    techniques = st.builds(TechniqueSpec,
+                           st.sampled_from(sorted(generate.RECIPES)),
+                           positions, st.sampled_from(["red", "benign"]))
+    visible = st.tuples(st.sampled_from(["NtWriteFile", "connect", "send"]),
+                        positions)
+    return GenSpec("sched", tuple(draw(st.lists(techniques, max_size=5))),
+                   filler, tuple(draw(st.lists(visible, max_size=5))),
+                   seed=draw(st.integers(min_value=0, max_value=1 << 16)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=tied_specs())
+def test_the_lazy_schedule_builds_what_a_stable_sort_builds(spec):
+    assert list(generate._schedule(spec)) == oracle_schedule(spec)
+    sample = build_sample(spec)
+    with mock.patch.object(generate, "_schedule", oracle_schedule):
+        sorted_sample = build_sample(spec)
+    assert sample.events == sorted_sample.events
+    assert sample.positions == sorted_sample.positions
 
 
 def test_duplicate_sample_ids_rejected_before_any_file(tmp_path):
@@ -238,6 +270,16 @@ def test_write_corpus_drops_each_sample_before_building_the_next(
     assert len(built) == 3
 
 
+def test_write_corpus_holds_one_copy_of_a_sample(tmp_path):
+    # the trace is written a block of records at a time: neither its
+    # lines, its text nor the encoded text exist whole
+    spec = GenSpec("mem", filler=5000, seed=1)
+    build_sample(spec)
+    _, _, sample = traced_peak(build_sample, spec)
+    _, peak, _ = traced_peak(write_corpus, [spec], tmp_path)
+    assert peak <= 1.4 * sample
+
+
 def test_genspec_file_reads_every_key():
     text = ("sample_id=one techniques=RDTSC@20;HeapFlags@60:benign "
             "filler=30 visible=NtWriteFile@80 family=fam year=2019 "
@@ -285,6 +327,10 @@ def test_genspec_missing_sample_id_rejected():
     ("filler=1 filler=2", "duplicate field 'filler'"),
     ("seed=0x", "invalid literal for int()"),
     ("seed=-1", "seed -1 is negative"),
+    ("visible=X@500", "position 500.0 outside [0, 100]"),
+    ("visible=X@-5", "position -5.0 outside [0, 100]"),
+    ("visible=X@inf", "position inf outside [0, 100]"),
+    ("visible=X@nan", "position nan outside [0, 100]"),
 ])
 def test_genspec_bad_value_is_a_gen_error_with_line(fields, message):
     text = f"sample_id=a\nsample_id=b {fields}\n"

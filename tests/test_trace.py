@@ -18,7 +18,7 @@ from evprof.trace import (
 from evprof.generate import GenSpec, TechniqueSpec, build_sample
 from evprof.profiler import run_sample
 
-from helpers import T
+from helpers import T, traced_peak
 from mutants import LINE_BREAKS, MUTANT_CHARS, corpus60_lines, mutate
 
 MINIMAL = (
@@ -353,6 +353,20 @@ def test_a_bad_value_after_the_memo_filled_fails_on_its_line():
         parse_trace(text)
     assert str(exc.value) == (f"line {n + 1}: field 'return_address': "
                               f"bad integer '0xZZ'")
+
+
+@pytest.mark.parametrize("source", ["str", "file"])
+def test_parse_holds_little_beyond_the_events_it_returns(tmp_path, source):
+    # a per-call memo and line slicing: no copy of the text or its lines
+    text = build_sample(GenSpec("mem", filler=5000, seed=1)).text
+    path = tmp_path / "mem.trace"
+    path.write_text(text, encoding="utf-8")
+    parse_trace(text)
+    with open(path, encoding="utf-8") as fh:
+        events, peak, held = traced_peak(
+            parse_trace, text if source == "str" else fh)
+    assert len(events) > 5000
+    assert peak <= 1.15 * held
 
 
 def test_string_arg_with_separators_survives():
