@@ -16,10 +16,10 @@ classified as real changes versus rewrites of identical values. A shadow
 keeps only its non-zero bytes, so a header region of any declared size
 costs memory in proportion to the bytes given or written, not its size.
 
-Regions and watchpoints are indexed per pid, so that a lookup costs
-O(log n) in the number n of entries of that pid plus the entries its
-window holds, and each table write is a bisection plus a list insert or
-delete:
+Regions and watchpoints are indexed per pid. A region lookup costs
+O(log n) in the number n of regions of that pid, and each region table
+write is a bisection plus a list insert or delete; a watchpoint lookup
+costs a bounded number of dict probes, whatever the number of fields:
 
 * Regions have a positive size (registering any other is refused) and
   never overlap. Their bases form one sorted array beside a parallel list
@@ -29,11 +29,13 @@ delete:
   its base by bisection.
 * At most one watchpoint per address is live, because a new declaration
   at an address replaces the live one there. Live watchpoints are keyed
-  by address, beside a sorted array of their addresses and the widest
-  width ever installed for the pid, so an access [a, a+size) inspects
-  only live addresses in [a - widest + 1, a + size). A write drops the
-  watchpoints it kills from the index. Hits are returned in install
-  order.
+  by address, beside the widest width ever installed for the pid, so an
+  access [a, a+size) probes each address of [a - widest + 1, a + size)
+  once. The window is bounded: a field is at most ``MAX_FIELD_WIDTH``
+  bytes wide (installing a wider one is refused), and an access whose
+  size is outside ``MEM_ACCESS_SIZES``, which ``validate_trace``
+  diagnoses, touches no table, as for PE shadows. A write drops the
+  watchpoints it kills from the dict. Hits are returned in install order.
 * A PE shadow is keyed by its region, ``(pid, base)``: a write finds the
   shadow of every header it overlaps through ``regions_overlapping`` and
   one dict lookup each, a shadow's extent is its region's, and freeing the
@@ -42,12 +44,12 @@ delete:
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .trace import (
-    MEM_ACCESS_SIZES, SIZE_OF_IMAGE_FIELD, Diagnostic, MemPayload,
-    StructLayout, TraceEvent,
+    MAX_FIELD_WIDTH, MEM_ACCESS_SIZES, SIZE_OF_IMAGE_FIELD, Diagnostic,
+    MemPayload, StructLayout, TraceEvent,
 )
 
 RED_REGION_KINDS = frozenset({
@@ -97,9 +99,6 @@ class WatchPoint:
     field: str                 # qualified name, e.g. "PEB.BeingDebugged"
     live: bool = True
 
-    def overlaps(self, address: int, size: int) -> bool:
-        return address < self.address + self.width and self.address < address + size
-
 
 @dataclass
 class PeWriteResult:
@@ -122,27 +121,15 @@ class _RegionTable:
         self.bases: list[int] = []                # sorted, one per region
         self.regions: list[MemoryRegion] = []     # disjoint, by base
 
-    def overlapping(self, base: int, size: int) -> list[MemoryRegion]:
-        """Regions overlapping [base, base+size), by base."""
-        bases, regions = self.bases, self.regions
-        i = bisect_right(bases, base) - 1
-        if i < 0 or not regions[i].overlaps(base, size):
-            i += 1
-        j = i
-        while j < len(regions) and regions[j].overlaps(base, size):
-            j += 1
-        return regions[i:j]
-
 
 class _WatchTable:
     """One pid's watchpoints; see the module docstring for the invariants."""
 
-    __slots__ = ("installed", "live", "starts", "widest")
+    __slots__ = ("installed", "live", "widest")
 
     def __init__(self):
         self.installed: list[WatchPoint] = []    # all, dead ones too, in order
         self.live: dict[int, tuple[int, WatchPoint]] = {}  # addr -> (n, wp)
-        self.starts: list[int] = []              # sorted keys of ``live``
         self.widest = 0
 
 
@@ -164,12 +151,12 @@ class MemoryTracker:
     def register_region(self, region: MemoryRegion) -> None:
         if region.size <= 0:
             raise ValueError(f"region {region} has no extent")
+        clash = self.regions_overlapping(region.pid, region.base, region.size)
+        if clash:
+            raise RegionOverlapError(region, clash[0])
         table = self._regions.get(region.pid)
         if table is None:
             table = self._regions[region.pid] = _RegionTable()
-        clash = table.overlapping(region.base, region.size)
-        if clash:
-            raise RegionOverlapError(region, clash[0])
         i = bisect_right(table.bases, region.base)
         table.bases.insert(i, region.base)
         table.regions.insert(i, region)
@@ -203,7 +190,16 @@ class MemoryTracker:
                             size: int) -> list[MemoryRegion]:
         """Regions of ``pid`` overlapping [base, base+size), by base."""
         table = self._regions.get(pid)
-        return table.overlapping(base, size) if table is not None else []
+        if table is None:
+            return []
+        regions = table.regions
+        i = bisect_right(table.bases, base) - 1
+        if i < 0 or not regions[i].overlaps(base, size):
+            i += 1
+        j = i
+        while j < len(regions) and regions[j].overlaps(base, size):
+            j += 1
+        return regions[i:j]
 
     def is_red(self, pid: int, address: int) -> bool:
         region = self.region_at(pid, address)
@@ -281,7 +277,8 @@ class MemoryTracker:
 
         A new declaration at an address that already has a live watchpoint
         replaces it (with a diagnostic): out-parameter structs may be
-        re-published by later calls.
+        re-published by later calls. A width outside 0..MAX_FIELD_WIDTH
+        raises ValueError before any field of the call is installed.
         """
         refs = [(name, addr, width) for name, addr, width
                 in layout.field_addresses()]
@@ -293,15 +290,17 @@ class MemoryTracker:
             pid, [(r.qualified, r.address, r.width) for r in refs], seq)
 
     def _install(self, pid: int, refs, seq: int) -> list[WatchPoint]:
+        for name, _, width in refs:
+            if not 0 <= width <= MAX_FIELD_WIDTH:
+                raise ValueError(f"watchpoint {name} width {width} outside "
+                                 f"0..{MAX_FIELD_WIDTH}")
         table = self._watchpoints.get(pid)
         if table is None:
             table = self._watchpoints[pid] = _WatchTable()
         installed = []
         for name, addr, width in refs:
             replaced = table.live.get(addr)
-            if replaced is None:
-                insort(table.starts, addr)
-            else:
+            if replaced is not None:
                 old = replaced[1]
                 old.live = False
                 self.diagnostics.append(Diagnostic(
@@ -323,26 +322,24 @@ class MemoryTracker:
 
         A read overlapping live watchpoints returns them as hits. A write
         overlapping any watchpoint permanently kills it and never counts
-        as a hit.
+        as a hit. An access size outside {1,2,4,8}, which
+        ``validate_trace`` diagnoses, neither hits nor kills.
         """
         table = self._watchpoints.get(event.pid)
-        if table is None:
-            return []
         p: MemPayload = event.payload
-        address, size = p.address, p.size
-        starts, live = table.starts, table.live
-        lo = bisect_left(starts, address - table.widest + 1)
-        hi = bisect_left(starts, address + size, lo)
-        if lo >= hi:
+        if table is None or p.size not in MEM_ACCESS_SIZES:
             return []
-        touched = [live[a] for a in starts[lo:hi]
-                   if live[a][1].overlaps(address, size)]
+        address, size = p.address, p.size
+        live = table.live
+        touched = []
+        for a in range(address - table.widest + 1, address + size):
+            hit = live.get(a)
+            if hit is not None and address < a + hit[1].width:
+                touched.append(hit)
         if event.kind == "mem_write":
-            if touched:
-                for _, wp in touched:
-                    wp.live = False
-                    del live[wp.address]
-                starts[lo:hi] = [a for a in starts[lo:hi] if a in live]
+            for _, wp in touched:
+                wp.live = False
+                del live[wp.address]
             return []
         if len(touched) > 1:
             touched.sort(key=lambda hit: hit[0])

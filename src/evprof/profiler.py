@@ -6,6 +6,10 @@ native API and is active at 50 or more. It is evasive if it used at least
 one technique outside the FP-prone four. Detection positions are
 normalized to [0, 100] over the event sequence, which stands in for
 execution progress: replayed traces carry no authoritative wall clock.
+A detection's position is ``100 * (seq - first) / max(last - first, 1)``,
+where ``first`` is the seq of the meta record and ``last`` that of the
+last record, so a trace whose seqs start anywhere, below zero too, gets
+positions in [0, 100].
 """
 
 from __future__ import annotations
@@ -196,6 +200,7 @@ class SampleProfiler:
             active=self.config.mitigation_enabled("Shellcode_injected"))
         self.effects: list[Effect] = []
         self.report = SampleReport(sample_id="")
+        self._first_seq = 0
         self._max_seq = 0
         self._visible_seqs: list[int] = []
 
@@ -208,6 +213,7 @@ class SampleProfiler:
 
     def _on_meta(self, event: TraceEvent) -> None:
         p = event.payload
+        self._first_seq = event.seq
         self.report.sample_id = p.sample_id
         self.report.labels = dict(p.labels)
         for layout in p.structs:
@@ -309,9 +315,10 @@ class SampleProfiler:
         report.visible_api_counts = dict(
             sorted(report.visible_api_counts.items()))
 
-        max_seq = max(self._max_seq, 1)
+        first = self._first_seq
+        span = max(self._max_seq - first, 1)
         for record in report.detections:
-            record.normalized_pos = 100.0 * record.seq / max_seq
+            record.normalized_pos = 100.0 * (record.seq - first) / span
 
         report.technique_set = sorted({
             d.technique for d in report.detections

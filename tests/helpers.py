@@ -5,6 +5,7 @@ that check the generator or the profiler need fixtures built straight from
 the event dataclasses.
 """
 
+import time
 import tracemalloc
 
 from evprof.aggregate import AggregateError
@@ -123,6 +124,16 @@ class T:
 
 
 # -- generated samples and run comparisons -----------------------------------
+
+def best_time(fn, *args):
+    """The best of 3 wall times of ``fn(*args)``, in seconds."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        fn(*args)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
 
 def traced_peak(fn, *args):
     """Run ``fn(*args)`` under tracemalloc. Returns its result, the peak of

@@ -14,7 +14,7 @@ from evprof.memory import (
     RED_REGION_KINDS, SIZE_OF_IMAGE_FIELD, SIZE_OF_IMAGE_WIDTH,
     PeWriteResult, RegionOverlapError, WatchPoint,
 )
-from evprof.trace import MEM_ACCESS_SIZES, Diagnostic
+from evprof.trace import MAX_FIELD_WIDTH, MEM_ACCESS_SIZES, Diagnostic
 
 
 def groups_of(reports, group_by):
@@ -307,6 +307,10 @@ class ListMemoryTracker:
         return None if shadow is None else bytes(shadow[0])
 
     def install_field_watchpoints(self, pid, refs, seq=0):
+        for r in refs:
+            if not 0 <= r.width <= MAX_FIELD_WIDTH:
+                raise ValueError(f"watchpoint {r.qualified} width {r.width} "
+                                 f"outside 0..{MAX_FIELD_WIDTH}")
         table = self._watchpoints.setdefault(pid, [])
         installed = []
         for r in refs:
@@ -327,13 +331,16 @@ class ListMemoryTracker:
 
     def resolve_access(self, event):
         p = event.payload
-        table = self._watchpoints.get(event.pid, [])
-        if event.kind == "mem_write":
-            for wp in table:
-                if wp.live and wp.overlaps(p.address, p.size):
-                    wp.live = False
+        if p.size not in MEM_ACCESS_SIZES:
             return []
-        return [wp for wp in table if wp.live and wp.overlaps(p.address, p.size)]
+        touched = [wp for wp in self._watchpoints.get(event.pid, [])
+                   if wp.live and p.address < wp.address + wp.width
+                   and wp.address < p.address + p.size]
+        if event.kind == "mem_write":
+            for wp in touched:
+                wp.live = False
+            return []
+        return touched
 
 
 def oracle_schedule(spec):

@@ -797,3 +797,90 @@ def test_aggregate_out_errors_are_data_errors(corpus_dir, tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"error: {out}" in err
     assert "internal error" not in err
+
+
+# -- positions, access sizes and hash seeds --------------------------------------
+
+def seq_trace(path, first, records):
+    """A trace of a meta record at seq ``first``, a red main image and
+    ``records``, whose seqs follow on from ``first``."""
+    lines = [f"kind=meta sample_id={path.stem}",
+             "kind=image_load name=main.exe base=0x400000 size=0x10000 "
+             "region_kind=main_image", *records]
+    path.write_text("".join(
+        f"seq={first + i} pid=1 tid=1 insn_index={i} {line}\n"
+        for i, line in enumerate(lines)))
+    return path
+
+
+@pytest.mark.parametrize("first", [-5, 1000])
+def test_positions_count_from_the_meta_record(tmp_path, first):
+    # a red check at the middle of five records sits at position 50
+    trace = seq_trace(tmp_path / "s.trace", first, [
+        "kind=api name=IsDebuggerPresent return_address=0x401000 native=0",
+        "kind=api name=NtClose return_address=0x401000 native=1",
+        "kind=api name=NtClose return_address=0x401000 native=1"])
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    assert main(["analyze", str(trace), "--out", str(reports)]) == EXIT_OK
+    report = SampleReport.from_json((reports / "s.report.json").read_text())
+    assert [(d.seq, d.normalized_pos) for d in report.detections] == \
+        [(first + 2, 50.0)]
+    assert report.first_pos == report.last_pos == 50.0
+    assert main(["aggregate", str(reports), "--format", "json",
+                 "--out", str(tmp_path / "tables")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("kind", ["mem_read", "mem_write"])
+def test_access_of_size_16_over_a_live_field_touches_no_watchpoint(
+        tmp_path, kind):
+    # the wide access neither hits BeingDebugged nor kills it, so only the
+    # read after it is a detection; validation still warns of its size
+    trace = tmp_path / "wide.trace"
+    trace.write_text(
+        "seq=0 pid=1 tid=1 insn_index=0 kind=meta sample_id=wide "
+        "structs=PEB@0x7ffd0000(BeingDebugged+0x2:1)\n"
+        "seq=1 pid=1 tid=1 insn_index=1 kind=image_load name=main.exe "
+        "base=0x400000 size=0x10000 region_kind=main_image\n"
+        f"seq=2 pid=1 tid=1 insn_index=2 kind={kind} address=0x7ffd0000 "
+        "size=16 value=0x0 accessor_address=0x401000\n"
+        "seq=3 pid=1 tid=1 insn_index=3 kind=mem_read address=0x7ffd0002 "
+        "size=1 value=0x0 accessor_address=0x401000\n")
+    out = tmp_path / "r.json"
+    assert main(["analyze", str(trace), "--out", str(out)]) == EXIT_OK
+    report = SampleReport.from_json(out.read_text())
+    assert [(d.technique, d.seq) for d in report.detections] == \
+        [("IsDebuggerPresentPEB", 3)]
+    assert report.warnings == ["seq 2: memory access size 16 not in {1,2,4,8}"]
+
+
+def tree_bytes(root):
+    """Every file under ``root``: relative path -> its bytes."""
+    out = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
+
+
+def test_gen_batch_aggregate_write_the_same_bytes_under_any_hash_seed(
+        tmp_path):
+    trees = []
+    for seed in ("1", "2"):
+        work = tmp_path / seed
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        for argv in (["gen", "--suite", "corpus60", "--out", "traces"],
+                     ["batch", "traces", "--out", "reports", "--jobs", "2"],
+                     ["aggregate", "reports", "--format", "json",
+                      "--out", "tables"]):
+            work.mkdir(exist_ok=True)
+            proc = subprocess.run([sys.executable, "-m", "evprof.cli", *argv],
+                                  cwd=work, env=env, capture_output=True,
+                                  text=True)
+            assert proc.returncode == EXIT_OK, proc.stderr
+        trees.append(tree_bytes(work))
+    assert len(trees[0]) > 120
+    assert trees[0] == trees[1]

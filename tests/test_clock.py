@@ -10,6 +10,10 @@ from hypothesis import given, settings, strategies as st
 from evprof.clock import (
     INFINITE_WAIT, TICKS_PER_MS, ClockUnitError, VirtualClock,
 )
+from evprof.profiler import run_sample
+from evprof.trace import Value, vdur
+
+from helpers import MAIN_PID, T, best_time
 
 
 def oracle_rdtsc(sequence, window=50, offset_ticks=0):
@@ -306,3 +310,30 @@ def test_factor_ten_within_one_tick_for_any_equal_delta(delta):
     clock = VirtualClock()
     m = disjoint_sandwich_deltas(clock, [delta, delta])
     assert abs(m[1] - m[0] / 10) <= 1
+
+
+# -- linear scaling ----------------------------------------------------------
+
+def rdtsc_threads(n):
+    """n threads, each reading the tsc once."""
+    t = T().images()
+    for tid in range(n):
+        t.thread_start(MAIN_PID, tid)
+        t.insn("rdtsc", out_regs=(("tsc", 1000 * tid),), tid=tid)
+    return t.events
+
+
+def time_queries(n):
+    t = T().images()
+    t.api("Sleep", args=(vdur(60_000),))
+    for i in range(n):
+        t.api("GetTickCount", ret=Value("i", i))
+    return t.events
+
+
+@pytest.mark.parametrize("trace", [rdtsc_threads, time_queries],
+                         ids=["rdtsc-threads", "time-queries"])
+def test_profile_time_is_linear_in_threads_and_time_queries(trace):
+    small, large = trace(2000), trace(8000)
+    # linear is 4
+    assert best_time(run_sample, large) / best_time(run_sample, small) < 8

@@ -7,9 +7,11 @@ from evprof.memory import (
     MemoryRegion, MemoryTracker, RegionOverlapError,
 )
 from evprof.catalog import TRIGGERS
-from evprof.trace import FieldRef, MemPayload, StructLayout, TraceEvent
+from evprof.trace import (
+    MAX_FIELD_WIDTH, FieldRef, MemPayload, StructLayout, TraceEvent,
+)
 
-from helpers import header_bytes
+from helpers import best_time, header_bytes
 from oracles import ListMemoryTracker
 
 
@@ -164,6 +166,45 @@ def test_read_unwatched_address_no_hit():
     assert tr.resolve_access(read_event(1, 0x8888)) == []
 
 
+@pytest.mark.parametrize("width", [-1, MAX_FIELD_WIDTH + 1, 2 ** 40])
+def test_field_width_outside_0_to_64_is_refused_before_any_install(width):
+    tr = MemoryTracker()
+    live, = tr.install_watchpoints(1, StructLayout("X", 0x7000, (("f", 0, 4),)))
+    refs = [FieldRef("S", "ok", 0x7000, 4), FieldRef("S", "bad", 0x8000, width)]
+    with pytest.raises(ValueError, match=f"S.bad width {width} outside 0..64"):
+        tr.install_field_watchpoints(1, refs)
+    # the first ref did not replace the live field at its address
+    assert tr.watchpoints(1) == [live] and live.live
+    assert tr.diagnostics == []
+
+
+def test_installs_and_writes_below_live_fields_cost_the_same_at_any_count():
+    # 2,000 fields installed at descending addresses below the live ones,
+    # then each written; an index of live addresses kept sorted in one list
+    # moves every entry per install and per write, a ratio of about 12
+    def tracker(live):
+        tr = MemoryTracker()
+        tr.install_field_watchpoints(1, [
+            FieldRef("S", f"f{i}", 0x10000000 + 8 * i, 4)
+            for i in range(live)])
+        return tr
+
+    refs = [[FieldRef("S", f"g{i}", 0x10000000 - 8 * (i + 1), 4)]
+            for i in range(2000)]
+    writes = [write_event(1, ref.address, size=4) for ref, in refs]
+
+    def installs_then_writes(tr):
+        # each round kills what it installs, so the rounds start alike
+        for ref in refs:
+            tr.install_field_watchpoints(1, ref)
+        for ev in writes:
+            tr.resolve_access(ev)
+
+    small, large = tracker(2000), tracker(128_000)
+    assert (best_time(installs_then_writes, large)
+            / best_time(installs_then_writes, small)) < 3
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(
     st.tuples(st.sampled_from(["read", "write"]),
@@ -289,7 +330,10 @@ def test_huge_size_header_write_allocates_nothing():
 PIDS = st.sampled_from([1, 2])
 ADDRS = st.integers(min_value=0, max_value=0x20)
 KINDS = st.sampled_from(["exec_alloc", "data_alloc", "injected", "pe_header"])
-WIDTHS = st.one_of(st.integers(min_value=0, max_value=16), st.just(0x30))
+WIDTHS = st.one_of(st.integers(min_value=0, max_value=16),
+                   st.sampled_from([0x30, MAX_FIELD_WIDTH, MAX_FIELD_WIDTH + 1]))
+# the sizes a trace may hold, and some that validate_trace diagnoses
+ACCESS_SIZES = st.sampled_from([1, 2, 4, 8, 0, 3, 16, -1, 2 ** 62])
 
 OPS = st.one_of(
     st.tuples(st.just("register"), PIDS, ADDRS,
@@ -301,7 +345,7 @@ OPS = st.one_of(
     st.tuples(st.just("install"), PIDS,
               st.lists(st.tuples(ADDRS, WIDTHS), min_size=1, max_size=3)),
     st.tuples(st.just("access"), st.sampled_from(["mem_read", "mem_write"]),
-              PIDS, ADDRS, st.sampled_from([1, 2, 4, 8])),
+              PIDS, ADDRS, ACCESS_SIZES),
     st.tuples(st.just("shadow"), PIDS, ADDRS,
               st.integers(min_value=0, max_value=0x10),
               st.integers(min_value=0, max_value=8)),

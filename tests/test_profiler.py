@@ -1,17 +1,22 @@
 """Per-sample orchestration: verdicts, positions, splits, determinism."""
 
+import dataclasses
 import functools
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from evprof import cli
 from evprof.catalog import HONEYPOT_PID, RunConfig
 from evprof.profiler import (
     SampleProfiler, SampleReport, run_sample, timeline_slot,
 )
-from evprof.trace import Value, vdur
+from evprof.trace import Value, validate_trace, vdur
 
 from helpers import BENIGN, PEB, PEB_BASE, T, build_samples, header_bytes
+from test_digests import CONFIGS
+from test_trace import traces
 
 
 def profile(t, config=None):
@@ -386,6 +391,33 @@ def test_every_report_of_a_suite_decodes_to_itself(suite, mitigate,
     for events in suite_events(suite):
         text = run_sample(events, config).to_json()
         assert SampleReport.from_json(text).to_json() == text
+
+
+# the run settings the golden digests are taken under, as ``batch`` builds them
+DIGEST_RUN_CONFIGS = [
+    cli._build_config(cli.build_parser().parse_args(
+        ["batch", "in", "--out", "out", *args]))
+    for args in CONFIGS.values()]
+
+
+def red_check_trace():
+    """A red-area IsDebuggerPresent as the last of four records."""
+    t = T().images()
+    t.api("IsDebuggerPresent", native=False)
+    return t.events
+
+
+@settings(max_examples=200, deadline=None)
+@given(events=traces(), offset=st.integers(-2 ** 41, 2 ** 41))
+# seqs -5..-2: the detection lies below zero
+@example(events=red_check_trace(), offset=-5)
+def test_any_trace_at_any_seq_offset_gets_a_report_that_decodes_to_itself(
+        events, offset):
+    events = [dataclasses.replace(ev, seq=ev.seq + offset) for ev in events]
+    diagnostics = validate_trace(events)
+    for config in DIGEST_RUN_CONFIGS:
+        doc = run_sample(events, config, diagnostics).to_json()
+        assert SampleReport.from_json(doc).to_json() == doc
 
 
 REPORT_KEYS = [

@@ -1,7 +1,6 @@
 """Trace parsing, serialization, and validation."""
 
 import io
-import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,7 +17,7 @@ from evprof.trace import (
 from evprof.generate import GenSpec, TechniqueSpec, build_sample
 from evprof.profiler import run_sample
 
-from helpers import T, traced_peak
+from helpers import T, best_time, traced_peak
 from mutants import LINE_BREAKS, MUTANT_CHARS, corpus60_lines, mutate
 
 MINIMAL = (
@@ -260,33 +259,16 @@ def widest_field_trace(n):
     return serialize_trace(t.events)
 
 
-def test_profile_time_is_linear_in_reads_at_the_widest_field():
-    def best_time(text):
-        times = []
-        for _ in range(3):
-            start = time.perf_counter()
-            run_sample(parse_trace(text))
-            times.append(time.perf_counter() - start)
-        return min(times)
+def profile_text(text):
+    return run_sample(parse_trace(text))
 
+
+def test_profile_time_is_linear_in_reads_at_the_widest_field():
     n = 2000
     small, large = widest_field_trace(n), widest_field_trace(4 * n)
     # linear is 4; a field wide enough to span all the others makes each
     # read scan every field, and the ratio 16
-    assert best_time(large) / best_time(small) < 8
-
-
-def best_parse_time(text):
-    """Best of 3 wall times of parsing ``text``, which may be an error."""
-    times = []
-    for _ in range(3):
-        start = time.perf_counter()
-        try:
-            parse_trace(text)
-        except TraceError:
-            pass
-        times.append(time.perf_counter() - start)
-    return min(times)
+    assert best_time(profile_text, large) / best_time(profile_text, small) < 8
 
 
 def api_lines(n):
@@ -311,7 +293,9 @@ def long_record(last):
 ], ids=["lines", "tokens", "malformed-token", "duplicate-token"])
 def test_parse_time_is_linear_in_lines_and_tokens(trace, n):
     # linear is 4; the tokenizer's error path rescans the line once
-    assert best_parse_time(trace(4 * n)) / best_parse_time(trace(n)) < 8
+    # parse_outcome turns a TraceError into its message
+    assert (best_time(parse_outcome, trace(4 * n))
+            / best_time(parse_outcome, trace(n))) < 8
 
 
 def test_repeated_raw_values_decode_once_and_are_shared():
