@@ -44,7 +44,8 @@ class LabelError(Exception):
 def load_labels(path) -> dict[str, dict[str, str]]:
     """Load the sample label file (CSV with a header row)."""
     labels: dict[str, dict[str, str]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig: a spreadsheet may save the file with a byte order mark
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "sample_id" not in reader.fieldnames:
             raise LabelError(f"{path}: missing sample_id column")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .clock import STALL_APIS, VirtualClock
-from .trace import SIZE_OF_IMAGE_FIELD, Diagnostic, TraceEvent
+from .trace import Diagnostic, TraceEvent
 
 CAT_ANTI_DEBUG = "AntiDebug"
 CAT_ANTI_DUMP = "AntiDump"
@@ -550,13 +550,14 @@ def match_event(event: TraceEvent, tracker, clock: VirtualClock,
             requested = next((a.v for a in p.args if a.t == "d"), None)
             if requested is not None:
                 rewrite = config.mitigation_enabled("time_stalling")
-                result = clock.on_stall_api(requested, rewrite=rewrite)
+                advanced, stalling = clock.on_stall_api(requested,
+                                                        rewrite=rewrite)
                 if rewrite:
                     effects.append(Effect(
                         event.seq, "stall_rewrite",
                         f"{name} wait {requested} ms rewritten to 0, "
-                        f"clock advanced {result.advanced_ms} ms", 0))
-                if result.stalling:
+                        f"clock advanced {advanced} ms", 0))
+                if stalling:
                     hits.append(_BY_ID["time_stalling"])
         elif clock.is_time_query(name) and p.ret is not None:
             raw = p.ret.v
@@ -578,14 +579,13 @@ def match_event(event: TraceEvent, tracker, clock: VirtualClock,
         if name == "rdtsc":
             raw = p.reg_out("tsc")
             if raw is not None:
-                result = clock.on_rdtsc(
+                returned, paired = clock.on_rdtsc(
                     event.pid, event.tid, event.insn_index, raw,
                     seq=event.seq, adjust=config.mitigation_enabled("RDTSC"))
                 effects.append(Effect(
-                    event.seq, "rdtsc",
-                    f"raw {raw} returned {result.returned}",
-                    result.returned))
-                if result.sandwich:
+                    event.seq, "rdtsc", f"raw {raw} returned {returned}",
+                    returned))
+                if paired:
                     hits.append(_BY_ID["RDTSC"])
 
     elif kind == "mem_read":
@@ -596,11 +596,10 @@ def match_event(event: TraceEvent, tracker, clock: VirtualClock,
     elif kind == "mem_write":
         origin, name = p.accessor_address, None
         tracker.resolve_access(event)
-        result = tracker.pe_header_write(event)
-        if result is not None and result.changed:
-            technique = ("SizeOfImage" if result.field == SIZE_OF_IMAGE_FIELD
-                         else "ErasePEHeader")
-            hits.append(_BY_ID[technique])
+        changed, size_of_image = tracker.pe_header_write(event)
+        if changed:
+            hits.append(_BY_ID["SizeOfImage" if size_of_image
+                               else "ErasePEHeader"])
 
     else:
         return [], []

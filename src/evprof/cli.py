@@ -60,6 +60,28 @@ def _report_path(out_dir: str, sample_id: str) -> str:
     return os.path.join(out_dir, sample_id + ".report.json")
 
 
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all: into
+    ``<path>.<pid>.tmp`` beside it, then renamed onto it. A target that
+    exists and is not a regular file, such as a FIFO, is written in place,
+    since a rename would replace it. A failure leaves no temporary file and
+    raises a CliError that names ``path``."""
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    target = path if in_place else f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if not in_place:
+            os.replace(target, path)
+    except BaseException as exc:
+        if not in_place:
+            with contextlib.suppress(OSError):
+                os.remove(target)
+        if isinstance(exc, OSError):
+            raise CliError(f"{path}: {exc}") from None
+        raise
+
+
 def _make_out_dir(path: str) -> None:
     try:
         os.makedirs(path, exist_ok=True)
@@ -82,11 +104,7 @@ def cmd_analyze(args) -> int:
         out_path = args.out
         if os.path.isdir(out_path):
             out_path = _report_path(out_path, sample_id)
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(doc)
-        except OSError as exc:
-            raise CliError(f"{out_path}: {exc}")
+        _write(out_path, doc)
         print(f"wrote {out_path}")
     else:
         sys.stdout.write(doc)
@@ -139,11 +157,9 @@ def cmd_batch(args) -> int:
                              f"written from {written[sample_id]}")
                 else:
                     try:
-                        with open(_report_path(args.out, sample_id), "w",
-                                  encoding="utf-8") as fh:
-                            fh.write(doc)
+                        _write(_report_path(args.out, sample_id), doc)
                         written[sample_id] = path
-                    except (CliError, OSError) as exc:
+                    except CliError as exc:
                         error = str(exc)
             if error is not None:
                 failures.append((path, error))
@@ -207,12 +223,7 @@ def cmd_aggregate(args) -> int:
     if args.out:
         _make_out_dir(args.out)
         for name, content in outputs.items():
-            path = os.path.join(args.out, name)
-            try:
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(content)
-            except OSError as exc:
-                raise CliError(f"{path}: {exc}")
+            _write(os.path.join(args.out, name), content)
         print(f"wrote {len(outputs)} files to {args.out}")
     else:
         if args.format == "json":

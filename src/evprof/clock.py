@@ -12,13 +12,16 @@ shrinks measured elapsed time by a factor of ten every other pair. A fixed
 substitute value would not survive loop-based ratio checks; the
 alternation makes the expected bare-metal ratio show up at least once.
 
+Each answer is a plain tuple: ``on_stall_api`` returns ``(advanced_ms,
+stalling)`` and ``on_rdtsc`` returns ``(returned, paired)``. A thread's
+pairing state is one ``(last returned, its insn_index, pairs adjusted)``
+tuple, replaced on each read.
+
 The parameters are fixed: ``TICKS_PER_MS``, ``STALL_THRESHOLD_MS``,
 ``INFINITE_WAIT_CAP_MS`` and ``SANDWICH_WINDOW``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .trace import Diagnostic
 
@@ -51,40 +54,23 @@ class ClockUnitError(Exception):
     """Time-query API with no configured unit."""
 
 
-@dataclass
-class SandwichState:
-    last_returned: int | None = None   # r1 for the next pair
-    last_insn_index: int | None = None
-    parity_counter: int = 0            # pairs adjusted so far on this thread
-
-
-@dataclass
-class StallResult:
-    rewritten_arg: int      # 0 when rewritten: replay cannot honor waits
-    advanced_ms: int
-    stalling: bool          # above-threshold wait, detection-worthy
-
-
-@dataclass
-class RdtscResult:
-    returned: int
-    sandwich: bool          # paired with the previous read within the window
-
-
 class VirtualClock:
     """Per-sample time state; mutate in event order only."""
 
     def __init__(self):
         self.offset_ms = 0
-        self._sandwiches: dict[tuple[int, int], SandwichState] = {}
+        # (pid, tid) -> (last returned, its insn_index, pairs adjusted)
+        self._sandwiches: dict[tuple[int, int], tuple[int, int, int]] = {}
         self.diagnostics: list[Diagnostic] = []
 
     def on_stall_api(self, requested_ms: int,
-                     rewrite: bool = True) -> StallResult:
-        """Shorten a wait: argument becomes 0, offset absorbs the wait.
+                     rewrite: bool = True) -> tuple[int, bool]:
+        """Shorten a wait: the offset absorbs it, and replay waits for 0.
 
-        With ``rewrite`` false (mitigation disabled) the wait is only
-        classified: the argument and the offset stay as they are.
+        Returns ``(advanced_ms, stalling)``: how far the offset advanced,
+        and whether the wait is at or above ``STALL_THRESHOLD_MS``. With
+        ``rewrite`` false (mitigation disabled) the wait is only
+        classified, and the offset stays as it is.
         """
         if requested_ms >= INFINITE_WAIT:
             effective = INFINITE_WAIT_CAP_MS
@@ -92,9 +78,9 @@ class VirtualClock:
             effective = requested_ms
         stalling = effective >= STALL_THRESHOLD_MS
         if not rewrite:
-            return StallResult(requested_ms, 0, stalling)
+            return 0, stalling
         self.offset_ms += effective
-        return StallResult(0, effective, stalling)
+        return effective, stalling
 
     def on_time_query(self, api_name: str, raw: int) -> int:
         """Return raw reading plus the accumulated offset in the API's unit."""
@@ -108,39 +94,38 @@ class VirtualClock:
         return api_name in TIME_QUERY_UNITS
 
     def on_rdtsc(self, pid: int, tid: int, insn_index: int, raw_tsc: int,
-                 seq: int = 0, adjust: bool = True) -> RdtscResult:
+                 seq: int = 0, adjust: bool = True) -> tuple[int, bool]:
         """Process one rdtsc read on (pid, tid).
 
+        Returns ``(returned, paired)``: the value the read returns, and
+        whether it pairs with the thread's previous read within the window.
         With ``adjust`` false (mitigation disabled) the pairing state still
         advances so detection keeps working, but the returned value is the
         raw reading plus the offset.
         """
-        state = self._sandwiches.setdefault((pid, tid), SandwichState())
+        last, last_index, pairs = self._sandwiches.get(
+            (pid, tid), (None, None, 0))
         candidate = raw_tsc + self.offset_ms * TICKS_PER_MS
         # pair only with an earlier read: a backwards insn_index starts anew
-        in_window = (
-            state.last_insn_index is not None
-            and 0 <= insn_index - state.last_insn_index <= SANDWICH_WINDOW
-        )
-        if in_window and adjust:
-            delta = candidate - state.last_returned
+        paired = (last_index is not None
+                  and 0 <= insn_index - last_index <= SANDWICH_WINDOW)
+        if paired and adjust:
+            delta = candidate - last
             if delta < 0:
-                returned = state.last_returned + 1
+                returned = last + 1
                 self.diagnostics.append(Diagnostic(
                     seq, f"raw tsc regressed on pid {pid} tid {tid}"))
+            elif pairs % 2 == 0:
+                returned = last + delta // 2      # p = 0.5
             else:
-                if state.parity_counter % 2 == 0:
-                    returned = state.last_returned + delta // 2      # p = 0.5
-                else:
-                    returned = state.last_returned + delta // 20     # p = 0.05
-            state.parity_counter += 1
+                returned = last + delta // 20     # p = 0.05
+            pairs += 1
         else:
             returned = candidate
-        state.last_returned = returned
-        state.last_insn_index = insn_index
-        return RdtscResult(returned=returned, sandwich=in_window)
+        self._sandwiches[pid, tid] = (returned, insn_index, pairs)
+        return returned, paired
 
     def last_rdtsc(self, pid: int, tid: int) -> int | None:
         """The value the last rdtsc on (pid, tid) returned, if any."""
         state = self._sandwiches.get((pid, tid))
-        return state.last_returned if state else None
+        return state[0] if state else None

@@ -13,8 +13,10 @@ afterwards, so later reads must not be attributed to the original field.
 
 PE header bytes are shadow-stored per offset so that header writes can be
 classified as real changes versus rewrites of identical values. A shadow
-keeps only its non-zero bytes, so a header region of any declared size
-costs memory in proportion to the bytes given or written, not its size.
+is a plain ``(bytes by offset, SizeOfImage address)`` pair that keeps only
+its non-zero bytes, so a header region of any declared size costs memory
+in proportion to the bytes given or written, not its size. A header write
+answers ``(changed, touches SizeOfImage)``.
 
 Regions and watchpoints are indexed per pid. A region lookup costs
 O(log n) in the number n of regions of that pid, and each region table
@@ -29,13 +31,15 @@ costs a bounded number of dict probes, whatever the number of fields:
   its base by bisection.
 * At most one watchpoint per address is live, because a new declaration
   at an address replaces the live one there. Live watchpoints are keyed
-  by address, beside the widest width ever installed for the pid, so an
-  access [a, a+size) probes each address of [a - widest + 1, a + size)
-  once. The window is bounded: a field is at most ``MAX_FIELD_WIDTH``
-  bytes wide (installing a wider one is refused), and an access whose
-  size is outside ``MEM_ACCESS_SIZES``, which ``validate_trace``
-  diagnoses, touches no table, as for PE shadows. A write drops the
-  watchpoints it kills from the dict. Hits are returned in install order.
+  by address, beside a count of live fields per width and the widest
+  live width of the pid, so an access [a, a+size) probes each address of
+  [a - widest + 1, a + size) once. The window is bounded: a field is at
+  most ``MAX_FIELD_WIDTH`` bytes wide (installing a wider one is
+  refused), and an access whose size is outside ``MEM_ACCESS_SIZES``,
+  which ``validate_trace`` diagnoses, touches no table, as for PE
+  shadows. A killing write or a replacement drops the dead watchpoint
+  from the dict, and the window shrinks back when the last live field of
+  the widest width dies. Hits are returned in install order.
 * A PE shadow is keyed by its region, ``(pid, base)``: a write finds the
   shadow of every header it overlaps through ``regions_overlapping`` and
   one dict lookup each, a shadow's extent is its region's, and freeing the
@@ -48,8 +52,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .trace import (
-    MAX_FIELD_WIDTH, MEM_ACCESS_SIZES, SIZE_OF_IMAGE_FIELD, Diagnostic,
-    MemPayload, StructLayout, TraceEvent,
+    MAX_FIELD_WIDTH, MEM_ACCESS_SIZES, Diagnostic, MemPayload, StructLayout,
+    TraceEvent,
 )
 
 RED_REGION_KINDS = frozenset({
@@ -80,9 +84,6 @@ class MemoryRegion:
     def end(self) -> int:
         return self.base + self.size
 
-    def contains(self, address: int) -> bool:
-        return self.base <= address < self.end
-
     def overlaps(self, base: int, size: int) -> bool:
         return base < self.end and self.base < base + size
 
@@ -100,18 +101,6 @@ class WatchPoint:
     live: bool = True
 
 
-@dataclass
-class PeWriteResult:
-    changed: bool
-    field: str | None  # SIZE_OF_IMAGE_FIELD when the write touches it
-
-
-@dataclass
-class _PeShadow:
-    data: dict[int, int]       # offset -> byte, non-zero bytes only
-    size_of_image_addr: int | None = None
-
-
 class _RegionTable:
     """One pid's regions; see the module docstring for the invariants."""
 
@@ -125,12 +114,25 @@ class _RegionTable:
 class _WatchTable:
     """One pid's watchpoints; see the module docstring for the invariants."""
 
-    __slots__ = ("installed", "live", "widest")
+    __slots__ = ("installed", "live", "widths", "widest")
 
     def __init__(self):
         self.installed: list[WatchPoint] = []    # all, dead ones too, in order
         self.live: dict[int, tuple[int, WatchPoint]] = {}  # addr -> (n, wp)
-        self.widest = 0
+        self.widths: dict[int, int] = {}         # width -> live fields
+        self.widest = 0                          # widest live width
+
+    def kill(self, wp: WatchPoint) -> None:
+        """Mark the live ``wp`` dead and drop it from the live fields."""
+        wp.live = False
+        del self.live[wp.address]
+        left = self.widths[wp.width] - 1
+        if left:
+            self.widths[wp.width] = left
+        else:
+            del self.widths[wp.width]
+            if wp.width == self.widest:
+                self.widest = max(self.widths, default=0)
 
 
 class MemoryTracker:
@@ -143,7 +145,9 @@ class MemoryTracker:
     def __init__(self):
         self._regions: dict[int, _RegionTable] = {}
         self._watchpoints: dict[int, _WatchTable] = {}
-        self._pe_shadows: dict[tuple[int, int], _PeShadow] = {}  # (pid, base)
+        # (pid, base) -> (non-zero bytes by offset, SizeOfImage address)
+        self._pe_shadows: dict[tuple[int, int],
+                               tuple[dict[int, int], int | None]] = {}
         self.diagnostics: list[Diagnostic] = []
 
     # -- regions ------------------------------------------------------------
@@ -217,55 +221,54 @@ class MemoryTracker:
                 or region.kind != "pe_header"):
             raise ValueError(
                 f"no pe_header region starts at 0x{base:x} pid {pid}")
-        self._pe_shadows[pid, base] = _PeShadow(
+        self._pe_shadows[pid, base] = (
             {off: b for off, b in enumerate(data) if b}, size_of_image_addr)
 
-    def pe_header_write(self, event: TraceEvent) -> PeWriteResult | None:
+    def pe_header_write(self, event: TraceEvent) -> tuple[bool, bool]:
         """Record a write into every tracked PE header it overlaps.
 
-        Returns None when the write touches no tracked header, and for an
-        access size outside {1,2,4,8}, which ``validate_trace`` diagnoses.
-        ``changed`` is true only if at least one stored byte of those
-        headers actually differs from what the write deposits; stored bytes
-        are updated in either case. ``field`` is set when the write touches
-        a header's SizeOfImage field.
+        Returns ``(changed, touches SizeOfImage)``. ``changed`` is true only
+        if at least one stored byte of those headers actually differs from
+        what the write deposits; stored bytes are updated in either case.
+        The second item is true when the write touches a header's
+        SizeOfImage field. A write that touches no tracked header, or whose
+        access size is outside {1,2,4,8} (a ``validate_trace`` diagnosis),
+        returns ``(False, False)``.
         """
         p: MemPayload = event.payload
         if p.size not in MEM_ACCESS_SIZES:
-            return None
+            return False, False
         pid, address, size = event.pid, p.address, p.size
         shadows = [(region, self._pe_shadows[pid, region.base])
                    for region in self.regions_overlapping(pid, address, size)
                    if (pid, region.base) in self._pe_shadows]
         if not shadows:
-            return None
+            return False, False
         # stores truncate to their access width
         masked = p.value & ((1 << (8 * size)) - 1)
         new_bytes = masked.to_bytes(size, "little", signed=False)
-        result = PeWriteResult(False, None)
-        for region, shadow in shadows:
-            data = shadow.data
+        changed = touches_soi = False
+        for region, (data, soi) in shadows:
             start = address - region.base
             for off in range(max(start, 0), min(start + size, region.size)):
                 b = new_bytes[off - start]
                 if data.get(off, 0) != b:
-                    result.changed = True
+                    changed = True
                     if b:
                         data[off] = b
                     else:
                         del data[off]
-            soi = shadow.size_of_image_addr
             if (soi is not None and address < soi + SIZE_OF_IMAGE_WIDTH
                     and soi < address + size):
-                result.field = SIZE_OF_IMAGE_FIELD
-        return result
+                touches_soi = True
+        return changed, touches_soi
 
     def pe_shadow_bytes(self, pid: int, base: int) -> bytes | None:
         shadow = self._pe_shadows.get((pid, base))
         if shadow is None:
             return None
         out = bytearray(self.region_at(pid, base).size)
-        for off, b in shadow.data.items():
+        for off, b in shadow[0].items():
             out[off] = b
         return bytes(out)
 
@@ -302,13 +305,14 @@ class MemoryTracker:
             replaced = table.live.get(addr)
             if replaced is not None:
                 old = replaced[1]
-                old.live = False
+                table.kill(old)
                 self.diagnostics.append(Diagnostic(
                     seq, f"watchpoint at 0x{addr:x} ({old.field}) replaced "
                          f"by new declaration of {name}"))
             wp = WatchPoint(pid, addr, width, name)
             table.live[addr] = (len(table.installed), wp)
             table.installed.append(wp)
+            table.widths[width] = table.widths.get(width, 0) + 1
             table.widest = max(table.widest, width)
             installed.append(wp)
         return installed
@@ -338,8 +342,7 @@ class MemoryTracker:
                 touched.append(hit)
         if event.kind == "mem_write":
             for _, wp in touched:
-                wp.live = False
-                del live[wp.address]
+                table.kill(wp)
             return []
         if len(touched) > 1:
             touched.sort(key=lambda hit: hit[0])

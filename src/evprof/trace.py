@@ -55,9 +55,6 @@ INSN_MNEMONICS = frozenset({
 
 MEM_ACCESS_SIZES = frozenset({1, 2, 4, 8})
 
-# what a PE header write that touches the SizeOfImage field reports
-SIZE_OF_IMAGE_FIELD = "SIZE_OF_IMAGE"
-
 # widest declared field; a watchpoint lookup scans back at most this far
 MAX_FIELD_WIDTH = 64
 

@@ -11,8 +11,7 @@ from operator import itemgetter
 
 from evprof import catalog
 from evprof.memory import (
-    RED_REGION_KINDS, SIZE_OF_IMAGE_FIELD, SIZE_OF_IMAGE_WIDTH,
-    PeWriteResult, RegionOverlapError, WatchPoint,
+    RED_REGION_KINDS, SIZE_OF_IMAGE_WIDTH, RegionOverlapError, WatchPoint,
 )
 from evprof.trace import MAX_FIELD_WIDTH, MEM_ACCESS_SIZES, Diagnostic
 
@@ -253,7 +252,7 @@ class ListMemoryTracker:
 
     def region_at(self, pid, address):
         for region in self._regions.get(pid, []):
-            if region.contains(address):
+            if region.base <= address < region.end:
                 return region
         return None
 
@@ -281,12 +280,10 @@ class ListMemoryTracker:
     def pe_header_write(self, event):
         p = event.payload
         if p.size not in MEM_ACCESS_SIZES:
-            return None
+            return False, False
         headers = [r for r in self.regions_overlapping(event.pid, p.address,
                                                        p.size)
                    if (event.pid, r.base) in self._pe_shadows]
-        if not headers:
-            return None
         changed = touches_soi = False
         for region in headers:
             data, soi = self._pe_shadows[event.pid, region.base]
@@ -299,8 +296,7 @@ class ListMemoryTracker:
             touches_soi |= (soi is not None
                             and p.address < soi + SIZE_OF_IMAGE_WIDTH
                             and soi < p.address + p.size)
-        return PeWriteResult(changed,
-                             SIZE_OF_IMAGE_FIELD if touches_soi else None)
+        return changed, touches_soi
 
     def pe_shadow_bytes(self, pid, base):
         shadow = self._pe_shadows.get((pid, base))

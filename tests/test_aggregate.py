@@ -308,6 +308,22 @@ def test_load_and_apply_labels(tmp_path):
     assert "packer" not in reports[2].labels
 
 
+def test_label_file_with_a_byte_order_mark_joins_as_one_without(tmp_path):
+    # a spreadsheet may save the file with a BOM before "sample_id"
+    text = ("sample_id,family,year,packer,protector\n"
+            "a,fam1,2019,upx,\n")
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    joins = []
+    for path in (plain, marked):
+        reports = [make_report("a"), make_report("b")]
+        misses = apply_labels(reports, load_labels(path))
+        joins.append((misses, [r.labels for r in reports]))
+    assert joins[0] == joins[1]
+    assert joins[0][0] == 1 and joins[0][1][0]["family"] == "fam1"
+
+
 def test_duplicate_label_rows_rejected(tmp_path):
     from evprof.aggregate import LabelError
     path = tmp_path / "labels.csv"

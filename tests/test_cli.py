@@ -3,8 +3,12 @@
 import dataclasses
 import json
 import os
+import resource
+import signal
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -797,6 +801,60 @@ def test_aggregate_out_errors_are_data_errors(corpus_dir, tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"error: {out}" in err
     assert "internal error" not in err
+
+
+# -- outputs are whole or absent -------------------------------------------------
+
+def limit_file_size(limit):
+    """A child-process hook: files grow to ``limit`` bytes at most, and a
+    write past it fails with EFBIG instead of killing the process."""
+    def hook():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    return hook
+
+
+def test_batch_under_a_file_size_limit_leaves_only_whole_reports(tmp_path):
+    # four of the five reports are over 1,000 bytes, so only one fits
+    traces, reports = tmp_path / "traces", tmp_path / "reports"
+    write_corpus(suite_specs("corpus60")[:5], traces)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "evprof.cli", "batch", str(traces),
+         "--out", str(reports)], env=env, capture_output=True, text=True,
+        preexec_fn=limit_file_size(1000))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    whole = {SampleReport.from_json(doc).sample_id
+             for doc in read_reports(reports).values()}
+    assert sorted(os.listdir(reports)) == \
+        sorted(f"{sid}.report.json" for sid in whole)
+    failed = [sid for sid in ("s01", "s02", "s03", "s04", "s05")
+              if sid not in whole]
+    assert len(whole) == 1 and len(failed) == 4
+    for sid in failed:
+        assert (f"failed: {traces / sid}.trace: "
+                f"{reports / sid}.report.json: ") in proc.stderr
+    assert main(["aggregate", str(reports)]) == EXIT_OK
+
+
+def test_analyze_out_into_a_fifo_writes_it_in_place(corpus_dir, tmp_path):
+    # a rename onto the FIFO would replace it, and its reader would get
+    # nothing
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()),
+                              daemon=True)
+    reader.start()
+    trace = corpus_dir / "pos_RDTSC.trace"
+    assert main(["analyze", str(trace), "--out", str(fifo)]) == EXIT_OK
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    report = SampleReport.from_json(got[0])
+    assert [d.technique for d in report.detections] == ["RDTSC"]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["fifo"]
 
 
 # -- positions, access sizes and hash seeds --------------------------------------

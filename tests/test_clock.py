@@ -47,7 +47,7 @@ def oracle_rdtsc(sequence, window=50, offset_ticks=0):
 
 def run_clock(sequence):
     clock = VirtualClock()
-    return clock, [clock.on_rdtsc(1, 1, idx, raw).returned
+    return clock, [clock.on_rdtsc(1, 1, idx, raw)[0]
                    for idx, raw in sequence]
 
 
@@ -55,32 +55,29 @@ def run_clock(sequence):
 
 def test_long_wait_rewritten_and_absorbed():
     clock = VirtualClock()
-    result = clock.on_stall_api(300_000)
-    assert result.rewritten_arg == 0
-    assert result.stalling
+    _, stalling = clock.on_stall_api(300_000)
+    assert stalling
     assert clock.offset_ms == 300_000
 
 
 def test_short_sleep_no_stall_candidate():
     clock = VirtualClock()
-    result = clock.on_stall_api(10)
-    assert result.rewritten_arg == 0
-    assert not result.stalling
+    _, stalling = clock.on_stall_api(10)
+    assert not stalling
     assert clock.offset_ms == 10
 
 
 def test_threshold_boundary():
     clock = VirtualClock()
-    assert not clock.on_stall_api(29_999).stalling
-    assert clock.on_stall_api(30_000).stalling
+    assert not clock.on_stall_api(29_999)[1]
+    assert clock.on_stall_api(30_000)[1]
 
 
 def test_infinite_wait_advances_by_cap():
     clock = VirtualClock()
-    result = clock.on_stall_api(INFINITE_WAIT)
-    assert result.rewritten_arg == 0
-    assert result.stalling
-    assert result.advanced_ms == 600_000
+    advanced_ms, stalling = clock.on_stall_api(INFINITE_WAIT)
+    assert stalling
+    assert advanced_ms == 600_000
     assert clock.offset_ms == 600_000
 
 
@@ -88,10 +85,9 @@ def test_infinite_wait_advances_by_cap():
     (10, False), (29_999, False), (30_000, True), (INFINITE_WAIT, True)])
 def test_classify_only_keeps_wait_and_offset(requested, stalling):
     clock = VirtualClock()
-    result = clock.on_stall_api(requested, rewrite=False)
-    assert result.stalling is stalling
-    assert result.rewritten_arg == requested
-    assert result.advanced_ms == 0
+    advanced_ms, classified = clock.on_stall_api(requested, rewrite=False)
+    assert classified is stalling
+    assert advanced_ms == 0
     assert clock.offset_ms == 0
 
 
@@ -99,7 +95,7 @@ def test_last_rdtsc_is_the_value_returned_on_that_thread():
     clock = VirtualClock()
     assert clock.last_rdtsc(1, 1) is None
     clock.on_rdtsc(1, 1, 10, 1_000)
-    returned = clock.on_rdtsc(1, 1, 12, 3_000).returned
+    returned, _ = clock.on_rdtsc(1, 1, 12, 3_000)
     assert clock.last_rdtsc(1, 1) == returned == 2_000
     assert clock.last_rdtsc(1, 2) is None
 
@@ -195,24 +191,23 @@ def test_window_boundary_inclusive():
 def test_a_read_at_a_lower_insn_index_is_not_paired():
     clock = VirtualClock()
     clock.on_rdtsc(1, 1, 100_000, 1_000)
-    result = clock.on_rdtsc(1, 1, 5, 3_000)
-    assert (result.returned, result.sandwich) == (3_000, False)
+    assert clock.on_rdtsc(1, 1, 5, 3_000) == (3_000, False)
     # the backwards read starts a fresh window
-    assert clock.on_rdtsc(1, 1, 10, 5_000).returned == 4_000
+    assert clock.on_rdtsc(1, 1, 10, 5_000)[0] == 4_000
 
 
 def test_offset_added_to_rdtsc():
     clock = VirtualClock()
     clock.on_stall_api(1)
-    result = clock.on_rdtsc(1, 1, 10, 500)
-    assert result.returned == 500 + TICKS_PER_MS
+    returned, _ = clock.on_rdtsc(1, 1, 10, 500)
+    assert returned == 500 + TICKS_PER_MS
 
 
 def test_regressed_raw_tsc_returns_plus_one_with_diagnostic():
     clock = VirtualClock()
     clock.on_rdtsc(1, 1, 100, 10_000)
-    result = clock.on_rdtsc(1, 1, 120, 2_000)
-    assert result.returned == 10_001
+    returned, _ = clock.on_rdtsc(1, 1, 120, 2_000)
+    assert returned == 10_001
     assert clock.diagnostics
 
 
@@ -223,8 +218,8 @@ def test_parity_is_per_thread():
     clock.on_rdtsc(1, 1, 120, 2_000)
     # thread B starts with its own parity: p=0.5 again
     clock.on_rdtsc(1, 2, 100, 1_000)
-    result = clock.on_rdtsc(1, 2, 120, 3_000)
-    assert result.returned == 2_000
+    returned, _ = clock.on_rdtsc(1, 2, 120, 3_000)
+    assert returned == 2_000
 
 
 def test_thousand_randomized_sandwiches_match_oracle():
@@ -284,10 +279,10 @@ def disjoint_sandwich_deltas(clock, pairs):
     measured = []
     for delta in pairs:
         idx += 100  # fresh: beyond the window
-        first = clock.on_rdtsc(1, 1, idx, raw).returned
+        first, _ = clock.on_rdtsc(1, 1, idx, raw)
         idx += 30
         raw += delta
-        second = clock.on_rdtsc(1, 1, idx, raw).returned
+        second, _ = clock.on_rdtsc(1, 1, idx, raw)
         measured.append(second - first)
         raw += 500
     return measured

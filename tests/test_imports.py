@@ -1,9 +1,13 @@
 """Every name a module of the package imports is used in that module, and
 every top-level function and class it defines is referenced by the program:
-the package or the benchmark, not only by tests."""
+the package or the benchmark, not only by tests. Start-up builds only the
+named record classes."""
 
 import ast
 import functools
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -77,3 +81,37 @@ def test_scan_flags_a_definition_used_only_by_itself():
 def test_every_definition_is_referenced(path):
     module = ast.parse(path.read_text(encoding="utf-8"))
     assert unreferenced_definitions(module, program_uses()) == []
+
+
+# -- the record classes --------------------------------------------------------
+
+RECORD_CLASSES = sorted([
+    *(f"evprof.trace.{name}" for name in (
+        "ApiPayload", "Diagnostic", "FieldRef", "ImageLoadPayload",
+        "InsnPayload", "MemPayload", "MetaPayload", "ProcessStartPayload",
+        "RegionAllocPayload", "RegionFreePayload", "StructLayout",
+        "ThreadStartPayload", "TraceEvent", "Value")),
+    "evprof.memory.MemoryRegion", "evprof.memory.WatchPoint",
+    "evprof.injection.RouteResult",
+    *(f"evprof.catalog.{name}" for name in (
+        "DetectionRecord", "Effect", "RunConfig", "TechniqueRule")),
+    "evprof.profiler.SampleReport",
+])
+
+
+def test_start_up_builds_only_the_named_record_classes():
+    # each dataclass costs start-up time to build; a new one is a
+    # deliberate edit of this list. -S keeps site hooks out.
+    code = ("import dataclasses, sys, evprof.cli\n"
+            "print('\\n'.join(sorted(\n"
+            "    f'{name}.{value.__name__}'\n"
+            "    for name, module in list(sys.modules.items())\n"
+            "    if name.startswith('evprof')\n"
+            "    for value in vars(module).values()\n"
+            "    if isinstance(value, type) and value.__module__ == name\n"
+            "    and dataclasses.is_dataclass(value))))")
+    env = dict(os.environ, PYTHONPATH=str(Path(evprof.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == RECORD_CLASSES

@@ -205,6 +205,38 @@ def test_installs_and_writes_below_live_fields_cost_the_same_at_any_count():
             / best_time(installs_then_writes, small)) < 3
 
 
+@pytest.mark.parametrize("death", ["write", "replacement"])
+def test_the_probe_window_shrinks_when_the_widest_field_dies(death):
+    # 20,000 4-byte reads of 1,000 live 4-byte fields, after a 4-byte or a
+    # 64-byte field died; a window that keeps the widest width ever
+    # installed probes 71 addresses per read after the 64-byte one instead
+    # of 7, a ratio of about 3.7
+    def tracker(dead_width):
+        tr = MemoryTracker()
+        tr.install_field_watchpoints(1, [
+            FieldRef("S", f"f{i}", 0x10000000 + 8 * i, 4)
+            for i in range(1000)])
+        tr.install_field_watchpoints(
+            1, [FieldRef("D", "gone", 0x20000000, dead_width)])
+        if death == "write":
+            tr.resolve_access(write_event(1, 0x20000000))
+        else:
+            tr.install_field_watchpoints(
+                1, [FieldRef("D", "new", 0x20000000, 4)])
+        return tr
+
+    reads = [read_event(1, 0x10000000 + 8 * (i % 1000), size=4)
+             for i in range(20_000)]
+
+    def read_all(tr):
+        for ev in reads:
+            tr.resolve_access(ev)
+
+    after_narrow, after_wide = tracker(4), tracker(64)
+    assert (best_time(read_all, after_wide)
+            / best_time(read_all, after_narrow)) < 2.5
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(
     st.tuples(st.sampled_from(["read", "write"]),
@@ -240,40 +272,43 @@ def make_pe_tracker():
 
 def test_erase_signature_is_a_change():
     tr = make_pe_tracker()
-    result = tr.pe_header_write(write_event(1, 0x400000, size=2, value=0x0))
-    assert result.changed
-    assert result.field is None
+    changed, size_of_image = tr.pe_header_write(
+        write_event(1, 0x400000, size=2, value=0x0))
+    assert changed
+    assert not size_of_image
 
 
 def test_same_value_write_is_not_a_change():
     tr = make_pe_tracker()
     # stored bytes are 4d 5a ("MZ"); value 0x5A4D deposits the same bytes
-    result = tr.pe_header_write(write_event(1, 0x400000, size=2, value=0x5A4D))
-    assert not result.changed
+    changed, _ = tr.pe_header_write(
+        write_event(1, 0x400000, size=2, value=0x5A4D))
+    assert not changed
 
 
 def test_size_of_image_raise_detected():
     tr = make_pe_tracker()
-    result = tr.pe_header_write(
+    changed, size_of_image = tr.pe_header_write(
         write_event(1, 0x400050, size=4, value=0x00100000))
-    assert result.changed
-    assert result.field == "SIZE_OF_IMAGE"
+    assert changed
+    assert size_of_image
 
 
 def test_write_outside_header_ignored():
     tr = make_pe_tracker()
-    assert tr.pe_header_write(write_event(1, 0x500000, size=4, value=1)) is None
+    assert tr.pe_header_write(
+        write_event(1, 0x500000, size=4, value=1)) == (False, False)
 
 
 def test_change_then_same_value_rewrite():
     tr = make_pe_tracker()
     assert tr.pe_header_write(
-        write_event(1, 0x400000, size=2, value=0x0)).changed
+        write_event(1, 0x400000, size=2, value=0x0))[0]
     # the zeros are now the stored value
     assert not tr.pe_header_write(
-        write_event(1, 0x400000, size=2, value=0x0)).changed
+        write_event(1, 0x400000, size=2, value=0x0))[0]
     assert tr.pe_header_write(
-        write_event(1, 0x400000, size=2, value=0x5A4D)).changed
+        write_event(1, 0x400000, size=2, value=0x5A4D))[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -306,14 +341,15 @@ def test_shadow_without_its_header_region_is_refused(base, kind):
     with pytest.raises(ValueError, match="no pe_header region starts at"):
         tr.register_pe_header(1, base, b"MZ")
     assert tr.pe_shadow_bytes(1, base) is None
-    assert tr.pe_header_write(write_event(1, base, size=2, value=1)) is None
+    assert tr.pe_header_write(
+        write_event(1, base, size=2, value=1)) == (False, False)
 
 
 def test_bad_size_header_writes_touch_nothing():
     tr = make_pe_tracker()
     for size in (-5, 0, 3, 16):
         assert tr.pe_header_write(
-            write_event(1, 0x400000, size=size, value=0)) is None
+            write_event(1, 0x400000, size=size, value=0)) == (False, False)
     assert tr.pe_shadow_bytes(1, 0x400000) == header_bytes()
 
 
@@ -322,7 +358,7 @@ def test_huge_size_header_write_allocates_nothing():
     # before any mask or byte string of that width is built
     tr = make_pe_tracker()
     assert tr.pe_header_write(
-        write_event(1, 0x400000, size=2 ** 62, value=1)) is None
+        write_event(1, 0x400000, size=2 ** 62, value=1)) == (False, False)
 
 
 # -- indexed tables against the list-scan reference -------------------------
@@ -460,9 +496,10 @@ def test_huge_header_shadow_allocates_only_written_bytes():
     tr.register_region(MemoryRegion(1, base, size, "pe_header"))
     tr.register_pe_header(1, base, b"MZ")
     far = base + size - 8
-    assert tr.pe_header_write(write_event(1, far, size=8, value=7)).changed
-    assert not tr.pe_header_write(write_event(1, far, size=8, value=7)).changed
-    assert tr.pe_header_write(write_event(1, far, size=8, value=0)).changed
-    assert tr.pe_header_write(write_event(1, base + size, size=1)) is None
+    assert tr.pe_header_write(write_event(1, far, size=8, value=7))[0]
+    assert not tr.pe_header_write(write_event(1, far, size=8, value=7))[0]
+    assert tr.pe_header_write(write_event(1, far, size=8, value=0))[0]
+    assert tr.pe_header_write(
+        write_event(1, base + size, size=1)) == (False, False)
     assert not tr.pe_header_write(
-        write_event(1, base, size=2, value=0x5A4D)).changed
+        write_event(1, base, size=2, value=0x5A4D))[0]
