@@ -11,7 +11,9 @@ from collections import Counter
 from . import catalog
 from .catalog import ConfigError, RunConfig
 from .profiler import SampleReport, run_sample
-from .trace import TraceError, check_plain_name, parse_trace, validate_trace
+from .trace import (
+    TraceError, check_plain_name, parse_trace, validate_trace, write_whole,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -60,28 +62,6 @@ def _report_path(out_dir: str, sample_id: str) -> str:
     return os.path.join(out_dir, sample_id + ".report.json")
 
 
-def _write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` whole or not at all: into
-    ``<path>.<pid>.tmp`` beside it, then renamed onto it. A target that
-    exists and is not a regular file, such as a FIFO, is written in place,
-    since a rename would replace it. A failure leaves no temporary file and
-    raises a CliError that names ``path``."""
-    in_place = os.path.exists(path) and not os.path.isfile(path)
-    target = path if in_place else f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        if not in_place:
-            os.replace(target, path)
-    except BaseException as exc:
-        if not in_place:
-            with contextlib.suppress(OSError):
-                os.remove(target)
-        if isinstance(exc, OSError):
-            raise CliError(f"{path}: {exc}") from None
-        raise
-
-
 def _make_out_dir(path: str) -> None:
     try:
         os.makedirs(path, exist_ok=True)
@@ -104,7 +84,7 @@ def cmd_analyze(args) -> int:
         out_path = args.out
         if os.path.isdir(out_path):
             out_path = _report_path(out_path, sample_id)
-        _write(out_path, doc)
+        write_whole([(out_path, [doc])])
         print(f"wrote {out_path}")
     else:
         sys.stdout.write(doc)
@@ -157,9 +137,10 @@ def cmd_batch(args) -> int:
                              f"written from {written[sample_id]}")
                 else:
                     try:
-                        _write(_report_path(args.out, sample_id), doc)
+                        write_whole([(_report_path(args.out, sample_id),
+                                      [doc])])
                         written[sample_id] = path
-                    except CliError as exc:
+                    except (CliError, OSError) as exc:
                         error = str(exc)
             if error is not None:
                 failures.append((path, error))
@@ -222,8 +203,8 @@ def cmd_aggregate(args) -> int:
 
     if args.out:
         _make_out_dir(args.out)
-        for name, content in outputs.items():
-            _write(os.path.join(args.out, name), content)
+        write_whole((os.path.join(args.out, name), [content])
+                    for name, content in outputs.items())
         print(f"wrote {len(outputs)} files to {args.out}")
     else:
         if args.format == "json":
@@ -363,7 +344,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except TraceError as exc:
+    except (TraceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - separate exit class for bugs

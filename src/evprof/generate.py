@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import csv
 import heapq
+import io
 import json
 import os
 import random
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 
 from . import catalog, suites
@@ -30,7 +32,7 @@ from .trace import (
     LABEL_COLUMNS, META_LABEL_KEYS, ApiPayload, FieldRef, ImageLoadPayload,
     InsnPayload, MemPayload, MetaPayload, StructLayout, ThreadStartPayload,
     TraceError, TraceEvent, check_plain_name, decode_text, serialize_trace,
-    text_lines, tokenize, vaddr, vdur, vint, vlen, vstr,
+    text_lines, tokenize, vaddr, vdur, vint, vlen, vstr, write_whole,
 )
 
 MAIN_PID = 1000
@@ -495,11 +497,14 @@ def suite_specs(name: str, seed: int = 0) -> list[GenSpec]:
 def write_corpus(specs: list[GenSpec], out_dir) -> dict:
     """Write one trace per spec into ``out_dir``, then ``manifest.json``
     (each sample's expected verdicts) and, when any spec has labels,
-    ``labels.csv``. Returns the manifest.
+    ``labels.csv``, staged as one set by ``write_whole``: a failure leaves
+    ``out_dir`` as it was, and a killed run can leave ``*.tmp`` files,
+    which ``batch`` and ``aggregate`` skip. Returns the manifest.
 
     Each sample is dropped once its trace is written, before the next one
     is built, and its trace is written ``BLOCK`` records at a time, so
-    memory holds one sample's events and one block of its text.
+    memory holds one sample's events and one block of its text; the
+    manifest is written as it is encoded.
     """
     seen = set()
     for spec in specs:
@@ -507,46 +512,44 @@ def write_corpus(specs: list[GenSpec], out_dir) -> dict:
             raise GenError(f"duplicate sample id {spec.sample_id!r}")
         seen.add(spec.sample_id)
     os.makedirs(out_dir, exist_ok=True)
-    entries = {spec.sample_id: _write_sample(spec, out_dir) for spec in specs}
-    manifest = {"samples": dict(sorted(entries.items()))}
-    with open(os.path.join(out_dir, "manifest.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if any(entry["labels"] for entry in manifest["samples"].values()):
-        with open(os.path.join(out_dir, "labels.csv"), "w",
-                  encoding="utf-8", newline="") as fh:
-            out = csv.writer(fh, lineterminator="\n")
+    entries, manifest = {}, {}
+
+    def trace(spec: GenSpec):
+        sample = build_sample(spec)
+        entries[spec.sample_id] = {
+            "trace_file": spec.sample_id + ".trace",
+            "labels": dict(spec.labels),
+            "expect_detections": sample.expect_detections,
+            "expect_technique_set": sample.expect_technique_set,
+            "expect_evasive": sample.expect_evasive,
+            "positions": dict(sorted(sample.positions.items())),
+        }
+        events = sample.events
+        for i in range(0, len(events), BLOCK):
+            yield serialize_trace(events[i:i + BLOCK])
+
+    def files():
+        for spec in specs:
+            yield os.path.join(out_dir, spec.sample_id + ".trace"), trace(spec)
+        manifest["samples"] = dict(sorted(entries.items()))
+        yield os.path.join(out_dir, "manifest.json"), chain(json.JSONEncoder(
+            indent=2, sort_keys=True).iterencode(manifest), "\n")
+        if any(entry["labels"] for entry in entries.values()):
+            out = csv.writer(text := io.StringIO(), lineterminator="\n")
             out.writerow(LABEL_COLUMNS)
             for sample_id, entry in manifest["samples"].items():
                 if entry["labels"]:
                     row = dict(entry["labels"], sample_id=sample_id)
                     out.writerow([row.get(k, "") for k in LABEL_COLUMNS])
+            yield os.path.join(out_dir, "labels.csv"), [text.getvalue()]
+
+    write_whole(files())
     return manifest
 
 
 # records serialized per write: about 130 KB of text, so the whole trace's
 # text never exists at once
 BLOCK = 1024
-
-
-def _write_sample(spec: GenSpec, out_dir) -> dict:
-    """Build ``spec``'s sample, write its trace and return its manifest
-    entry."""
-    sample = build_sample(spec)
-    events = sample.events
-    with open(os.path.join(out_dir, spec.sample_id + ".trace"), "w",
-              encoding="utf-8") as fh:
-        for i in range(0, len(events), BLOCK):
-            fh.write(serialize_trace(events[i:i + BLOCK]))
-    return {
-        "trace_file": spec.sample_id + ".trace",
-        "labels": dict(spec.labels),
-        "expect_detections": sample.expect_detections,
-        "expect_technique_set": sample.expect_technique_set,
-        "expect_evasive": sample.expect_evasive,
-        "positions": dict(sorted(sample.positions.items())),
-    }
 
 # ---------------------------------------------------------------------------
 # genspec files (same key=value token dialect as traces)

@@ -39,6 +39,8 @@ consumer needs flows through the layout declarations.
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass, field, fields, make_dataclass
 from functools import partial
 from typing import Iterable, Union
@@ -86,6 +88,35 @@ def check_plain_name(sample_id: str) -> None:
     generated traces are written to ``<out dir>/<sample id>.<suffix>``."""
     if sample_id in ("", ".", "..") or any(c in sample_id for c in "/\\\0"):
         raise ValueError(f"sample_id {sample_id!r} is not a plain file name")
+
+
+def write_whole(files: Iterable[tuple[str, Iterable[str]]]) -> None:
+    """Write each ``(path, chunks)`` of ``files`` whole or not at all, with
+    no newline translation: into ``<path>.<pid>.tmp`` beside it, all renamed
+    onto their paths only once the last is written. ``files`` and each
+    ``chunks`` are read lazily, one file at a time. A target that exists
+    and is not a regular file, such as a FIFO, is written in place, since a
+    rename would replace it. A failure leaves no temporary file and raises
+    an OSError that names the target."""
+    staged, path = [], ""   # the paths written under a temporary name
+    suffix = f".{os.getpid()}.tmp"
+    try:
+        for path, chunks in files:
+            in_place = os.path.exists(path) and not os.path.isfile(path)
+            target = path if in_place else path + suffix
+            with open(target, "w", encoding="utf-8", newline="") as fh:
+                if not in_place:
+                    staged.append(path)
+                fh.writelines(chunks)
+        for path in staged:
+            os.replace(path + suffix, path)
+    except BaseException as exc:
+        for staged_path in staged:
+            with contextlib.suppress(OSError):
+                os.remove(staged_path + suffix)
+        if isinstance(exc, OSError):
+            raise OSError(f"{path}: {exc}") from None
+        raise
 
 
 def encode_text(text: str) -> str:

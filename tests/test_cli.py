@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -836,6 +837,61 @@ def test_batch_under_a_file_size_limit_leaves_only_whole_reports(tmp_path):
         assert (f"failed: {traces / sid}.trace: "
                 f"{reports / sid}.report.json: ") in proc.stderr
     assert main(["aggregate", str(reports)]) == EXIT_OK
+
+
+def test_batch_killed_mid_run_leaves_only_whole_reports(tmp_path):
+    # killed once its first report appears, with the rest still to come:
+    # each report left must be whole, and aggregate skips any .tmp file
+    traces, reports = tmp_path / "traces", tmp_path / "reports"
+    write_corpus(suite_specs("corpus60"), traces)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "evprof.cli", "batch", str(traces),
+         "--out", str(reports)], env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120
+        while (not any(reports.glob("*.report.json"))
+               and proc.poll() is None and time.monotonic() < deadline):
+            time.sleep(0.001)
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+    docs = read_reports(reports)
+    assert docs
+    for name, doc in docs.items():
+        assert f"{SampleReport.from_json(doc).sample_id}.report.json" == name
+    assert main(["aggregate", str(reports)]) == EXIT_OK
+
+
+def test_gen_that_fails_part_way_leaves_out_as_it_was(tmp_path, capsys):
+    # pos_IsDebuggerPresentAPI is built before pos_RDTSC, whose path is a
+    # directory: nothing of the run may reach --out
+    out = tmp_path / "gen"
+    (out / "pos_RDTSC.trace").mkdir(parents=True)
+    (out / "old.txt").write_text("unrelated\n")
+    (out / "pos_IsDebuggerPresentAPI.trace").write_text("other bytes\n")
+    before = tree_bytes(out)
+    assert main(["gen", "--suite", "roundtrip",
+                 "--out", str(out)]) == EXIT_DATA
+    assert f"{out / 'pos_RDTSC.trace'}: " in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == [
+        "old.txt", "pos_IsDebuggerPresentAPI.trace", "pos_RDTSC.trace"]
+    assert tree_bytes(out) == before
+    assert os.listdir(out / "pos_RDTSC.trace") == []
+
+
+def test_aggregate_out_writes_its_three_files_as_one_set(
+        corpus_dir, tmp_path, capsys):
+    reports = tmp_path / "reports"
+    assert main(["batch", str(corpus_dir), "--out", str(reports)]) == EXIT_OK
+    out = tmp_path / "tables"
+    (out / "packers.txt").mkdir(parents=True)
+    capsys.readouterr()
+    assert main(["aggregate", str(reports), "--out", str(out)]) == EXIT_DATA
+    assert f"error: {out / 'packers.txt'}: " in capsys.readouterr().err
+    assert os.listdir(out) == ["packers.txt"]
 
 
 def test_analyze_out_into_a_fifo_writes_it_in_place(corpus_dir, tmp_path):

@@ -280,6 +280,17 @@ def test_write_corpus_holds_one_copy_of_a_sample(tmp_path):
     assert peak <= 1.4 * sample
 
 
+def test_write_corpus_of_many_samples_peaks_near_what_it_returns(tmp_path):
+    # the manifest is written as it is encoded: built as one json.dumps
+    # string first, it peaked at nearly 4x what write_corpus returns
+    specs = [GenSpec(f"s{i:04d}", filler=1, seed=i,
+                     labels=(("family", f"fam{i % 7}"), ("year", "2019")))
+             for i in range(2000)]
+    manifest, peak, held = traced_peak(write_corpus, specs, tmp_path)
+    assert len(manifest["samples"]) == 2000
+    assert peak <= 2 * held
+
+
 def test_genspec_file_reads_every_key():
     text = ("sample_id=one techniques=RDTSC@20;HeapFlags@60:benign "
             "filler=30 visible=NtWriteFile@80 family=fam year=2019 "

@@ -83,6 +83,41 @@ def test_every_definition_is_referenced(path):
     assert unreferenced_definitions(module, program_uses()) == []
 
 
+# -- one writer ----------------------------------------------------------------
+
+def write_opens(module) -> list[str]:
+    """The top-level definitions of ``module`` that call the built-in
+    ``open`` with a mode that holds ``w``, ``a`` or ``x``, or is not a
+    constant; one name per call."""
+    sites = []
+    for node in module.body:
+        for call in ast.walk(node):
+            if not (isinstance(call, ast.Call)
+                    and getattr(call.func, "id", None) == "open"):
+                continue
+            modes = [*call.args[1:2],
+                     *(kw.value for kw in call.keywords if kw.arg == "mode")]
+            if any(not isinstance(mode, ast.Constant)
+                   or set("wax") & set(str(mode.value)) for mode in modes):
+                sites.append(getattr(node, "name", "<module>"))
+    return sites
+
+
+def test_scan_flags_each_open_that_may_write():
+    module = ast.parse("def f(p):\n    open(p, 'a')\n    open(p, mode='x')\n"
+                       "def g(p):\n    open(p)\n    open(p, 'rb')\n"
+                       "def h(p, m):\n    open(p, m)\n"
+                       "open('p', 'w')\n")
+    assert write_opens(module) == ["f", "f", "h", "<module>"]
+
+
+def test_only_the_whole_or_absent_writer_opens_a_file_for_writing():
+    # every file evprof writes goes through trace.write_whole
+    sites = [(path.name, name) for path in MODULES for name in
+             write_opens(ast.parse(path.read_text(encoding="utf-8")))]
+    assert sites == [("trace.py", "write_whole")]
+
+
 # -- the record classes --------------------------------------------------------
 
 RECORD_CLASSES = sorted([
