@@ -30,32 +30,31 @@ from dataclasses import dataclass, field
 from . import catalog
 from .profiler import (SampleReport, TIMELINE_SLOTS, counted_detections,
                        timeline_slot)
-from .trace import LABEL_COLUMNS
-
-
-class AggregateError(Exception):
-    pass
-
-
-class LabelError(Exception):
-    pass
+from .trace import LABEL_COLUMNS, TraceError
 
 
 def load_labels(path) -> dict[str, dict[str, str]]:
-    """Load the sample label file (CSV with a header row)."""
+    """Load the sample label file (CSV with a header row). A file that is
+    not UTF-8 CSV with a ``sample_id`` column, or that repeats a sample
+    id, is a TraceError that names it."""
     labels: dict[str, dict[str, str]] = {}
-    # utf-8-sig: a spreadsheet may save the file with a byte order mark
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "sample_id" not in reader.fieldnames:
-            raise LabelError(f"{path}: missing sample_id column")
-        for row in reader:
-            sid = row["sample_id"]
-            if sid in labels:
-                raise LabelError(f"{path}: duplicate sample_id {sid!r}")
-            labels[sid] = {
-                k: row.get(k, "") or "" for k in LABEL_COLUMNS[1:]
-            }
+    try:
+        # utf-8-sig: a spreadsheet may save the file with a byte order mark
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.DictReader(fh)
+            if (reader.fieldnames is None
+                    or "sample_id" not in reader.fieldnames):
+                raise ValueError("missing sample_id column")
+            for row in reader:
+                sid = row["sample_id"]
+                if sid in labels:
+                    raise ValueError(f"duplicate sample_id {sid!r}")
+                labels[sid] = {
+                    k: row.get(k, "") or "" for k in LABEL_COLUMNS[1:]
+                }
+    # a UnicodeDecodeError is a ValueError
+    except (ValueError, csv.Error) as exc:
+        raise TraceError(f"{path}: {exc}") from None
     return labels
 
 
@@ -116,7 +115,7 @@ class CorpusAccumulator:
 
     def __init__(self, group_by: str = "dataset"):
         if group_by not in ("dataset", "year", "family"):
-            raise AggregateError(f"unsupported group_by {group_by!r}")
+            raise ValueError(f"unsupported group_by {group_by!r}")
         self.group_by = group_by
         self.groups: dict[str, _GroupCounters] = {}
         self.technique_samples: Counter[str] = Counter()
@@ -343,7 +342,7 @@ def aggregate_reports(reports: list[SampleReport],
                       group_by: str = "dataset") -> dict:
     """The summary document of a report list."""
     if not reports:
-        raise AggregateError("no reports to aggregate")
+        raise ValueError("no reports to aggregate")
     acc = CorpusAccumulator(group_by)
     for report in reports:
         acc.add(report)

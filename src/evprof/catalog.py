@@ -70,14 +70,6 @@ PROCESSOR_COUNT_SUBSTITUTE = 4
 HONEYPOT_PID = 99999  # the decoy process injection is rerouted to
 
 
-class UnknownTechniqueError(KeyError):
-    pass
-
-
-class MitigationError(Exception):
-    """Mitigation requested for a rule that has none."""
-
-
 @dataclass(frozen=True)
 class TechniqueRule:
     id: str
@@ -188,7 +180,7 @@ def _mit_rdtsc(event, clock, config):
     # the clock has already answered this read
     returned = clock.last_rdtsc(event.pid, event.tid) if clock else None
     if returned is None:
-        raise MitigationError("RDTSC substitution needs the clock's reading")
+        raise ValueError("RDTSC substitution needs the clock's reading")
     return "tsc=%d" % returned
 
 
@@ -425,10 +417,7 @@ for _r in RULES:
 
 
 def rule(technique: str) -> TechniqueRule:
-    try:
-        return _BY_ID[technique]
-    except KeyError:
-        raise UnknownTechniqueError(technique)
+    return _BY_ID[technique]
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +450,8 @@ CHILD_PROCESS_APIS = frozenset({
 # run settings
 
 class ConfigError(Exception):
-    pass
+    """A usage error: a bad command-line option or run setting; the CLI
+    exits 2 on it."""
 
 
 @dataclass(frozen=True)
@@ -510,7 +500,7 @@ def apply_mitigation(record: DetectionRecord, event: TraceEvent,
     """
     r = rule(record.technique)
     if not r.mitigated:
-        raise MitigationError(f"technique {record.technique} has no mitigation")
+        raise ValueError(f"technique {record.technique} has no mitigation")
     config = config or RunConfig()
     forced = config.override_for(record.technique)
     if forced is not None and forced not in ("on", "off"):

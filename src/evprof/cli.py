@@ -16,15 +16,17 @@ from .trace import (
 )
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_DATA = 3      # unreadable / malformed inputs
-EXIT_RUNTIME = 4
+EXIT_USAGE = 2     # ConfigError
+EXIT_DATA = 3      # TraceError or OSError: unreadable / malformed inputs
+EXIT_RUNTIME = 4   # anything else: a bug
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_DATA):
-        super().__init__(message)
-        self.code = code
+def _message(exc: Exception) -> str:
+    """What an error says; an OSError names its file once, as
+    ``PATH: strerror``."""
+    if isinstance(exc, OSError) and exc.filename is not None:
+        return f"{exc.filename}: {exc.strerror}"
+    return str(exc)
 
 
 def _build_config(args) -> RunConfig:
@@ -32,8 +34,7 @@ def _build_config(args) -> RunConfig:
     for item in args.override or []:
         key, sep, value = item.partition("=")
         if not sep or not value:
-            raise CliError(f"bad --override {item!r}, expected name=value",
-                           EXIT_USAGE)
+            raise ConfigError(f"bad --override {item!r}, expected name=value")
         overrides[key] = value
     return RunConfig(mitigate=not args.no_mitigate,
                      exclude_fp_prone=not args.include_fp_prone,
@@ -43,12 +44,14 @@ def _build_config(args) -> RunConfig:
 
 def _profile_file(path: str, cfg: RunConfig) -> tuple[str, str, list[str]]:
     """Worker: returns (sample_id, report json, the report's warnings). A
-    read or parse error is a CliError whose message leaves out ``path``."""
+    read or parse error is a TraceError whose message leaves out ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             events = parse_trace(fh)
-    except (OSError, UnicodeDecodeError, TraceError) as exc:
-        raise CliError(str(exc))
+    except OSError as exc:
+        raise TraceError(exc.strerror) from None
+    except UnicodeDecodeError as exc:
+        raise TraceError(str(exc)) from None
     report = run_sample(events, cfg, validate_trace(events))
     return report.sample_id, report.to_json(), report.warnings
 
@@ -58,15 +61,8 @@ def _report_path(out_dir: str, sample_id: str) -> str:
     try:
         check_plain_name(sample_id)
     except ValueError as exc:
-        raise CliError(str(exc))
+        raise TraceError(str(exc)) from None
     return os.path.join(out_dir, sample_id + ".report.json")
-
-
-def _make_out_dir(path: str) -> None:
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise CliError(f"{path}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +72,8 @@ def cmd_analyze(args) -> int:
     cfg = _build_config(args)
     try:
         sample_id, doc, warnings = _profile_file(args.trace, cfg)
-    except CliError as exc:
-        raise CliError(f"{args.trace}: {exc}") from None
+    except TraceError as exc:
+        raise TraceError(f"{args.trace}: {exc}") from None
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     if args.out:
@@ -95,7 +91,7 @@ def _batch_worker(item):
     path, cfg = item
     try:
         return path, _profile_file(path, cfg), None
-    except CliError as exc:
+    except TraceError as exc:
         return path, None, str(exc)
     except Exception as exc:  # noqa: BLE001 - one file must not end the batch
         return path, None, f"internal error: {type(exc).__name__}: {exc}"
@@ -103,17 +99,13 @@ def _batch_worker(item):
 
 def cmd_batch(args) -> int:
     if args.jobs < 1:
-        raise CliError(f"--jobs {args.jobs} is below 1", EXIT_USAGE)
+        raise ConfigError(f"--jobs {args.jobs} is below 1")
     cfg = _build_config(args)
-    try:
-        entries = sorted(os.listdir(args.dir))
-    except OSError as exc:
-        raise CliError(f"{args.dir}: {exc}")
-    traces = [os.path.join(args.dir, e) for e in entries
+    traces = [os.path.join(args.dir, e) for e in sorted(os.listdir(args.dir))
               if e.endswith(".trace")]
     if not traces:
-        raise CliError(f"{args.dir}: no .trace files found")
-    _make_out_dir(args.out)
+        raise TraceError(f"{args.dir}: no .trace files found")
+    os.makedirs(args.out, exist_ok=True)
 
     work = [(path, cfg) for path in traces]
     failures = []
@@ -140,8 +132,8 @@ def cmd_batch(args) -> int:
                         write_whole([(_report_path(args.out, sample_id),
                                       [doc])])
                         written[sample_id] = path
-                    except (CliError, OSError) as exc:
-                        error = str(exc)
+                    except (TraceError, OSError) as exc:
+                        error = _message(exc)
             if error is not None:
                 failures.append((path, error))
     print(f"batch: {len(written)} reports, {len(failures)} failures "
@@ -152,12 +144,8 @@ def cmd_batch(args) -> int:
 
 
 def _load_reports(path: str) -> list[SampleReport]:
-    try:
-        entries = sorted(os.listdir(path))
-    except OSError as exc:
-        raise CliError(f"{path}: {exc}")
     reports = []
-    for entry in entries:
+    for entry in sorted(os.listdir(path)):
         if not entry.endswith(".report.json"):
             continue
         full = os.path.join(path, entry)
@@ -168,11 +156,12 @@ def _load_reports(path: str) -> list[SampleReport]:
             if entry != report.sample_id + ".report.json":
                 raise ValueError(f"sample_id {report.sample_id!r} does not "
                                  f"match the file name")
-        except (OSError, ValueError, KeyError) as exc:
-            raise CliError(f"{full}: bad report: {exc}")
+        # RecursionError: JSON nested deeper than the decoder can follow
+        except (ValueError, KeyError, RecursionError) as exc:
+            raise TraceError(f"{full}: bad report: {exc}") from None
         reports.append(report)
     if not reports:
-        raise CliError(f"{path}: no .report.json files found")
+        raise TraceError(f"{path}: no .report.json files found")
     return reports
 
 
@@ -180,18 +169,11 @@ def cmd_aggregate(args) -> int:
     from . import aggregate as agg
     reports = _load_reports(args.reports)
     if args.labels:
-        try:
-            labels = agg.load_labels(args.labels)
-        except (OSError, agg.LabelError) as exc:
-            raise CliError(str(exc))
-        misses = agg.apply_labels(reports, labels)
+        misses = agg.apply_labels(reports, agg.load_labels(args.labels))
         if misses:
             print(f"warning: {misses} samples missing from the label file",
                   file=sys.stderr)
-    try:
-        summary = agg.aggregate_reports(reports, args.group_by)
-    except agg.AggregateError as exc:
-        raise CliError(str(exc))
+    summary = agg.aggregate_reports(reports, args.group_by)
 
     outputs = {
         "summary.json": agg.render_summary_json(summary),
@@ -202,7 +184,7 @@ def cmd_aggregate(args) -> int:
     outputs[f"packers.{ext}"] = agg.render_packer_table(summary, table_fmt)
 
     if args.out:
-        _make_out_dir(args.out)
+        os.makedirs(args.out, exist_ok=True)
         write_whole((os.path.join(args.out, name), [content])
                     for name, content in outputs.items())
         print(f"wrote {len(outputs)} files to {args.out}")
@@ -221,27 +203,20 @@ def cmd_aggregate(args) -> int:
 def cmd_gen(args) -> int:
     from . import generate
     if bool(args.spec) == bool(args.suite):
-        raise CliError("gen takes one of --spec FILE and --suite NAME",
-                       EXIT_USAGE)
+        raise ConfigError("gen takes one of --spec FILE and --suite NAME")
     if args.seed < 0:
         # random.Random seeds by absolute value: -7 would repeat 7
-        raise CliError(f"--seed {args.seed} is negative", EXIT_USAGE)
+        raise ConfigError(f"--seed {args.seed} is negative")
     if args.suite:
         specs = generate.suite_specs(args.suite, args.seed)
     else:
-        try:
-            with open(args.spec, "r", encoding="utf-8") as fh:
-                specs = generate.parse_genspec_file(fh.read(), args.seed)
-        except OSError as exc:
-            raise CliError(f"{args.spec}: {exc}")
-        except generate.GenError as exc:
-            raise CliError(str(exc))
-    try:
-        manifest = generate.write_corpus(specs, args.out)
-    except generate.GenError as exc:
-        raise CliError(str(exc))
-    except OSError as exc:
-        raise CliError(f"{args.out}: {exc}")
+        with open(args.spec, "r", encoding="utf-8") as fh:
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise TraceError(f"{args.spec}: {exc}") from None
+        specs = generate.parse_genspec_file(text, args.seed)
+    manifest = generate.write_corpus(specs, args.out)
     print(f"generated {len(manifest['samples'])} traces in {args.out}")
     return EXIT_OK
 
@@ -338,14 +313,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (TraceError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - separate exit class for bugs
         print(f"internal error: {exc}", file=sys.stderr)

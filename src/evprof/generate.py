@@ -355,10 +355,6 @@ RECIPES = {r.id: _HAND_WRITTEN.get(r.id) or _recipe_from_rule(r)
 assert set(EXAMPLES) <= set(RECIPES) - set(_HAND_WRITTEN)
 
 
-class GenError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # sample assembly
 
@@ -509,7 +505,7 @@ def write_corpus(specs: list[GenSpec], out_dir) -> dict:
     seen = set()
     for spec in specs:
         if spec.sample_id in seen:
-            raise GenError(f"duplicate sample id {spec.sample_id!r}")
+            raise TraceError(f"duplicate sample id {spec.sample_id!r}")
         seen.add(spec.sample_id)
     os.makedirs(out_dir, exist_ok=True)
     entries, manifest = {}, {}
@@ -559,7 +555,8 @@ def parse_genspec_file(text: str, seed: int = 0) -> list[GenSpec]:
     or CR. ``seed`` is added to each line's seed: what ``gen --seed`` does
     to a built-in suite and to a ``--spec`` file alike. A seed below 0
     after that shift is an error: ``random.Random`` seeds by absolute
-    value, so -7 would build what 7 builds."""
+    value, so -7 would build what 7 builds. A bad line is a TraceError
+    that carries its number."""
     specs = []
     for lineno, line in enumerate(text_lines(text), start=1):
         line = line.strip()
@@ -568,7 +565,7 @@ def parse_genspec_file(text: str, seed: int = 0) -> list[GenSpec]:
         try:
             specs.append(_parse_genspec(tokenize(line), seed))
         except (TraceError, ValueError) as exc:
-            raise GenError(f"line {lineno}: {exc}") from None
+            raise TraceError(str(exc), lineno) from None
     return specs
 
 

@@ -74,7 +74,9 @@ _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 class TraceError(Exception):
-    """Malformed trace input. Carries the 1-based line number when known."""
+    """A malformed input file: a trace, a genspec, a label file or a
+    report; the CLI exits 3 on it. Carries the 1-based line number when
+    known."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -97,7 +99,7 @@ def write_whole(files: Iterable[tuple[str, Iterable[str]]]) -> None:
     ``chunks`` are read lazily, one file at a time. A target that exists
     and is not a regular file, such as a FIFO, is written in place, since a
     rename would replace it. A failure leaves no temporary file and raises
-    an OSError that names the target."""
+    an OSError whose ``filename`` is the target."""
     staged, path = [], ""   # the paths written under a temporary name
     suffix = f".{os.getpid()}.tmp"
     try:
@@ -115,7 +117,7 @@ def write_whole(files: Iterable[tuple[str, Iterable[str]]]) -> None:
             with contextlib.suppress(OSError):
                 os.remove(staged_path + suffix)
         if isinstance(exc, OSError):
-            raise OSError(f"{path}: {exc}") from None
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

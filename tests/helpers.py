@@ -8,7 +8,6 @@ the event dataclasses.
 import time
 import tracemalloc
 
-from evprof.aggregate import AggregateError
 from evprof.generate import GenSpec, TechniqueSpec, build_sample
 from evprof.trace import (
     ApiPayload, ImageLoadPayload, InsnPayload, MemPayload, MetaPayload,
@@ -176,7 +175,7 @@ def divergent_pair(sample_id="divergent", seed=11):
 def behavior_diff(report_a, report_b):
     """Compare two runs of one sample under different configurations."""
     if report_a.sample_id != report_b.sample_id:
-        raise AggregateError(
+        raise ValueError(
             f"behavior diff needs two runs of one sample, got "
             f"{report_a.sample_id!r} and {report_b.sample_id!r}")
     return {

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from evprof.aggregate import (
-    AggregateError, CorpusAccumulator, aggregate_reports, apply_labels,
+    CorpusAccumulator, aggregate_reports, apply_labels,
     load_labels,
 )
 from evprof import catalog
@@ -79,12 +79,12 @@ def test_percentages_over_started_only():
 
 
 def test_empty_report_list_rejected():
-    with pytest.raises(AggregateError):
+    with pytest.raises(ValueError):
         aggregate_reports([], "dataset")
 
 
 def test_bad_group_by_rejected():
-    with pytest.raises(AggregateError):
+    with pytest.raises(ValueError):
         CorpusAccumulator("color")
 
 
@@ -287,7 +287,7 @@ def test_behavior_diff_multiset_not_set():
 
 
 def test_behavior_diff_rejects_different_samples():
-    with pytest.raises(AggregateError):
+    with pytest.raises(ValueError):
         behavior_diff(make_report("x"), make_report("y"))
 
 
@@ -325,11 +325,11 @@ def test_label_file_with_a_byte_order_mark_joins_as_one_without(tmp_path):
 
 
 def test_duplicate_label_rows_rejected(tmp_path):
-    from evprof.aggregate import LabelError
+    from evprof.trace import TraceError
     path = tmp_path / "labels.csv"
     path.write_text("sample_id,family,year,packer,protector\n"
                     "a,f,2019,,\na,f,2019,,\n")
-    with pytest.raises(LabelError):
+    with pytest.raises(TraceError):
         load_labels(path)
 
 

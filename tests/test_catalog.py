@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from evprof import catalog
 from evprof.catalog import (
-    FP_PRONE_TECHNIQUES, RULES, ConfigError, DetectionRecord, MitigationError,
-    RunConfig, UnknownTechniqueError, apply_mitigation, match_event, rule,
+    FP_PRONE_TECHNIQUES, RULES, ConfigError, DetectionRecord,
+    RunConfig, apply_mitigation, match_event, rule,
 )
 from evprof.clock import VirtualClock
 from evprof.memory import MemoryRegion, MemoryTracker
@@ -97,7 +97,7 @@ def test_is_fp_prone_examples():
 
 
 def test_is_fp_prone_unknown_id_errors():
-    with pytest.raises(UnknownTechniqueError):
+    with pytest.raises(KeyError):
         rule("NotATechnique").fp_prone
 
 
@@ -276,7 +276,7 @@ def test_ram_forced_to_8gb():
 def test_mitigation_for_unmitigated_rule_errors():
     ev = api_event("IsDebuggerPresent")
     rec = record_for(ev, "IsDebuggerPresentAPI")
-    with pytest.raises(MitigationError):
+    with pytest.raises(ValueError):
         apply_mitigation(rec, ev, VirtualClock(), RunConfig())
 
 

@@ -1,19 +1,23 @@
 """Command-line workflows: analyze, batch, aggregate, gen, catalog."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import resource
+import shutil
 import signal
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
-import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from evprof import cli
+from evprof import cli, suites
 from evprof.catalog import RunConfig
 from evprof.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from evprof.generate import GenSpec, TechniqueSpec, suite_specs, write_corpus
@@ -659,7 +663,13 @@ def test_gen_out_errors_are_data_errors(tmp_path, capsys, blocked):
     assert main(["gen", "--suite", "roundtrip",
                  "--out", str(out)]) == EXIT_DATA
     err = capsys.readouterr().err
-    assert f"error: {out}: " in err
+    if blocked == "trace_is_a_directory":
+        # the writer's error names the target once, not --out around it
+        trace = out / "pos_RDTSC.trace"
+        assert err == f"error: {trace}: Is a directory\n"
+        assert err.count(str(trace)) == 1
+    else:
+        assert f"error: {out}: " in err
     assert "internal error" not in err
 
 
@@ -804,6 +814,81 @@ def test_aggregate_out_errors_are_data_errors(corpus_dir, tmp_path, capsys,
     assert "internal error" not in err
 
 
+# -- no input file ends in an internal error -------------------------------------
+
+@pytest.fixture(scope="module")
+def corpus60_run(tmp_path_factory):
+    """corpus60's traces and labels.csv, and the reports batch makes."""
+    root = tmp_path_factory.mktemp("corpus60")
+    write_corpus(suite_specs("corpus60"), root / "traces")
+    assert main(["batch", str(root / "traces"),
+                 "--out", str(root / "reports")]) == EXIT_OK
+    return root
+
+
+# an inserted or replacing byte is never a digit, so an edited genspec
+# never asks for a giant filler
+EDITS = st.lists(st.tuples(
+    st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 2 ** 32),
+    st.sampled_from([bytes([b]) for b in range(256)
+                     if not 0x30 <= b <= 0x39])), min_size=1, max_size=6)
+
+
+def apply_edits(data: bytes, edits) -> bytes:
+    """Each edit replaces the byte at ``at`` (modulo the length) with
+    ``new``, inserts ``new`` there, or deletes that byte."""
+    buf = bytearray(data)
+    for op, at, new in edits:
+        if op == "insert":
+            at %= len(buf) + 1
+            buf[at:at] = new
+        elif buf:
+            at %= len(buf)
+            buf[at:at + 1] = new if op == "replace" else b""
+    return bytes(buf)
+
+
+@pytest.mark.parametrize("kind", ["trace", "genspec", "labels", "report"])
+@given(edits=EDITS)
+# each of these ended in an internal error: a 0xFF byte in a label file or
+# in a genspec, a label field over the csv module's 131,072 limit, and a
+# report nested deeper than the JSON decoder can follow
+@example(edits=[("replace", 0, b"\xff")])
+@example(edits=[("insert", -1, b"a" * 200_000)])
+@example(edits=[("insert", 0, b"[" * 100_000)])
+@settings(max_examples=60, deadline=None)
+def test_no_corrupted_input_file_ends_in_an_internal_error(
+        corpus60_run, kind, edits):
+    traces, reports = corpus60_run / "traces", corpus60_run / "reports"
+    source = {"trace": traces / "s01.trace",
+              "genspec": None,
+              "labels": traces / "labels.csv",
+              "report": reports / "s01.report.json"}[kind]
+    data = (source.read_bytes() if source else
+            next(line for line in suites.CORPUS60.splitlines()
+                 if line.startswith("sample_id=")).encode() + b"\n")
+    with tempfile.TemporaryDirectory() as work:
+        edited = os.path.join(work, "s01.report.json" if kind == "report"
+                              else "input")
+        with open(edited, "wb") as fh:
+            fh.write(apply_edits(data, edits))
+        if kind == "report":
+            for name in os.listdir(reports):
+                if name != "s01.report.json":
+                    shutil.copy(reports / name, work)
+        argv = {"trace": ["analyze", edited],
+                "genspec": ["gen", "--spec", edited,
+                            "--out", os.path.join(work, "out")],
+                "labels": ["aggregate", str(reports), "--labels", edited],
+                "report": ["aggregate", work]}[kind]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (EXIT_OK, EXIT_DATA), err.getvalue()
+    assert "internal error" not in err.getvalue()
+
+
 # -- outputs are whole or absent -------------------------------------------------
 
 def limit_file_size(limit):
@@ -839,25 +924,47 @@ def test_batch_under_a_file_size_limit_leaves_only_whole_reports(tmp_path):
     assert main(["aggregate", str(reports)]) == EXIT_OK
 
 
+# a batch whose report writes each come in two halves; the second report
+# stops between its halves and says "half"
+HALTING_BATCH = """
+import sys, time
+import evprof.cli as cli
+real, calls = cli.write_whole, []
+
+def halves(text, halt):
+    yield text[:len(text) // 2]
+    if halt:
+        print("half", flush=True)
+        time.sleep(60)
+    yield text[len(text) // 2:]
+
+def write_whole(files):
+    calls.append(None)
+    real((path, halves("".join(chunks), len(calls) == 2))
+         for path, chunks in files)
+
+cli.write_whole = write_whole
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 def test_batch_killed_mid_run_leaves_only_whole_reports(tmp_path):
-    # killed once its first report appears, with the rest still to come:
-    # each report left must be whole, and aggregate skips any .tmp file
+    # killed half way through its second report, with the rest still to
+    # come: each report left must be whole, and aggregate skips any .tmp
+    # file; a writer that wrote in place would leave half a report
     traces, reports = tmp_path / "traces", tmp_path / "reports"
     write_corpus(suite_specs("corpus60"), traces)
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "evprof.cli", "batch", str(traces),
-         "--out", str(reports)], env=env, stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL)
-    try:
-        deadline = time.monotonic() + 120
-        while (not any(reports.glob("*.report.json"))
-               and proc.poll() is None and time.monotonic() < deadline):
-            time.sleep(0.001)
-    finally:
-        proc.kill()
-        proc.wait(timeout=60)
+    with subprocess.Popen(
+            [sys.executable, "-c", HALTING_BATCH, "batch", str(traces),
+             "--out", str(reports)], env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, text=True) as proc:
+        try:
+            assert proc.stdout.readline() == "half\n"
+        finally:
+            proc.kill()
+            proc.wait(timeout=60)
     docs = read_reports(reports)
     assert docs
     for name, doc in docs.items():

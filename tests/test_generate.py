@@ -13,11 +13,11 @@ from hypothesis import given, settings, strategies as st
 from evprof import catalog, generate
 from evprof.catalog import RunConfig
 from evprof.generate import (
-    GenError, GenSpec, TechniqueSpec, build_sample, parse_genspec_file,
+    GenSpec, TechniqueSpec, build_sample, parse_genspec_file,
     suite_specs, write_corpus,
 )
 from evprof.profiler import SampleProfiler, run_sample
-from evprof.trace import parse_trace, validate_trace, vint
+from evprof.trace import TraceError, parse_trace, validate_trace, vint
 
 from helpers import behavior_diff, build_samples, divergent_pair, traced_peak
 from oracles import oracle_schedule
@@ -128,7 +128,7 @@ def test_the_lazy_schedule_builds_what_a_stable_sort_builds(spec):
 
 def test_duplicate_sample_ids_rejected_before_any_file(tmp_path):
     specs = [GenSpec(sample_id="dup"), GenSpec(sample_id="dup")]
-    with pytest.raises(GenError):
+    with pytest.raises(TraceError):
         write_corpus(specs, tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
@@ -325,7 +325,7 @@ def test_genspec_line_ends_only_at_lf_or_cr(space):
 
 
 def test_genspec_missing_sample_id_rejected():
-    with pytest.raises(GenError):
+    with pytest.raises(TraceError):
         parse_genspec_file("filler=5\n")
 
 
@@ -345,13 +345,13 @@ def test_genspec_missing_sample_id_rejected():
 ])
 def test_genspec_bad_value_is_a_gen_error_with_line(fields, message):
     text = f"sample_id=a\nsample_id=b {fields}\n"
-    with pytest.raises(GenError) as exc:
+    with pytest.raises(TraceError) as exc:
         parse_genspec_file(text)
     assert str(exc.value).startswith(f"line 2: {message}")
 
 
 def test_genspec_unknown_key_is_a_gen_error_with_line():
-    with pytest.raises(GenError) as exc:
+    with pytest.raises(TraceError) as exc:
         parse_genspec_file("sample_id=a\nsample_id=b techniqes=RDTSC@10\n")
     assert str(exc.value) == "line 2: unexpected fields ['techniqes']"
 

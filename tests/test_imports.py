@@ -5,6 +5,7 @@ named record classes."""
 
 import ast
 import functools
+import importlib
 import os
 import subprocess
 import sys
@@ -150,3 +151,25 @@ def test_start_up_builds_only_the_named_record_classes():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == RECORD_CLASSES
+
+
+# -- the exception classes -----------------------------------------------------
+
+# a malformed input file, a usage error, and the overlap the memory tests
+# read; any other failure is a built-in exception
+EXCEPTION_CLASSES = sorted([
+    "evprof.catalog.ConfigError", "evprof.memory.RegionOverlapError",
+    "evprof.trace.TraceError",
+])
+
+
+def test_the_package_defines_only_the_named_exception_classes():
+    defined = []
+    for path in MODULES:
+        module = importlib.import_module(f"evprof.{path.stem}")
+        defined += [f"{module.__name__}.{value.__name__}"
+                    for value in vars(module).values()
+                    if isinstance(value, type)
+                    and issubclass(value, BaseException)
+                    and value.__module__ == module.__name__]
+    assert sorted(defined) == EXCEPTION_CLASSES
