@@ -338,8 +338,7 @@ def _footprint_summary(footprints: dict) -> dict:
 # ---------------------------------------------------------------------------
 # spec-level operations
 
-def aggregate_reports(reports: list[SampleReport],
-                      group_by: str = "dataset") -> dict:
+def aggregate_reports(reports: list[SampleReport], group_by: str) -> dict:
     """The summary document of a report list."""
     if not reports:
         raise ValueError("no reports to aggregate")
@@ -352,7 +351,7 @@ def aggregate_reports(reports: list[SampleReport],
 # ---------------------------------------------------------------------------
 # rendering
 
-def _fmt(value, digits=2):
+def _fmt(value, digits):
     if value is None:
         return "-"
     if isinstance(value, float):
@@ -406,11 +405,11 @@ def _render_table(columns: dict[str, dict], rows, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_core_table(summary: dict, fmt: str = "text") -> str:
+def render_core_table(summary: dict, fmt: str) -> str:
     return _render_table(summary["groups"], CORE_ROWS, fmt)
 
 
-def render_packer_table(summary: dict, fmt: str = "text") -> str:
+def render_packer_table(summary: dict, fmt: str) -> str:
     return _render_table(summary["packers"], PACKER_ROWS, fmt)
 
 

@@ -114,8 +114,7 @@ class Effect:
 
     seq: int
     kind: str     # stall_rewrite | time_query | rdtsc | reroute
-    detail: str
-    value: int | None = None
+    value: int
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +177,7 @@ def _mit_mouse(event, clock, config):
 
 def _mit_rdtsc(event, clock, config):
     # the clock has already answered this read
-    returned = clock.last_rdtsc(event.pid, event.tid) if clock else None
+    returned = clock.last_rdtsc(event.pid, event.tid)
     if returned is None:
         raise ValueError("RDTSC substitution needs the clock's reading")
     return "tsc=%d" % returned
@@ -490,8 +489,7 @@ class RunConfig:
 
 
 def apply_mitigation(record: DetectionRecord, event: TraceEvent,
-                     clock: VirtualClock | None = None,
-                     config: RunConfig | None = None) -> str:
+                     clock: VirtualClock, config: RunConfig) -> str:
     """Fill the record's substituted value and mark it mitigated.
 
     The rule's substitute is a fixed value or a pure function of (event,
@@ -501,7 +499,6 @@ def apply_mitigation(record: DetectionRecord, event: TraceEvent,
     r = rule(record.technique)
     if not r.mitigated:
         raise ValueError(f"technique {record.technique} has no mitigation")
-    config = config or RunConfig()
     forced = config.override_for(record.technique)
     if forced is not None and forced not in ("on", "off"):
         value = forced
@@ -540,22 +537,16 @@ def match_event(event: TraceEvent, tracker, clock: VirtualClock,
             requested = next((a.v for a in p.args if a.t == "d"), None)
             if requested is not None:
                 rewrite = config.mitigation_enabled("time_stalling")
-                advanced, stalling = clock.on_stall_api(requested,
-                                                        rewrite=rewrite)
+                _, stalling = clock.on_stall_api(requested, rewrite=rewrite)
                 if rewrite:
-                    effects.append(Effect(
-                        event.seq, "stall_rewrite",
-                        f"{name} wait {requested} ms rewritten to 0, "
-                        f"clock advanced {advanced} ms", 0))
+                    effects.append(Effect(event.seq, "stall_rewrite", 0))
                 if stalling:
                     hits.append(_BY_ID["time_stalling"])
         elif clock.is_time_query(name) and p.ret is not None:
             raw = p.ret.v
             if isinstance(raw, int):
                 adjusted = clock.on_time_query(name, raw)
-                effects.append(Effect(
-                    event.seq, "time_query",
-                    f"{name} raw {raw} adjusted to {adjusted}", adjusted))
+                effects.append(Effect(event.seq, "time_query", adjusted))
             else:
                 clock.diagnostics.append(Diagnostic(
                     event.seq, f"{name} returned {p.ret.encode()}, not an "
@@ -572,9 +563,7 @@ def match_event(event: TraceEvent, tracker, clock: VirtualClock,
                 returned, paired = clock.on_rdtsc(
                     event.pid, event.tid, event.insn_index, raw,
                     seq=event.seq, adjust=config.mitigation_enabled("RDTSC"))
-                effects.append(Effect(
-                    event.seq, "rdtsc", f"raw {raw} returned {returned}",
-                    returned))
+                effects.append(Effect(event.seq, "rdtsc", returned))
                 if paired:
                     hits.append(_BY_ID["RDTSC"])
 

@@ -210,12 +210,11 @@ def cmd_gen(args) -> int:
     if args.suite:
         specs = generate.suite_specs(args.suite, args.seed)
     else:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            try:
-                text = fh.read()
-            except UnicodeDecodeError as exc:
-                raise TraceError(f"{args.spec}: {exc}") from None
-        specs = generate.parse_genspec_file(text, args.seed)
+        try:
+            with open(args.spec, "r", encoding="utf-8") as fh:
+                specs = generate.parse_genspec_file(fh.read(), args.seed)
+        except (TraceError, UnicodeDecodeError) as exc:
+            raise TraceError(f"{args.spec}: {exc}") from None
     manifest = generate.write_corpus(specs, args.out)
     print(f"generated {len(manifest['samples'])} traces in {args.out}")
     return EXIT_OK

@@ -29,9 +29,9 @@ from operator import itemgetter
 from . import catalog, suites
 from .clock import SANDWICH_WINDOW, STALL_THRESHOLD_MS
 from .trace import (
-    LABEL_COLUMNS, META_LABEL_KEYS, ApiPayload, FieldRef, ImageLoadPayload,
-    InsnPayload, MemPayload, MetaPayload, StructLayout, ThreadStartPayload,
-    TraceError, TraceEvent, check_plain_name, decode_text, serialize_trace,
+    LABEL_COLUMNS, ApiPayload, FieldRef, ImageLoadPayload, InsnPayload,
+    MemPayload, MetaPayload, StructLayout, ThreadStartPayload, TraceError,
+    TraceEvent, check_plain_name, decode_text, serialize_trace, take_labels,
     text_lines, tokenize, vaddr, vdur, vint, vlen, vstr, write_whole,
 )
 
@@ -58,6 +58,9 @@ BENIGN_CODE = STDLIB_BASE + 0x500
 
 INJECT_ADDR = 0x9000
 INJECT_LEN = 0x200
+
+# filler calls per sample at most: about 0.36 KB each, so 0.4 GB at most
+MAX_FILLER = 1_000_000
 
 FILLER_APIS = (
     "NtClose", "NtYieldExecution", "NtFlushInstructionCache",
@@ -120,8 +123,8 @@ class GenSpec:
 
     def __post_init__(self):
         check_plain_name(self.sample_id)
-        if self.filler < 0:
-            raise ValueError(f"filler {self.filler} is negative")
+        if not 0 <= self.filler <= MAX_FILLER:
+            raise ValueError(f"filler {self.filler} outside [0, {MAX_FILLER}]")
         for _, pos in self.visible:
             if not 0 <= pos <= 100:  # also refuses nan
                 raise ValueError(f"position {pos} outside [0, 100]")
@@ -135,9 +138,6 @@ class GeneratedSample:
     events: list[TraceEvent]
     # technique id -> normalized positions of its expected detections
     positions: dict[str, list[float]]
-    expect_detections: list[str]
-    expect_technique_set: list[str]
-    expect_evasive: bool
 
     @property
     def text(self) -> str:
@@ -152,9 +152,8 @@ class TraceBuilder:
         self.rng = random.Random(spec.seed)
         self.events: list[TraceEvent] = []
         self._insn: dict[tuple[int, int], int] = {}
-        # (technique, seq, detection expected)
-        self.triggers: list[tuple[str, int, bool]] = []
-        self.expect_triggers = True
+        # (technique, seq) of each detection expected
+        self.triggers: list[tuple[str, int]] = []
 
     def emit(self, kind: str, payload, pid: int = MAIN_PID,
              tid: int = MAIN_TID, trigger: str | None = None,
@@ -164,7 +163,7 @@ class TraceBuilder:
         ev = TraceEvent(len(self.events), pid, tid, insn_index, kind, payload)
         self.events.append(ev)
         if trigger is not None:
-            self.triggers.append((trigger, ev.seq, self.expect_triggers))
+            self.triggers.append((trigger, ev.seq))
         return ev
 
     def api(self, name: str, args=(), ret=None, origin: int = RED_CODE,
@@ -313,7 +312,8 @@ def _recipe_from_rule(rule: catalog.TechniqueRule):
         trigger=technique)
 
 
-def _recipe_number_of_processors(b: TraceBuilder, origin: int, technique: str):
+def _recipe_number_of_processors(b: TraceBuilder, origin: int,
+                                 technique: str | None):
     # the publishing call itself comes from library code; only the field
     # read carries the probe's provenance
     b.api("GetSystemInfo", args=(vaddr(SYSTEM_INFO_ADDR),), ret=vint(0),
@@ -329,14 +329,14 @@ PAIRED_GAP = SANDWICH_WINDOW * 3 // 5
 SHORT_PAIRED_GAP = SANDWICH_WINDOW // 5
 
 
-def _recipe_rdtsc(b: TraceBuilder, origin: int, technique: str):
+def _recipe_rdtsc(b: TraceBuilder, origin: int, technique: str | None):
     base = 1_000_000 + b.rng.randrange(1 << 20)
     b.insn("rdtsc", origin=origin, out_regs=(("tsc", base),))
     b.insn("rdtsc", origin=origin, out_regs=(("tsc", base + 2_000),),
            trigger=technique, stride=PAIRED_GAP)
 
 
-def _recipe_injection(b: TraceBuilder, origin: int, technique: str):
+def _recipe_injection(b: TraceBuilder, origin: int, technique: str | None):
     b.api("NtWriteVirtualMemory",
           args=(vaddr(INJECT_ADDR), vlen(INJECT_LEN)), ret=vint(0),
           origin=origin, target_pid=VICTIM_PID, trigger=technique)
@@ -395,29 +395,18 @@ def build_sample(spec: GenSpec) -> GeneratedSample:
         elif isinstance(item, str):
             b.api(item, args=(vstr("payload"),), ret=vint(0), origin=RED_CODE)
         else:
-            origin = RED_CODE if item.origin == "red" else BENIGN_CODE
-            b.expect_triggers = item.origin == "red"
-            RECIPES[item.id](b, origin, item.id)
-            b.expect_triggers = True
+            # a benign-origin probe is gated out: its recipe records no trigger
+            red = item.origin == "red"
+            RECIPES[item.id](b, RED_CODE if red else BENIGN_CODE,
+                             item.id if red else None)
 
     if spec.scenario is not None:
         SCENARIOS[spec.scenario](b)
-    return _finish_sample(b)
-
-
-def _finish_sample(b: TraceBuilder) -> GeneratedSample:
     max_seq = max(b.events[-1].seq, 1)
     positions: dict[str, list[float]] = {}
-    for technique, seq, expected in b.triggers:
-        if expected:
-            positions.setdefault(technique, []).append(100.0 * seq / max_seq)
-    technique_set = sorted(set(positions) - catalog.FP_PRONE_TECHNIQUES)
-    return GeneratedSample(
-        spec=b.spec, events=b.events, positions=positions,
-        expect_detections=sorted(positions),
-        expect_technique_set=technique_set,
-        expect_evasive=bool(technique_set),
-    )
+    for technique, seq in b.triggers:
+        positions.setdefault(technique, []).append(100.0 * seq / max_seq)
+    return GeneratedSample(spec, b.events, positions)
 
 
 # ---------------------------------------------------------------------------
@@ -505,19 +494,21 @@ def write_corpus(specs: list[GenSpec], out_dir) -> dict:
     seen = set()
     for spec in specs:
         if spec.sample_id in seen:
-            raise TraceError(f"duplicate sample id {spec.sample_id!r}")
+            raise TraceError(f"duplicate sample_id {spec.sample_id!r}")
         seen.add(spec.sample_id)
     os.makedirs(out_dir, exist_ok=True)
     entries, manifest = {}, {}
 
     def trace(spec: GenSpec):
         sample = build_sample(spec)
+        technique_set = sorted(set(sample.positions)
+                               - catalog.FP_PRONE_TECHNIQUES)
         entries[spec.sample_id] = {
             "trace_file": spec.sample_id + ".trace",
             "labels": dict(spec.labels),
-            "expect_detections": sample.expect_detections,
-            "expect_technique_set": sample.expect_technique_set,
-            "expect_evasive": sample.expect_evasive,
+            "expect_detections": sorted(sample.positions),
+            "expect_technique_set": technique_set,
+            "expect_evasive": bool(technique_set),
             "positions": dict(sorted(sample.positions.items())),
         }
         events = sample.events
@@ -555,17 +546,22 @@ def parse_genspec_file(text: str, seed: int = 0) -> list[GenSpec]:
     or CR. ``seed`` is added to each line's seed: what ``gen --seed`` does
     to a built-in suite and to a ``--spec`` file alike. A seed below 0
     after that shift is an error: ``random.Random`` seeds by absolute
-    value, so -7 would build what 7 builds. A bad line is a TraceError
-    that carries its number."""
-    specs = []
+    value, so -7 would build what 7 builds. A bad line, or one that
+    repeats an earlier line's sample_id, is a TraceError that carries its
+    number."""
+    specs, seen = [], set()
     for lineno, line in enumerate(text_lines(text), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            specs.append(_parse_genspec(tokenize(line), seed))
+            spec = _parse_genspec(tokenize(line), seed)
         except (TraceError, ValueError) as exc:
             raise TraceError(str(exc), lineno) from None
+        if spec.sample_id in seen:
+            raise TraceError(f"duplicate sample_id {spec.sample_id!r}", lineno)
+        seen.add(spec.sample_id)
+        specs.append(spec)
     return specs
 
 
@@ -590,8 +586,7 @@ def _parse_genspec(fields: dict[str, str], shift: int) -> GenSpec:
         techniques=tuple(techniques),
         filler=int(fields.pop("filler", 60)),
         visible=tuple(visible),
-        labels=tuple((key, decode_text(fields.pop(key)))
-                     for key in META_LABEL_KEYS if key in fields),
+        labels=take_labels(fields),
         scenario=fields.pop("scenario", None),
         seed=int(fields.pop("seed", 0)) + shift,
     )

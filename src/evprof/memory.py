@@ -94,7 +94,6 @@ class MemoryRegion:
 
 @dataclass
 class WatchPoint:
-    pid: int
     address: int
     width: int
     field: str                 # qualified name, e.g. "PEB.BeingDebugged"
@@ -309,7 +308,7 @@ class MemoryTracker:
                 self.diagnostics.append(Diagnostic(
                     seq, f"watchpoint at 0x{addr:x} ({old.field}) replaced "
                          f"by new declaration of {name}"))
-            wp = WatchPoint(pid, addr, width, name)
+            wp = WatchPoint(addr, width, name)
             table.live[addr] = (len(table.installed), wp)
             table.installed.append(wp)
             table.widths[width] = table.widths.get(width, 0) + 1

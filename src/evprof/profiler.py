@@ -275,10 +275,7 @@ class SampleProfiler:
         # routing changes no event: the Shellcode_injected rule matches
         # the target the sample named
         if self.router.route(event).rerouted:
-            self.effects.append(Effect(
-                event.seq, "reroute",
-                f"{p.name} target rerouted to honeypot pid {HONEYPOT_PID}",
-                HONEYPOT_PID))
+            self.effects.append(Effect(event.seq, "reroute", HONEYPOT_PID))
         self._match(event)
 
     def _match(self, event: TraceEvent) -> None:

@@ -331,7 +331,8 @@ def _parse_reg(text: str) -> tuple[str, int]:
     return decode_text(name), _int(value)
 
 
-def _take_labels(toks: dict[str, str]) -> tuple[tuple[str, str], ...]:
+def take_labels(toks: dict[str, str]) -> tuple[tuple[str, str], ...]:
+    """Pop the meta labels out of ``toks``, in META_LABEL_KEYS order."""
     return tuple((k, decode_text(toks.pop(k)))
                  for k in META_LABEL_KEYS if k in toks)
 
@@ -401,7 +402,7 @@ _MEM = _record("MemPayload", (
 SCHEMA = {
     "meta": _record("MetaPayload", (
         _field("sample_id", _TEXT),
-        _field(None, (_take_labels, _write_labels), (), "labels"),
+        _field(None, (take_labels, _write_labels), (), "labels"),
         _field("structs", _STRUCTS, ()),
     )),
     "image_load": _record("ImageLoadPayload", (

@@ -317,7 +317,7 @@ class ListMemoryTracker:
                     self.diagnostics.append(Diagnostic(
                         seq, f"watchpoint at 0x{addr:x} ({wp.field}) replaced "
                              f"by new declaration of {name}"))
-            wp = WatchPoint(pid, addr, width, name)
+            wp = WatchPoint(addr, width, name)
             table.append(wp)
             installed.append(wp)
         return installed

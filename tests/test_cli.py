@@ -225,7 +225,8 @@ def test_gen_spec_line_seed_negative_after_the_shift_is_a_data_error(
     out = tmp_path / "gen"
     assert main(["gen", "--spec", str(spec), "--seed", "5",
                  "--out", str(out)]) == EXIT_DATA
-    assert "error: line 2: seed -4 is negative" in capsys.readouterr().err
+    assert f"error: {spec}: line 2: seed -4 is negative" in \
+        capsys.readouterr().err
     assert not out.exists()
 
 
@@ -622,7 +623,7 @@ def test_gen_bad_spec_value_is_a_data_error_with_line(tmp_path, capsys,
     out = tmp_path / "gen"
     assert main(["gen", "--spec", str(spec), "--out", str(out)]) == EXIT_DATA
     err = capsys.readouterr().err
-    assert "error: line 2: " in err
+    assert f"error: {spec}: line 2: " in err
     assert "internal error" not in err
 
 
@@ -630,6 +631,7 @@ def test_gen_bad_spec_value_is_a_data_error_with_line(tmp_path, capsys,
     "sample_id=%2E%2E%2Fescaped filler=3", "sample_id=a/b",
     "sample_id=a%5Cb", "sample_id=.", "sample_id=.. filler=3",
     "sample_id=a%00b", "sample_id=g1 filler=-5",
+    "sample_id=g1 filler=1000000000",
 ])
 def test_gen_refuses_a_spec_it_cannot_write_inside_out(tmp_path, capsys,
                                                       fields):
@@ -638,9 +640,19 @@ def test_gen_refuses_a_spec_it_cannot_write_inside_out(tmp_path, capsys,
     out = tmp_path / "work" / "out"
     assert main(["gen", "--spec", str(spec), "--out", str(out)]) == EXIT_DATA
     err = capsys.readouterr().err
-    assert "error: line 2: " in err
+    assert f"error: {spec}: line 2: " in err
     assert "internal error" not in err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["s.gspec"]
+
+
+def test_gen_refuses_a_repeated_sample_id_at_its_line(tmp_path, capsys):
+    spec = tmp_path / "s.gspec"
+    spec.write_text("sample_id=a filler=3\nsample_id=b\nsample_id=a\n")
+    out = tmp_path / "out"
+    assert main(["gen", "--spec", str(spec), "--out", str(out)]) == EXIT_DATA
+    assert f"error: {spec}: line 3: duplicate sample_id 'a'" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_spec_line_holding_a_form_feed_is_one_sample(tmp_path):
@@ -826,12 +838,10 @@ def corpus60_run(tmp_path_factory):
     return root
 
 
-# an inserted or replacing byte is never a digit, so an edited genspec
-# never asks for a giant filler
 EDITS = st.lists(st.tuples(
     st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 2 ** 32),
-    st.sampled_from([bytes([b]) for b in range(256)
-                     if not 0x30 <= b <= 0x39])), min_size=1, max_size=6)
+    st.sampled_from([bytes([b]) for b in range(256)])),
+    min_size=1, max_size=6)
 
 
 def apply_edits(data: bytes, edits) -> bytes:
@@ -887,6 +897,8 @@ def test_no_corrupted_input_file_ends_in_an_internal_error(
             code = main(argv)
     assert code in (EXIT_OK, EXIT_DATA), err.getvalue()
     assert "internal error" not in err.getvalue()
+    if code == EXIT_DATA:
+        assert f"error: {edited}: " in err.getvalue()
 
 
 # -- outputs are whole or absent -------------------------------------------------

@@ -40,14 +40,20 @@ def test_one_event_fixtures_come_from_their_rule():
              "watch": "mem_read", "mem_write": "mem_write"}
     spec = GenSpec(sample_id="one")
     for rule in catalog.RULES:
+        listed, benign = TraceBuilder(spec), TraceBuilder(spec)
+        RECIPES[rule.id](listed, generate.RED_CODE, rule.id)
+        # a benign-origin probe: the same events, no expected detection
+        RECIPES[rule.id](benign, generate.BENIGN_CODE, None)
+        assert [ev.kind for ev in benign.events] == \
+            [ev.kind for ev in listed.events], rule.id
+        assert benign.triggers == [], rule.id
         if rule.id in ("NumberOfProcessors", "RDTSC", "Shellcode_injected"):
             continue
-        derived, listed = TraceBuilder(spec), TraceBuilder(spec)
+        derived = TraceBuilder(spec)
         _recipe_from_rule(rule)(derived, generate.RED_CODE, rule.id)
-        RECIPES[rule.id](listed, generate.RED_CODE, rule.id)
         assert [ev.kind for ev in derived.events] == \
             [kinds[rule.trigger_kind]], rule.id
-        assert derived.triggers == [(rule.id, 0, True)], rule.id
+        assert derived.triggers == [(rule.id, 0)], rule.id
         assert serialize_trace(derived.events) == \
             serialize_trace(listed.events), rule.id
 
@@ -77,7 +83,6 @@ def test_unknown_technique_and_scenario_rejected():
 def test_every_scenario_builds_a_trace_that_validates_cleanly(name):
     sample = build_sample(GenSpec(sample_id=name, scenario=name, seed=4))
     assert validate_trace(parse_trace(sample.text)) == []
-    assert sample.expect_detections == sorted(sample.positions)
 
 
 def test_items_at_one_position_build_filler_then_techniques_then_calls():
@@ -336,6 +341,7 @@ def test_genspec_missing_sample_id_rejected():
     ("techniques=Nope@5", "unknown technique 'Nope'"),
     ("scenario=nope", "unknown scenario 'nope'"),
     ("filler=1 filler=2", "duplicate field 'filler'"),
+    ("filler=1000001", "filler 1000001 outside [0, 1000000]"),
     ("seed=0x", "invalid literal for int()"),
     ("seed=-1", "seed -1 is negative"),
     ("visible=X@500", "position 500.0 outside [0, 100]"),
